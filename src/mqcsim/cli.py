@@ -25,6 +25,7 @@ from .mqc import (
     MqcRun,
     density_spectra,
     loschmidt_echo,
+    order_amplitudes,
     otoc_second_moment,
     phase_signals,
     spectrum_from_phases,
@@ -49,7 +50,6 @@ _DEFAULT_CONFIG: dict = {
         "mismatch": 0.0,
         "delta1": 3e-6,
         "delta2": 8e-6,
-        "filter_delay": 0.0,
     },
     "dd": {
         "tau": 0.1,
@@ -108,9 +108,16 @@ def resolve_config(args) -> dict:
         config["format"] = args.format
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config['format']!r}")
+    defaults = default_config()
+    unknown = [key for key in config if key not in defaults]
     for section in ("system", "mqc", "dd", "sweep", "inversion"):
         if not isinstance(config.get(section), dict):
             raise ConfigError(f"config section {section!r} must be an object")
+        # the keys inside system.geometry depend on its kind: not checked here
+        unknown += [f"{section}.{key}" for key in config[section]
+                    if key not in defaults[section]]
+    if unknown:
+        raise ConfigError(f"unknown config field {unknown[0]}")
     if not isinstance(config.get("seed"), int):
         raise ConfigError("config field seed must be an integer")
     return config
@@ -153,20 +160,17 @@ def cmd_simulate_mqc(config: dict) -> int:
         mismatch=io.require(config, "mqc", "mismatch", float, default=0.0),
         delta1=io.require(config, "mqc", "delta1", float, default=3e-6),
         delta2=io.require(config, "mqc", "delta2", float, default=8e-6),
-        filter_delay=io.require(config, "mqc", "filter_delay", float, default=0.0),
     )
-    signals = phase_signals(run)
+    amps = order_amplitudes(run)
+    signals = phase_signals(amps)
     cycled = {}
     for sig in signals:
         try:
             cycled[sig.n_blocks] = spectrum_from_phases(sig)
         except MqcsimError:
             pass  # n with no recoverable weight: skip row, oracle still written
-    oracle = density_spectra(
-        system, run.n_blocks, run.tau_dq, run.mode,
-        delta1=run.delta1, delta2=run.delta2,
-    )
-    echo = loschmidt_echo(run)
+    oracle = density_spectra(amps)
+    echo = loschmidt_echo(amps)
     otoc = {n: otoc_second_moment(spec) for n, spec in enumerate(oracle)}
 
     out_dir = _prepare_out(config, "simulate-mqc")

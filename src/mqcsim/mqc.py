@@ -1,25 +1,36 @@
 """Multiple-quantum coherence protocol, spectra, echoes, and second moments.
 
-The protocol starts from the deviation density rho(0) = Iz (the identity
+The protocol starts from the deviation density rho_0 = Iz (the identity
 part of the thermal state is invariant and dropped), applies n forward
-double-quantum blocks, a collective phase rotation phi, n time-reversed
-blocks, and reads out along Iz:
+double-quantum blocks U_f, a collective phase rotation phi, n reversed
+blocks U_b, and reads out along Iz:
 
-    U_phi(2 t_n) = exp(-i phi Iz) exp(+i t_n Hdq) exp(+i phi Iz) exp(-i t_n Hdq)
-    S_{n,phi} = Tr{Iz U_phi rho(0) U_phi^dag} / Tr{Iz^2}
+    S_n(phi) = Tr{Iz U_b^n R rho_n R^dag (U_b^n)^dag} / Tr{Iz^2},
+    rho_n = U_f^n rho_0 (U_f^n)^dag,   R = exp(+i phi Iz).
 
-with t_n = n * tau_dq. Dividing by Tr{Iz^2} = N * 2**(N-2) makes the
-unperturbed echo unit height. The Fourier transform of S over a uniform
-phi grid gives the coherence-order distribution, which equals the
-order-resolved sum of |rho_{rc}(t_n)|^2 computed from the forward-evolved
-density alone; that second route is the in-silico oracle that phase
-cycling can never access experimentally.
+The closing rotation exp(-i phi Iz) of the experiment, and any Hzz filter
+delay before detection, commute with Iz and drop out of the readout, so
+neither appears here. Moving the reversed blocks onto the observable gives
+the Heisenberg readout M_n = (U_b^n)^dag Iz U_b^n, and R multiplies the
+element (r, c) by exp(i k phi), with k = m_r - m_c its coherence order.
+Hence the order-amplitude identity
+
+    S_n(phi) = sum_k A_{n,k} exp(i k phi),
+    A_{n,k} = sum_{m_r - m_c = k} (M_n)_{cr} (rho_n)_{rc} / Tr{Iz^2}.
+
+One pass over n, advancing rho_n and M_n by one block each, fills the
+table A: it gives the phase signals on any grid and the phi = 0 Loschmidt
+echo sum_k A_{n,k}. The same pass bins |(rho_n)_{rc}|^2 by order from
+rho_n alone. That table is the density-matrix oracle, which phase
+cycling can never access experimentally; the Fourier transform of S over
+a uniform phi grid must reproduce it under perfect reversal. Dividing by
+Tr{Iz^2} = N * 2**(N-2) makes the unperturbed echo unit height.
 
 Two execution modes: ``IDEAL`` evolves under the effective Hamiltonians
 exactly; ``PULSE_LEVEL`` compiles the eight-pulse block and realizes the
-reversed block by shifting every pulse phase by pi/2 (plus phi), which is
-the standard construction for (-Hdq)_phi. A forward/backward coupling
-mismatch emulates imperfect reversal and degrades the echo.
+reversed block by shifting every pulse phase by pi/2, which is the
+standard construction for -Hdq. A forward/backward coupling mismatch
+emulates imperfect reversal and degrades the echo.
 
 Finite systems revive: unlike a macroscopic sample, the second moment
 oscillates once the coherence distribution feels the system size, so
@@ -72,10 +83,12 @@ class MqcRun:
     mismatch: float = 0.0
     delta1: float = 3e-6
     delta2: float = 8e-6
-    filter_delay: float = 0.0
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float)
+        for name in ("phases", "tau_dq", "mismatch", "delta1", "delta2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
         if self.phases.size == 0:
@@ -134,94 +147,87 @@ class CoherenceSpectrum:
         return self.weights * self.normalization
 
 
-class _ProtocolEngine:
-    """Shared forward/backward machinery for one (system, tau_dq, mode) setup.
+@dataclass
+class OrderAmplitudes:
+    """Per-order tables of one protocol pass; row n covers n blocks.
 
-    Densities are D x D dense; the engine keeps the forward-evolved
-    density and the accumulated backward propagator per block count so a
-    phase sweep costs a few matrix products per (n, phi) pair.
+    ``amplitudes[n, j]`` is A_{n,k} and ``density[n, j]`` the oracle weight
+    sum_{m_r - m_c = k} |(rho_n)_{rc}|^2 / Tr{Iz^2}, for k = ``orders[j]``.
     """
 
-    def __init__(self, run: MqcRun):
-        self.run = run
-        system = run.system
-        self.mz = system.magnetization
-        self.norm = float(system.iz_norm())
-        self.rho0 = np.diag(self.mz).astype(complex)
-        back_system = system
-        if run.mismatch != 0.0:
-            back_system = SpinSystem(
-                n_spins=system.n_spins,
-                couplings=system.couplings * (1.0 + run.mismatch),
-                geometry=None,
-            )
-        if run.mode == Mode.IDEAL:
-            self._eig_f = EigenBasis.compute(system, OperatorKind.HDQ)
-            self._eig_b = (
-                self._eig_f
-                if back_system is system
-                else EigenBasis.compute(back_system, OperatorKind.HDQ)
-            )
-            self._u_f = self._eig_f.propagator(run.tau_dq).matrix
-            # reversed block: exp(+i tau Hdq') = exp(-i Hdq' * (-tau))
-            self._u_b = self._eig_b.propagator(-run.tau_dq).matrix
-        else:
-            self._u_f = compile_program(
-                dq_block(run.delta1, run.delta2, sign=+1), system
-            ).matrix
-            self._u_b = compile_program(
-                dq_block(run.delta1, run.delta2, sign=-1), back_system
-            ).matrix
-        if run.filter_delay > 0.0:
-            self._filter = EigenBasis.compute(system, OperatorKind.HZZ).propagator(
-                run.filter_delay
-            ).matrix
-        else:
-            self._filter = None
-        self._forward = self.rho0.copy()
-        self._back = np.eye(system.dim, dtype=complex)
-        self._n = 0
-
-    def advance_to(self, n: int) -> None:
-        while self._n < n:
-            self._forward = self._u_f @ self._forward @ self._u_f.conj().T
-            self._back = self._u_b @ self._back
-            self._n += 1
-
-    def _phase_conj(self, rho: np.ndarray, phi: float) -> np.ndarray:
-        """exp(-i phi Iz) rho exp(+i phi Iz), elementwise on coherence orders."""
-        ph = np.exp(-1j * phi * self.mz)
-        return rho * np.outer(ph, ph.conj())
-
-    def signal(self, n: int, phi: float) -> complex:
-        self.advance_to(n)
-        rho = self._phase_conj(self._forward, -phi)
-        rho = self._back @ rho @ self._back.conj().T
-        rho = self._phase_conj(rho, phi)
-        if self._filter is not None:
-            rho = self._filter @ rho @ self._filter.conj().T
-        return complex(np.sum(self.mz * np.diag(rho)) / self.norm)
-
-    def forward_density(self, n: int) -> np.ndarray:
-        self.advance_to(n)
-        return self._forward
+    run: MqcRun
+    orders: np.ndarray
+    amplitudes: np.ndarray
+    density: np.ndarray
 
 
-def run_protocol(run: MqcRun) -> PhaseSignal:
-    """Execute the full protocol at n = run.n_blocks over the phase grid."""
-    engine = _ProtocolEngine(run)
-    values = np.array([engine.signal(run.n_blocks, p) for p in run.phases])
-    return PhaseSignal(phi=run.phases.copy(), values=values, n_blocks=run.n_blocks)
+def _block_propagators(run: MqcRun) -> tuple[np.ndarray, np.ndarray]:
+    """Forward block U_f and reversed block U_b, the latter with mismatch."""
+    system = run.system
+    back_system = system
+    if run.mismatch != 0.0:
+        back_system = SpinSystem(
+            n_spins=system.n_spins,
+            couplings=system.couplings * (1.0 + run.mismatch),
+            geometry=None,
+        )
+    if run.mode == Mode.PULSE_LEVEL:
+        return (
+            compile_program(dq_block(run.delta1, run.delta2, sign=+1), system).matrix,
+            compile_program(dq_block(run.delta1, run.delta2, sign=-1), back_system).matrix,
+        )
+    eig_f = EigenBasis.compute(system, OperatorKind.HDQ)
+    eig_b = (
+        eig_f if back_system is system
+        else EigenBasis.compute(back_system, OperatorKind.HDQ)
+    )
+    # reversed block: exp(+i tau Hdq') = exp(-i Hdq' * (-tau))
+    return eig_f.propagator(run.tau_dq).matrix, eig_b.propagator(-run.tau_dq).matrix
 
 
-def phase_signals(run: MqcRun) -> list[PhaseSignal]:
-    """Protocol signals for every n = 0 .. run.n_blocks, sharing one engine."""
-    engine = _ProtocolEngine(run)
-    out = []
+def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
+    """Both per-order tables for n = 0 .. run.n_blocks from one pass.
+
+    The pass holds the two block propagators, rho_n and M_n: a fixed
+    number of D x D matrices whatever n_blocks is.
+    """
+    system = run.system
+    u_f, u_b = _block_propagators(run)
+    mz = system.magnetization
+    n_orders = 2 * system.n_spins + 1
+    k_index = (np.rint(mz[:, None] - mz[None, :]).astype(int) + system.n_spins).ravel()
+
+    def binned(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(k_index, weights=weights.ravel(), minlength=n_orders)
+
+    amplitudes = np.empty((run.n_blocks + 1, n_orders), dtype=complex)
+    density = np.empty((run.n_blocks + 1, n_orders))
+    rho = np.diag(mz).astype(complex)
+    readout = rho.copy()
     for n in range(run.n_blocks + 1):
-        values = np.array([engine.signal(n, p) for p in run.phases])
-        out.append(PhaseSignal(phi=run.phases.copy(), values=values, n_blocks=n))
-    return out
+        if n > 0:
+            rho = u_f @ rho @ u_f.conj().T
+            readout = u_b.conj().T @ readout @ u_b
+        overlap = readout.T * rho  # element (r, c) is (M_n)_{cr} (rho_n)_{rc}
+        amplitudes[n] = binned(overlap.real) + 1j * binned(overlap.imag)
+        density[n] = binned(np.abs(rho) ** 2)
+    norm = system.iz_norm()
+    return OrderAmplitudes(
+        run=run,
+        orders=np.arange(-system.n_spins, system.n_spins + 1),
+        amplitudes=amplitudes / norm,
+        density=density / norm,
+    )
+
+
+def phase_signals(amps: OrderAmplitudes) -> list[PhaseSignal]:
+    """S_n(phi) = sum_k A_{n,k} exp(i k phi) on the run's grid, n = 0 .. n_blocks."""
+    phases = amps.run.phases
+    values = amps.amplitudes @ np.exp(1j * np.outer(amps.orders, phases))
+    return [
+        PhaseSignal(phi=phases.copy(), values=row, n_blocks=n)
+        for n, row in enumerate(values)
+    ]
 
 
 def _spectrum_from_raw(raw: np.ndarray, orders: np.ndarray, n_blocks: int) -> CoherenceSpectrum:
@@ -267,6 +273,13 @@ def spectrum_from_phases(signal: PhaseSignal) -> CoherenceSpectrum:
     return _spectrum_from_raw(raw, orders, signal.n_blocks)
 
 
+def density_spectra(amps: OrderAmplitudes) -> list[CoherenceSpectrum]:
+    """Oracle spectra for every n = 0 .. n_blocks from the |rho_n|^2 table."""
+    return [
+        _spectrum_from_raw(raw, amps.orders, n) for n, raw in enumerate(amps.density)
+    ]
+
+
 def spectrum_from_density(
     system: SpinSystem,
     n_blocks: int,
@@ -277,56 +290,14 @@ def spectrum_from_density(
     delta2: float = 8e-6,
 ) -> CoherenceSpectrum:
     """Order-resolved |rho_{rc}(t_n)|^2 from the forward evolution alone."""
-    run = MqcRun(
-        system=system,
-        n_blocks=n_blocks,
-        tau_dq=tau_dq,
-        phases=np.array([0.0]),
-        mode=mode,
-        delta1=delta1,
-        delta2=delta2,
-    )
-    return density_spectra(
-        system, n_blocks, tau_dq, mode, delta1=delta1, delta2=delta2
-    )[n_blocks]
+    run = MqcRun(system, n_blocks, tau_dq, np.array([0.0]), mode,
+                 delta1=delta1, delta2=delta2)
+    return density_spectra(order_amplitudes(run))[n_blocks]
 
 
-def density_spectra(
-    system: SpinSystem,
-    n_max: int,
-    tau_dq: float,
-    mode: Mode = Mode.IDEAL,
-    *,
-    delta1: float = 3e-6,
-    delta2: float = 8e-6,
-) -> list[CoherenceSpectrum]:
-    """Oracle spectra for every n = 0 .. n_max from one incremental sweep."""
-    run = MqcRun(
-        system=system, n_blocks=n_max, tau_dq=tau_dq,
-        phases=np.array([0.0]), mode=mode, delta1=delta1, delta2=delta2,
-    )
-    engine = _ProtocolEngine(run)
-    n = system.n_spins
-    mz = system.magnetization
-    k_index = np.rint(mz[:, None] - mz[None, :]).astype(int) + n
-    orders = np.arange(-n, n + 1)
-    out = []
-    for nb in range(n_max + 1):
-        rho = engine.forward_density(nb)
-        raw = np.bincount(
-            k_index.ravel(), weights=(np.abs(rho) ** 2).ravel(), minlength=2 * n + 1
-        )
-        raw /= system.iz_norm()
-        out.append(_spectrum_from_raw(raw, orders, nb))
-    return out
-
-
-def loschmidt_echo(run: MqcRun) -> np.ndarray:
-    """S_{n,0} for n = 0 .. run.n_blocks; unity under perfect reversal."""
-    engine = _ProtocolEngine(run)
-    return np.array(
-        [engine.signal(n, 0.0).real for n in range(run.n_blocks + 1)]
-    )
+def loschmidt_echo(amps: OrderAmplitudes) -> np.ndarray:
+    """S_n(0) = sum_k A_{n,k} for n = 0 .. n_blocks; unity under perfect reversal."""
+    return amps.amplitudes.sum(axis=1).real
 
 
 def otoc_second_moment(spectrum: CoherenceSpectrum) -> float:

@@ -76,16 +76,21 @@ def dense_operator(kind, couplings, n, phi=0.0):
     raise ValueError(kind)
 
 
-def brute_force_mqc_signal(couplings, t, phi):
-    """Dense-matrix protocol evaluation sharing no code with the package."""
+def brute_force_mqc_signal(couplings, t, phi, back_couplings=None):
+    """Dense-matrix protocol evaluation sharing no code with the package.
+
+    The reversed evolution runs under ``back_couplings`` (default: the
+    forward ones); ``couplings * (1 + mismatch)`` mirrors ``MqcRun.mismatch``.
+    """
     import scipy.linalg
 
     n = couplings.shape[0]
     h = dense_hdq(couplings)
+    h_back = h if back_couplings is None else dense_hdq(back_couplings)
     iz = total_op(IZ, n)
     u = (
         scipy.linalg.expm(-1j * phi * iz)
-        @ scipy.linalg.expm(1j * t * h)
+        @ scipy.linalg.expm(1j * t * h_back)
         @ scipy.linalg.expm(1j * phi * iz)
         @ scipy.linalg.expm(-1j * t * h)
     )

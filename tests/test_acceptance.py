@@ -30,12 +30,12 @@ from mqcsim import (
     loschmidt_echo,
     make_kernel_problem,
     measured_snr,
+    order_amplitudes,
     otoc_direct,
     otoc_second_moment,
     phase_signals,
     problem_from_spectrum,
     run_dd,
-    run_protocol,
     scans_to_match_snr,
     spectrum_from_density,
     spectrum_from_phases,
@@ -62,7 +62,7 @@ def test_c01_two_spin_analytic_mqc():
     tau, n = 0.31, 3
     t = n * tau
     run = MqcRun(system, n, tau, uniform_phase_grid(16))
-    signal = run_protocol(run)
+    signal = phase_signals(order_amplitudes(run))[-1]
 
     analytic = np.cos(t) ** 2 + np.sin(t) ** 2 * np.cos(2 * signal.phi)
     assert np.max(np.abs(signal.values - analytic)) < 1e-8
@@ -84,8 +84,9 @@ def _criterion2_fixtures():
         system = build_system(AllToAll(d0=1.0), n_spins)
         tau = 0.05
         run = MqcRun(system, 4, tau, uniform_phase_grid(32))
-        signals = phase_signals(run)[1:]  # n = 1..4
-        oracles = density_spectra(system, 4, tau)[1:]
+        amps = order_amplitudes(run)
+        signals = phase_signals(amps)[1:]  # n = 1..4
+        oracles = density_spectra(amps)[1:]
         out.append((system, signals, oracles))
     return out
 
@@ -147,13 +148,13 @@ def test_c06_loschmidt_reversal():
     """Ideal echo is exactly unity; 5% mismatch decays strictly over n=1..6."""
     system8 = build_system(AllToAll(d0=800.0), 8)
     ideal = MqcRun(system8, 6, 60e-6, np.array([0.0]), mode=Mode.IDEAL)
-    echo = loschmidt_echo(ideal)
+    echo = loschmidt_echo(order_amplitudes(ideal))
     assert np.max(np.abs(echo - 1.0)) < 1e-9
 
     perturbed = MqcRun(
         system8, 6, 60e-6, np.array([0.0]), mode=Mode.PULSE_LEVEL, mismatch=0.05
     )
-    echo = loschmidt_echo(perturbed)
+    echo = loschmidt_echo(order_amplitudes(perturbed))
     assert np.all(np.diff(echo[1:]) < 0.0)
     assert echo[6] < echo[1] < 1.0
 
@@ -199,7 +200,8 @@ def test_c09_scrambling_trend_pipeline():
     """N=10 all-to-all, n=0..8 at d0*tau=0.05 (pre-recurrence window):
     spectral second moment and inverted front both non-decreasing."""
     system = build_system(AllToAll(d0=1.0), 10)
-    specs = density_spectra(system, 8, 0.05)
+    run = MqcRun(system, 8, 0.05, np.array([0.0]))
+    specs = density_spectra(order_amplitudes(run))
     moments = np.array([otoc_second_moment(s) for s in specs])
     assert np.all(np.diff(moments) >= 0.0)
 

@@ -234,6 +234,11 @@ class TestCli:
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
         assert "mqc.tau_dq" in capsys.readouterr().err
 
+    def test_unknown_field_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, mqc={"filter_delay": 1e-4})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert "unknown config field mqc.filter_delay" in capsys.readouterr().err
+
     def test_malformed_section_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, system=5)
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2

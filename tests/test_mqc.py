@@ -11,10 +11,10 @@ from mqcsim import (
     build_system,
     density_spectra,
     loschmidt_echo,
+    order_amplitudes,
     otoc_direct,
     otoc_second_moment,
     phase_signals,
-    run_protocol,
     spectrum_from_density,
     spectrum_from_phases,
     uniform_phase_grid,
@@ -32,14 +32,14 @@ def sys2():
 class TestRunProtocol:
     def test_n_zero_is_unity(self, sys2):
         run = MqcRun(sys2, 0, 0.1, uniform_phase_grid(8))
-        signal = run_protocol(run)
+        signal = phase_signals(order_amplitudes(run))[-1]
         assert np.max(np.abs(signal.values - 1.0)) < 1e-12
 
     def test_two_spin_analytic(self, sys2):
         # S_{n,phi} = cos^2(d t_n) + sin^2(d t_n) cos(2 phi)
         tau, n = 0.31, 3
         run = MqcRun(sys2, n, tau, uniform_phase_grid(16))
-        signal = run_protocol(run)
+        signal = phase_signals(order_amplitudes(run))[-1]
         t = n * tau
         predicted = np.cos(t) ** 2 + np.sin(t) ** 2 * np.cos(2 * signal.phi)
         assert np.max(np.abs(signal.values - predicted)) < 1e-10
@@ -48,22 +48,41 @@ class TestRunProtocol:
         rng = np.random.default_rng(12)
         system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
         run = MqcRun(system, 2, 0.2, uniform_phase_grid(8))
-        signal = run_protocol(run)
+        signal = phase_signals(order_amplitudes(run))[-1]
         for phi, val in zip(signal.phi, signal.values):
             ref = brute_force_signal(system.couplings, 0.4, phi)
             assert abs(val - ref) < 1e-10
 
+    def test_mismatch_matches_brute_force_dense(self):
+        # M_n differs from rho_n only under imperfect reversal, so this is
+        # the check of the backward half of the pass
+        rng = np.random.default_rng(17)
+        couplings = random_couplings(4, rng)
+        system = build_system(ExplicitCouplings(couplings), 4)
+        tau, mismatch = 0.2, 0.05
+        run = MqcRun(system, 3, tau, uniform_phase_grid(16), mismatch=mismatch)
+        perfect = phase_signals(order_amplitudes(MqcRun(system, 3, tau, run.phases)))
+        for signal, ideal in zip(phase_signals(order_amplitudes(run))[1:], perfect[1:]):
+            t = signal.n_blocks * tau
+            # the mismatch must move the signal, or the comparison shows nothing
+            assert np.max(np.abs(signal.values - ideal.values)) > 1e-4
+            for phi, val in zip(signal.phi, signal.values):
+                ref = brute_force_signal(
+                    couplings, t, phi, back_couplings=couplings * (1.0 + mismatch)
+                )
+                assert abs(val - ref) < 1e-10
+
     def test_phi_zero_is_unity_ideal(self, sys2):
         for n in (1, 4, 9):
             run = MqcRun(sys2, n, 0.17, np.array([0.0, 1.0]))
-            signal = run_protocol(run)
+            signal = phase_signals(order_amplitudes(run))[-1]
             assert abs(signal.values[0] - 1.0) < 1e-9
 
     def test_phi_zero_signal_is_real(self):
         rng = np.random.default_rng(44)
         system = build_system(ExplicitCouplings(random_couplings(5, rng)), 5)
         run = MqcRun(system, 3, 0.2, uniform_phase_grid(8), mismatch=0.03)
-        signal = run_protocol(run)
+        signal = phase_signals(order_amplitudes(run))[-1]
         assert abs(signal.values[0].imag) < 1e-9
 
     def test_phase_validation(self, sys2):
@@ -73,18 +92,18 @@ class TestRunProtocol:
             MqcRun(sys2, 1, 0.1, np.array([0.0, 7.0]))
         with pytest.raises(ValueError):
             MqcRun(sys2, -1, 0.1, np.array([0.0]))
+        with pytest.raises(ValueError):
+            MqcRun(sys2, 1, 0.1, np.array([0.0, np.nan]))
+        for field in ("tau_dq", "mismatch", "delta1", "delta2"):
+            for bad in (np.nan, np.inf):
+                params = {"tau_dq": 0.1, field: bad}
+                with pytest.raises(ValueError, match=field):
+                    MqcRun(sys2, 1, phases=np.array([0.0]), **params)
 
     def test_pulse_level_tau_must_match_block(self, sys2):
         with pytest.raises(ValueError):
             MqcRun(sys2, 1, 0.1, np.array([0.0]), mode=Mode.PULSE_LEVEL)
         MqcRun(sys2, 1, 60e-6, np.array([0.0]), mode=Mode.PULSE_LEVEL)
-
-    def test_filter_delay_is_noop_on_signal(self, sys2):
-        run_a = MqcRun(sys2, 2, 0.3, uniform_phase_grid(8))
-        run_b = MqcRun(sys2, 2, 0.3, uniform_phase_grid(8), filter_delay=1e-4)
-        assert np.max(
-            np.abs(run_protocol(run_a).values - run_protocol(run_b).values)
-        ) < 1e-12
 
 
 class TestSpectra:
@@ -100,7 +119,7 @@ class TestSpectra:
     def test_two_spin_spectrum(self, sys2):
         tau, n = 0.29, 2
         run = MqcRun(sys2, n, tau, uniform_phase_grid(16))
-        spec = spectrum_from_phases(run_protocol(run))
+        spec = spectrum_from_phases(phase_signals(order_amplitudes(run))[-1])
         t = n * tau
         assert spec.weight_at(0) == pytest.approx(np.cos(t) ** 2, abs=1e-10)
         for k in (-2, 2):
@@ -131,7 +150,7 @@ class TestSpectra:
         system = build_system(AllToAll(d0=1.0), n_spins)
         tau = 0.08
         run = MqcRun(system, 3, tau, uniform_phase_grid(m_phases))
-        for signal in phase_signals(run)[1:]:
+        for signal in phase_signals(order_amplitudes(run))[1:]:
             from_phases = spectrum_from_phases(signal)
             from_density = spectrum_from_density(system, signal.n_blocks, tau)
             for k in from_density.orders:
@@ -167,14 +186,14 @@ class TestSpectra:
 class TestLoschmidtEcho:
     def test_ideal_mode_is_unity(self, sys2):
         run = MqcRun(sys2, 6, 0.4, np.array([0.0]))
-        echo = loschmidt_echo(run)
+        echo = loschmidt_echo(order_amplitudes(run))
         assert echo.shape == (7,)
         assert np.max(np.abs(echo - 1.0)) < 1e-9
 
     def test_pulse_level_vanishing_couplings(self):
         system = build_system(AllToAll(d0=1e-4), 4)  # d0 * tau ~ 6e-9
         run = MqcRun(system, 3, 60e-6, np.array([0.0]), mode=Mode.PULSE_LEVEL)
-        echo = loschmidt_echo(run)
+        echo = loschmidt_echo(order_amplitudes(run))
         assert np.max(np.abs(echo - 1.0)) < 1e-9
 
     @pytest.mark.parametrize("mode,tau", [(Mode.IDEAL, 0.05), (Mode.PULSE_LEVEL, 60e-6)])
@@ -183,7 +202,7 @@ class TestLoschmidtEcho:
         d0 = 1.0 if mode == Mode.IDEAL else 800.0
         system = build_system(AllToAll(d0=d0), n_spins)
         run = MqcRun(system, 8, tau, np.array([0.0]), mode=mode, mismatch=0.05)
-        echo = loschmidt_echo(run)
+        echo = loschmidt_echo(order_amplitudes(run))
         assert echo[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(echo[1:]) < 0.0)
         assert echo[-1] < 1.0
@@ -216,6 +235,7 @@ class TestOtoc:
         # second moment grows with n over the documented pre-recurrence
         # window (n = 1..8 at d0 * tau_dq = 0.05 for all-to-all N = 8)
         system = build_system(AllToAll(d0=1.0), 8)
-        specs = density_spectra(system, 8, 0.05)
+        run = MqcRun(system, 8, 0.05, np.array([0.0]))
+        specs = density_spectra(order_amplitudes(run))
         moments = [otoc_second_moment(s) for s in specs]
         assert np.all(np.diff(moments) >= 0.0)
