@@ -96,7 +96,43 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the type of a field's default -> (check on a configured value, what it must be)
+_FIELD_TYPES = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+           "a list of numbers"),
+    type(None): (lambda v: v is None or _is_number(v), "a number or null"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _check_fields(config: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject unknown keys and values whose type differs from the default's.
+
+    The keys inside system.geometry depend on its kind and are left to
+    ``geometry_from_dict``.
+    """
+    for key in config:
+        if key not in defaults:
+            raise ConfigError(f"unknown config field {prefix}{key}")
+    for key, default in defaults.items():
+        value = config[key]
+        check, expected = _FIELD_TYPES[type(default)]
+        if not check(value):
+            raise ConfigError(f"config field {prefix}{key} must be {expected}, "
+                              f"got {type(value).__name__}")
+        if isinstance(default, dict) and not prefix:
+            _check_fields(value, default, f"{key}.")
+
+
 def resolve_config(args) -> dict:
+    """Merge the config file and flag overrides into the defaults and check the result."""
     config = default_config()
     if getattr(args, "config", None):
         config = _merge(config, io.load_config(Path(args.config)))
@@ -106,34 +142,19 @@ def resolve_config(args) -> dict:
         config["output_dir"] = args.out
     if getattr(args, "format", None):
         config["format"] = args.format
+    _check_fields(config, _DEFAULT_CONFIG)
     if config["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {config['format']!r}")
-    defaults = default_config()
-    unknown = [key for key in config if key not in defaults]
-    for section in ("system", "mqc", "dd", "sweep", "inversion"):
-        if not isinstance(config.get(section), dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        # the keys inside system.geometry depend on its kind: not checked here
-        unknown += [f"{section}.{key}" for key in config[section]
-                    if key not in defaults[section]]
-    if unknown:
-        raise ConfigError(f"unknown config field {unknown[0]}")
-    if not isinstance(config.get("seed"), int):
-        raise ConfigError("config field seed must be an integer")
     return config
 
 
 def _build_system(config: dict):
-    geometry_doc = io.require(config, "system", "geometry", dict)
+    system = config["system"]
     try:
-        geometry = geometry_from_dict(geometry_doc)
+        geometry = geometry_from_dict(system["geometry"])
     except (KeyError, TypeError) as err:
         raise ConfigError(f"config field system.geometry is malformed: {err}")
-    return build_system(
-        geometry,
-        io.require(config, "system", "n_spins", int),
-        max_spins=io.require(config, "system", "max_spins", int, default=14),
-    )
+    return build_system(geometry, system["n_spins"], max_spins=system["max_spins"])
 
 
 def _prepare_out(config: dict, command: str) -> Path:
@@ -145,21 +166,21 @@ def _prepare_out(config: dict, command: str) -> Path:
 
 def cmd_simulate_mqc(config: dict) -> int:
     system = _build_system(config)
-    mode_name = io.require(config, "mqc", "mode", str, default="ideal")
+    mqc = config["mqc"]
     try:
-        mode = Mode(mode_name)
+        mode = Mode(mqc["mode"])
     except ValueError:
         raise ConfigError(f"config field mqc.mode must be one of "
-                          f"{[m.value for m in Mode]}, got {mode_name!r}")
+                          f"{[m.value for m in Mode]}, got {mqc['mode']!r}")
     run = MqcRun(
         system=system,
-        n_blocks=io.require(config, "mqc", "n_max", int),
-        tau_dq=io.require(config, "mqc", "tau_dq", float),
-        phases=uniform_phase_grid(io.require(config, "mqc", "n_phases", int)),
+        n_blocks=mqc["n_max"],
+        tau_dq=mqc["tau_dq"],
+        phases=uniform_phase_grid(mqc["n_phases"]),
         mode=mode,
-        mismatch=io.require(config, "mqc", "mismatch", float, default=0.0),
-        delta1=io.require(config, "mqc", "delta1", float, default=3e-6),
-        delta2=io.require(config, "mqc", "delta2", float, default=8e-6),
+        mismatch=mqc["mismatch"],
+        delta1=mqc["delta1"],
+        delta2=mqc["delta2"],
     )
     amps = order_amplitudes(run)
     signals = phase_signals(amps)
@@ -218,22 +239,9 @@ def cmd_simulate_mqc(config: dict) -> int:
     return 0
 
 
-def _dd_config(config: dict) -> DdConfig:
-    return DdConfig(
-        tau=io.require(config, "dd", "tau", float),
-        theta=io.require(config, "dd", "theta", float),
-        n_cycles=io.require(config, "dd", "n_cycles", int),
-        transient_skip=io.require(config, "dd", "transient_skip", int, default=8),
-        noise_sigma=io.require(config, "dd", "noise_sigma", float, default=0.0),
-        n_scans=io.require(config, "dd", "n_scans", int, default=1),
-        rng_seed=config["seed"],
-        detect=io.require(config, "dd", "detect", str, default="aligned"),
-    )
-
-
 def cmd_simulate_dd(config: dict) -> int:
     system = _build_system(config)
-    dd_config = _dd_config(config)
+    dd_config = DdConfig(**config["dd"], rng_seed=config["seed"])
     series = run_dd(system, dd_config)
     try:
         fit = fit_biexponential(series)
@@ -256,16 +264,7 @@ def cmd_simulate_dd(config: dict) -> int:
 
 def cmd_sweep(config: dict) -> int:
     system = _build_system(config)
-    result = sweep(
-        system,
-        [float(v) for v in io.require(config, "sweep", "tau_grid", list)],
-        [float(v) for v in io.require(config, "sweep", "theta_grid", list)],
-        io.require(config, "sweep", "n_cycles", int),
-        noise_sigma=io.require(config, "sweep", "noise_sigma", float, default=0.0),
-        n_scans=io.require(config, "sweep", "n_scans", int, default=1),
-        transient_skip=io.require(config, "sweep", "transient_skip", int, default=8),
-        base_seed=config["seed"],
-    )
+    result = sweep(system, **config["sweep"], base_seed=config["seed"])
     out_dir = _prepare_out(config, "sweep")
     io.write_sweep_csv(out_dir / "sweep.csv", result)
 
@@ -289,9 +288,6 @@ def cmd_sweep(config: dict) -> int:
 
 def cmd_invert(config: dict, inputs: list[str], continue_on_error: bool) -> int:
     sec = config["inversion"]
-    alpha = sec.get("alpha")
-    if alpha is not None and not isinstance(alpha, (int, float)):
-        raise ConfigError("config field inversion.alpha must be a number or null")
     out_dir = _prepare_out(config, "invert")
     successes = 0
     for path_s in inputs:
@@ -306,23 +302,14 @@ def cmd_invert(config: dict, inputs: list[str], continue_on_error: bool) -> int:
                 problem = make_kernel_problem(
                     orders[keep].astype(float),
                     weights[keep],
-                    s_min=io.require(config, "inversion", "s_min", float, default=1.0),
-                    s_max=io.require(config, "inversion", "s_max", float, default=1e4),
-                    n_grid=io.require(config, "inversion", "n_grid", int, default=64),
-                    noise_estimate=io.require(
-                        config, "inversion", "noise_estimate", float, default=0.0
-                    ),
+                    s_min=sec["s_min"],
+                    s_max=sec["s_max"],
+                    n_grid=sec["n_grid"],
+                    noise_estimate=sec["noise_estimate"],
                 )
-                dist = invert(problem, alpha, n_blocks=n)
-                analytics = analyze(
-                    dist,
-                    prominence=io.require(
-                        config, "inversion", "prominence", float, default=0.02
-                    ),
-                    front_fraction=io.require(
-                        config, "inversion", "front_fraction", float, default=0.97
-                    ),
-                )
+                dist = invert(problem, sec["alpha"], n_blocks=n)
+                analytics = analyze(dist, prominence=sec["prominence"],
+                                    front_fraction=sec["front_fraction"])
             except (MqcsimError, ValueError) as err:
                 entries[str(n)] = {"status": f"error: {err}"}
                 if not continue_on_error:
@@ -443,17 +430,11 @@ def main(argv=None) -> int:
             if args.command == "fit-growth":
                 return cmd_fit_growth(config, args.analytics, args.tau_dq)
             parser.error(f"unknown command {args.command}")
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, FileNotFoundError, ValueError) as err:
+        # ValueError: parameter validation raised by the simulation layer
         print(f"mqcsim: config error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        # parameter validation raised by the simulation layer
-        print(f"mqcsim: config error: {err}", file=sys.stderr)
-        return 2
-    except MqcsimError as err:
-        print(f"mqcsim: {err}", file=sys.stderr)
-        return 1
-    except RuntimeError as err:
+    except (MqcsimError, RuntimeError) as err:
         print(f"mqcsim: {err}", file=sys.stderr)
         return 1
     return 0

@@ -44,16 +44,16 @@ class DdConfig:
     detect: str = "aligned"  # or "magnitude"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError("tau must be positive and finite")
         if not 0 < self.theta <= np.pi:
             raise ValueError("theta must lie in (0, pi]")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         if self.transient_skip < 0:
             raise ValueError("transient_skip must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.n_scans < 1:
             raise ValueError("n_scans must be >= 1")
         if self.detect not in ("aligned", "magnitude"):
@@ -392,7 +392,6 @@ def sweep(
     n_scans: int = 1,
     transient_skip: int = 8,
     base_seed: int = 0,
-    detect: str = "aligned",
 ) -> SweepResult:
     """Map (tau, theta) to decay fits, amplitudes, N* and SNR.
 
@@ -411,7 +410,7 @@ def sweep(
             config = DdConfig(
                 tau=float(tau), theta=float(theta), n_cycles=n_cycles,
                 transient_skip=transient_skip, noise_sigma=noise_sigma,
-                n_scans=n_scans, rng_seed=seed, detect=detect,
+                n_scans=n_scans, rng_seed=seed,
             )
             series = run_dd(system, config)
             sigma_eff = noise_sigma / np.sqrt(n_scans) if noise_sigma > 0 else 0.0

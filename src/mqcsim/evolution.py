@@ -1,7 +1,7 @@
 """Exact time evolution: propagators, collective pulses, pulse programs.
 
 Two propagation paths are provided and must agree wherever both run:
-an eigendecomposition path (default up to ``eigen_max_dim``) and a
+an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and a
 matrix-free Lanczos/Krylov path applied per state vector or per density
 column. Negative times are legitimate and mean time reversal.
 
@@ -29,6 +29,8 @@ from .errors import CapExceeded, DimensionMismatch, NonConvergence
 from .spins import OperatorKind, SpinSystem, apply_operator
 
 MAX_DENSE_DIM = 1 << 14
+# evolve(method="auto") switches from eigendecomposition to Krylov above this
+EIGEN_MAX_DIM = 1 << 10
 
 # single-spin operators in the (down, up) = (0, 1) ordering of spins.py
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I+
@@ -226,16 +228,13 @@ def evolve(
     *,
     phi: float = 0.0,
     method: str = "auto",
-    eigen_max_dim: int = 1 << 10,
-    krylov_tol: float = 1e-10,
-    krylov_m_max: int = 30,
 ) -> np.ndarray:
     """Evolve a state vector (shape (D,)) or density matrix (shape (D, D)).
 
     Vectors become ``exp(-iHt) psi``; densities become
     ``exp(-iHt) rho exp(+iHt)``. ``t < 0`` reverts the evolution.
     ``method`` is "auto", "eigen" or "krylov"; auto picks eigen up to
-    ``eigen_max_dim`` and the matrix-free path above it.
+    ``EIGEN_MAX_DIM`` and the matrix-free path above it.
     """
     obj = np.asarray(obj, dtype=complex)
     dim = system.dim
@@ -246,23 +245,22 @@ def evolve(
         raise CapExceeded(f"dense {dim}x{dim} density over budget")
 
     if method == "auto":
-        method = "eigen" if dim <= eigen_max_dim else "krylov"
+        method = "eigen" if dim <= EIGEN_MAX_DIM else "krylov"
 
     if method == "eigen":
         basis = EigenBasis.compute(system, kind, phi)
         return basis.evolve_density(obj, t) if is_density else basis.evolve_state(obj, t)
 
     if method == "krylov":
-        kw = dict(phi=phi, tol=krylov_tol, m_max=krylov_m_max)
         if not is_density:
-            return krylov_expmv(system, kind, obj, t, **kw)
+            return krylov_expmv(system, kind, obj, t, phi=phi)
         # U rho U+ column-wise: B = U rho, then U B+ and conjugate back
         b = np.column_stack(
-            [krylov_expmv(system, kind, obj[:, c], t, **kw) for c in range(dim)]
+            [krylov_expmv(system, kind, obj[:, c], t, phi=phi) for c in range(dim)]
         )
         bh = b.conj().T
         c = np.column_stack(
-            [krylov_expmv(system, kind, bh[:, k], t, **kw) for k in range(dim)]
+            [krylov_expmv(system, kind, bh[:, k], t, phi=phi) for k in range(dim)]
         )
         return c.conj().T
 

@@ -129,6 +129,9 @@ def make_kernel_problem(
     if not 0 < s_min < s_max:
         raise ValueError("need 0 < s_min < s_max")
     noise = np.asarray(noise_estimate, dtype=float)
+    if not (np.all(np.isfinite(orders)) and np.all(np.isfinite(data))
+            and np.all(np.isfinite(noise))):
+        raise ValueError("orders, data and noise_estimate must be finite")
     if noise.ndim not in (0, 1) or (noise.ndim == 1 and noise.shape != data.shape):
         raise ValueError("noise_estimate must be a scalar or match the data")
     if np.any(noise < 0):
@@ -185,7 +188,8 @@ def _lcurve_alpha(kernel, data, smoother) -> float:
 
     def point(log_a):
         _, res, pen = _solve_tikhonov_nnls(kernel, data, smoother, 10.0**log_a)
-        return (np.log10(max(res, 1e-300) ** 2), np.log10(max(pen, 1e-300) ** 2))
+        # floor the squares, not the norms: 1e-300 ** 2 underflows to 0 and log10(0) = -inf
+        return (np.log10(max(res**2, 1e-300)), np.log10(max(pen**2, 1e-300)))
 
     xs = [np.log10(_ALPHA_RANGE[0]), 0.0, 0.0, np.log10(_ALPHA_RANGE[1])]
     xs[1] = (xs[3] + gs * xs[0]) / (1 + gs)

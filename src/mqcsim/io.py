@@ -237,26 +237,3 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc
 
-
-def require(config: dict, section: str, field: str, kind, *, default=None):
-    """Fetch config[section][field] with type checking and diagnostics."""
-    sec = config.get(section)
-    if sec is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"config section {section!r} is missing")
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    if field not in sec:
-        if default is not None:
-            return default
-        raise ConfigError(f"config field {section}.{field} is missing")
-    value = sec[field]
-    if kind is float and isinstance(value, int):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"config field {section}.{field} must be {kind.__name__}, "
-            f"got {type(value).__name__}"
-        )
-    return value

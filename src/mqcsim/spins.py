@@ -132,6 +132,8 @@ class SpinSystem:
             raise DimensionMismatch(
                 f"coupling matrix shape {self.couplings.shape} != ({n}, {n})"
             )
+        if not np.all(np.isfinite(self.couplings)):
+            raise InvalidGeometry("couplings must be finite")
         if not np.allclose(self.couplings, self.couplings.T, atol=0.0):
             raise InvalidGeometry("coupling matrix must be symmetric")
         if np.any(np.diag(self.couplings) != 0.0):

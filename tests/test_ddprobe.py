@@ -73,6 +73,11 @@ class TestRunDd:
             DdConfig(tau=1.0, theta=4.0, n_cycles=8)
         with pytest.raises(ValueError):
             DdConfig(tau=1.0, theta=1.0, n_cycles=8, transient_skip=-1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tau"):
+                DdConfig(tau=bad, theta=1.0, n_cycles=8)
+            with pytest.raises(ValueError, match="noise_sigma"):
+                DdConfig(tau=1.0, theta=1.0, n_cycles=8, noise_sigma=bad)
 
     def test_retention_higher_for_smaller_tau(self):
         # desk-scale mirror of the tau trend: exact closed-system dynamics

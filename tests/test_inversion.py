@@ -51,6 +51,11 @@ class TestKernelProblem:
             make_kernel_problem(np.array([0.0, 2.0]), np.ones(2), n_grid=4)
         with pytest.raises(ValueError):
             make_kernel_problem(np.array([0.0, 2.0]), np.ones(2), noise_estimate=-1.0)
+        for orders, data, noise in (([0.0, 2.0], [1.0, np.nan], 0.0),
+                                    ([0.0, np.inf], [1.0, 0.5], 0.0),
+                                    ([0.0, 2.0], [1.0, 0.5], np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                make_kernel_problem(np.array(orders), np.array(data), noise_estimate=noise)
 
     def test_condition_number_warning(self):
         import warnings

@@ -234,6 +234,29 @@ class TestCli:
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
         assert "mqc.tau_dq" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [(None, "output_dir", 5), ("sweep", "tau_grid", ["a"]),
+         ("mqc", "n_phases", 8.5), ("inversion", "alpha", "x")],
+    )
+    def test_mistyped_field_exit_2(self, tmp_path, capsys, section, field, value):
+        # a field is checked against its default's type whatever the command
+        cfg, _ = write_config(tmp_path)
+        config = json.loads(cfg.read_text())
+        (config.setdefault(section, {}) if section else config)[field] = value
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+        name = f"{section}.{field}" if section else field
+        assert f"config field {name} must be" in capsys.readouterr().err
+
+    def test_int_for_float_field_runs(self, tmp_path):
+        outputs = []
+        for tau_dq in (1, 1.0):
+            cfg, out = write_config(tmp_path, mqc={"tau_dq": tau_dq})
+            assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 0
+            outputs.append((out / "spectrum_density.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_field_exit_2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, mqc={"filter_delay": 1e-4})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2

@@ -1,15 +1,22 @@
-"""Property-based invariants of the one-pass MQC engine over random couplings."""
+"""Property-based invariants of the one-pass MQC engine, the propagators and
+the inversion over random couplings and spectra."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqcsim import (
+    EigenBasis,
     ExplicitCouplings,
     MqcRun,
+    OperatorKind,
     build_system,
+    compile_program,
     density_spectra,
+    dq_block,
+    invert,
     loschmidt_echo,
+    make_kernel_problem,
     order_amplitudes,
     phase_signals,
     spectrum_from_phases,
@@ -21,7 +28,7 @@ N_PHASES = 16
 
 
 @st.composite
-def runs(draw):
+def systems(draw):
     n_spins = draw(st.integers(2, 5))
     upper = draw(st.lists(
         st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False),
@@ -30,7 +37,12 @@ def runs(draw):
     ))
     couplings = np.zeros((n_spins, n_spins))
     couplings[np.triu_indices(n_spins, k=1)] = upper
-    system = build_system(ExplicitCouplings(couplings + couplings.T), n_spins)
+    return build_system(ExplicitCouplings(couplings + couplings.T), n_spins)
+
+
+@st.composite
+def runs(draw):
+    system = draw(systems())
     n_max = draw(st.integers(0, 3))
     tau_dq = draw(st.floats(0.01, 0.5))
     return MqcRun(system, n_max, tau_dq, uniform_phase_grid(N_PHASES))
@@ -65,3 +77,42 @@ def test_phase_cycled_spectrum_equals_density(run):
         cycled = spectrum_from_phases(signal)
         for k in oracle.orders:
             assert abs(cycled.weight_at(int(k)) - oracle.weight_at(int(k))) < 1e-8
+
+
+@PROPERTY
+@given(runs())
+def test_density_normalization_equals_echo(run):
+    amps = order_amplitudes(run)
+    echo = loschmidt_echo(amps)
+    for n, (spec, signal) in enumerate(zip(density_spectra(amps), phase_signals(amps))):
+        assert signal.phi[0] == 0.0
+        assert abs(spec.normalization - echo[n]) < 1e-9
+        assert abs(spec.normalization - signal.values[0].real) < 1e-9
+
+
+@PROPERTY
+@given(
+    systems(),
+    st.sampled_from([OperatorKind.HZZ, OperatorKind.HDQ, OperatorKind.HDQ_PHASE]),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(-5.0, 5.0),
+    st.floats(1e-6, 1e-5),
+    st.floats(1e-6, 1e-5),
+    st.sampled_from([1, -1]),
+)
+def test_propagators_unitary(system, kind, phi, t, delta1, delta2, sign):
+    assert EigenBasis.compute(system, kind, phi).propagator(t).unitarity_defect() < 1e-12
+    block = compile_program(dq_block(delta1, delta2, sign), system)
+    assert block.unitarity_defect() < 1e-12
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12).filter(lambda w: max(w) > 0),
+    st.one_of(st.none(), st.floats(1e-4, 10.0)),
+)
+def test_inversion_nonnegative(weights, alpha):
+    orders = 2.0 * np.arange(len(weights))
+    problem = make_kernel_problem(orders, np.array(weights))
+    dist = invert(problem, alpha)
+    assert np.all(dist.f >= 0.0)

@@ -72,6 +72,15 @@ class TestBuildSystem:
         with pytest.raises(InvalidGeometry):
             build_system(geometry, 4)
 
+    @pytest.mark.parametrize(
+        "geometry",
+        [AllToAll(d0=np.inf), AllToAll(d0=np.nan),
+         ExplicitCouplings(np.array([[0.0, np.nan], [np.nan, 0.0]]))],
+    )
+    def test_non_finite_couplings_rejected(self, geometry):
+        with pytest.raises(InvalidGeometry, match="couplings must be finite"):
+            build_system(geometry, 2)
+
     def test_explicit_asymmetric_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvalidGeometry):
