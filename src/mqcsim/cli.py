@@ -18,7 +18,7 @@ import numpy as np
 
 from . import io
 from .ddprobe import DdConfig, fit_biexponential, run_dd, sweep
-from .errors import ConfigError, FitFailure, MqcsimError
+from .errors import ConfigError, FitFailure, InvalidGeometry, MqcsimError
 from .inversion import analyze, fit_power_law, invert, make_kernel_problem
 from .mqc import (
     Mode,
@@ -87,10 +87,13 @@ def default_config() -> dict:
 
 
 def _merge(base: dict, override: dict) -> dict:
+    """Overlay a config on the defaults. Sections merge key by key; a
+    field's value, an object such as system.geometry too, replaces the
+    default whole."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+            out[key] = {**out[key], **value}
         else:
             out[key] = value
     return out
@@ -152,7 +155,9 @@ def _build_system(config: dict):
     system = config["system"]
     try:
         geometry = geometry_from_dict(system["geometry"])
-    except (KeyError, TypeError) as err:
+    except KeyError as err:
+        raise ConfigError(f"config field system.geometry.{err.args[0]} is missing")
+    except (TypeError, InvalidGeometry) as err:
         raise ConfigError(f"config field system.geometry is malformed: {err}")
     return build_system(geometry, system["n_spins"], max_spins=system["max_spins"])
 

@@ -18,7 +18,8 @@ from mqcsim import (
     sweep,
 )
 
-from oracles import random_couplings
+from mqcsim.ddprobe import _CHUNK
+from oracles import multistart_biexponential, random_couplings
 
 
 def zero_system(n):
@@ -63,6 +64,18 @@ class TestRunDd:
         fast = run_dd(system, config)
         slow = run_dd_stepwise(system, config)
         assert np.max(np.abs(fast.values - slow.values)) < 1e-10
+
+    @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
+    def test_chunk_boundaries_match_stepwise(self, detect):
+        # the spectral kernel walks the cycles in chunks of _CHUNK
+        rng = np.random.default_rng(29)
+        system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
+        for n_cycles in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+            config = DdConfig(tau=0.31, theta=0.9, n_cycles=n_cycles, detect=detect)
+            fast = run_dd(system, config)
+            slow = run_dd_stepwise(system, config)
+            assert fast.values.shape == (n_cycles,)
+            assert np.max(np.abs(fast.values - slow.values)) < 1e-10, n_cycles
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +146,63 @@ class TestBiexponentialFit:
         t = np.linspace(0, 1, 10)
         with pytest.raises(ValueError):
             fit_biexponential((t, np.exp(-t)), transient_skip=5)
+
+    def test_non_finite_or_unordered_input_rejected(self):
+        t = np.linspace(0.05, 20, 64)
+        y = 0.8 * np.exp(-t / 4.0)
+        for bad in (np.nan, np.inf, -np.inf):
+            times, values = t.copy(), y.copy()
+            times[10] = values[10] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_biexponential((times, y))
+            with pytest.raises(ValueError, match="finite"):
+                fit_biexponential((t, values))
+        repeated = t.copy()
+        repeated[20] = repeated[19]
+        for times in (t[::-1], repeated):
+            with pytest.raises(ValueError, match="increasing"):
+                fit_biexponential((times, y))
+
+    def test_window_beyond_underflow_fails(self):
+        # exp(-t/T) underflows for every admissible T when t >> 1e6 x span
+        t = 1e10 + np.arange(16.0)
+        with pytest.raises(FitFailure, match="underflow"):
+            fit_biexponential((t, np.exp(-(t - t[0]) / 4.0)))
+
+
+class TestFitAgainstMultistart:
+    """The grid scan plus one polish per model reaches the residual of the
+    21-start reference fit and makes the same one/two-exponential call."""
+
+    @staticmethod
+    def check(t, y):
+        fit = fit_biexponential((t, y), min_amplitude_snr=0.0)
+        ssr = fit.residual_rms**2 * t.size
+        ref_ssr, ref_degenerate = multistart_biexponential(t, y)
+        assert ssr <= ref_ssr * (1 + 1e-6)
+        assert fit.degenerate == ref_degenerate
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_run_dd_series(self, seed):
+        rng = np.random.default_rng(seed)
+        system = build_system(ExplicitCouplings(random_couplings(6, rng)), 6)
+        # seed 0 is noiseless
+        for tau, theta in ((0.1, np.pi / 2), (0.2, np.pi / 4), (0.3, 3 * np.pi / 8)):
+            series = run_dd(system, DdConfig(
+                tau=tau, theta=theta, n_cycles=384, noise_sigma=0.01 * seed,
+                n_scans=4, rng_seed=seed,
+            ))
+            self.check(series.times[8:], series.values[8:])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_synthetic(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        t = np.linspace(0.05, 20, 300)
+        for a_fast in (0.0, 0.3, 0.6):  # 0.0: one exponential plus noise
+            t_fast = np.exp(rng.uniform(np.log(0.3), np.log(3.0)))
+            t_slow = np.exp(rng.uniform(np.log(6.0), np.log(60.0)))
+            y = a_fast * np.exp(-t / t_fast) + (1 - a_fast) * np.exp(-t / t_slow)
+            self.check(t, y + rng.normal(0.0, 0.01, t.size))
 
 
 class TestSnr:

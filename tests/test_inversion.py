@@ -266,6 +266,21 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(t[:3], t[:3] ** 2)
 
+    def test_non_finite_or_unordered_rejected(self):
+        t = np.linspace(1.0, 5.0, 8)
+        for bad in (np.nan, np.inf):
+            times, values = t.copy(), t**2
+            times[3] = values[3] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fit_power_law(times, t**2)
+            with pytest.raises(ValueError, match="finite"):
+                fit_power_law(t, values)
+        repeated = t.copy()
+        repeated[4] = repeated[3]
+        for times in (t[::-1], repeated):
+            with pytest.raises(ValueError, match="increasing"):
+                fit_power_law(times, t**2)
+
 
 class TestGaussianBaseline:
     def test_exact_single_gaussian(self):

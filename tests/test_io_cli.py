@@ -262,6 +262,24 @@ class TestCli:
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
         assert "unknown config field mqc.filter_delay" in capsys.readouterr().err
 
+    def test_geometry_replaces_default_whole(self, tmp_path):
+        couplings = [[0.0, 1.0], [1.0, 0.0]]
+        geometry = {"kind": "explicit", "couplings": couplings}
+        cfg, out = write_config(tmp_path, system={"geometry": geometry})
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 0
+        manifest = mio.read_manifest(out / "manifest.json")
+        assert manifest["config"]["system"]["geometry"] == geometry
+
+    @pytest.mark.parametrize("geometry, message", [
+        ({"kind": "chain"}, "system.geometry.d0 is missing"),
+        ({"d0": 2.0}, "system.geometry is malformed: unknown geometry kind None"),
+    ])
+    def test_geometry_missing_field_exit_2(self, tmp_path, capsys, geometry, message):
+        # a geometry inherits no key from the default all_to_all geometry
+        cfg, _ = write_config(tmp_path, system={"geometry": geometry})
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+        assert f"config field {message}" in capsys.readouterr().err
+
     def test_malformed_section_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, system=5)
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
