@@ -271,6 +271,9 @@ def _polish(t, y, start, a_hi, t_lo, t_hi) -> tuple[float, np.ndarray]:
     x0[1::2] = np.log(x0[1::2])
     n = x0.size // 2
     bounds = ([0.0, np.log(t_lo)] * n, [a_hi, np.log(t_hi)] * n)
+    # a grid start on a bound can round an ulp outside it, which curve_fit
+    # rejects as infeasible
+    x0 = np.clip(x0, *bounds)
     try:
         x, _ = curve_fit(_exp_sum, t, y, p0=x0, bounds=bounds, maxfev=20000)
     except (RuntimeError, ValueError):

@@ -419,9 +419,10 @@ def fit_power_law(
 
     With ``forced_exponent`` the prefactor is fit alone as well and the
     rms log-residual of that constrained model is reported alongside the
-    free fit. Raises ValueError for fewer than 4 points, non-finite input
-    or times that do not strictly increase, and :class:`NonPositiveData`
-    for a time or value <= 0.
+    free fit. The points may come in any order and may repeat a time (the
+    pooled orders of several analytics files do). Raises ValueError for
+    fewer than 4 points, non-finite input or fewer than two distinct
+    times, and :class:`NonPositiveData` for a time or value <= 0.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -429,8 +430,8 @@ def fit_power_law(
         raise ValueError("need at least 4 points")
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise ValueError("power-law fit needs finite times and values")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("power-law fit needs strictly increasing times")
+    if np.unique(t).size < 2:
+        raise ValueError("power-law fit needs at least two distinct times")
     if np.any(t <= 0) or np.any(y <= 0):
         raise NonPositiveData("power-law fit needs positive times and values")
     lt, ly = np.log(t), np.log(y)

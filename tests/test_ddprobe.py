@@ -18,7 +18,7 @@ from mqcsim import (
     sweep,
 )
 
-from mqcsim.ddprobe import _CHUNK
+from mqcsim.ddprobe import _CHUNK, _polish
 from oracles import multistart_biexponential, random_couplings
 
 
@@ -169,6 +169,17 @@ class TestBiexponentialFit:
         with pytest.raises(FitFailure, match="underflow"):
             fit_biexponential((t, np.exp(-(t - t[0]) / 4.0)))
 
+
+    def test_polish_start_an_ulp_above_bound_still_polishes(self):
+        # a grid amplitude clipped at the bound can round one ulp above it
+        t = np.linspace(10.0, 20.0, 40)
+        y = 100 * np.exp(-t) + 50 * np.exp(-t / 3.0)
+        a_hi = 10 * np.max(y)
+        start = [np.nextafter(a_hi, np.inf), 2.0]
+        ssr0 = np.sum((start[0] * np.exp(-t / start[1]) - y) ** 2)
+        ssr, (a, _) = _polish(t, y, start, a_hi, 1e-3, 1e9)
+        assert a <= a_hi
+        assert ssr < 0.1 * ssr0
 
 class TestFitAgainstMultistart:
     """The grid scan plus one polish per model reaches the residual of the

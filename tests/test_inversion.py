@@ -266,7 +266,7 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(t[:3], t[:3] ** 2)
 
-    def test_non_finite_or_unordered_rejected(self):
+    def test_non_finite_or_single_time_rejected(self):
         t = np.linspace(1.0, 5.0, 8)
         for bad in (np.nan, np.inf):
             times, values = t.copy(), t**2
@@ -275,11 +275,17 @@ class TestPowerLaw:
                 fit_power_law(times, t**2)
             with pytest.raises(ValueError, match="finite"):
                 fit_power_law(t, values)
-        repeated = t.copy()
-        repeated[4] = repeated[3]
-        for times in (t[::-1], repeated):
-            with pytest.raises(ValueError, match="increasing"):
-                fit_power_law(times, t**2)
+        with pytest.raises(ValueError, match="distinct"):
+            fit_power_law(np.full(6, 2.0), np.arange(1.0, 7.0))
+
+    def test_unordered_and_repeated_times_fit(self):
+        # pooled points of several analytics files: any order, repeated times
+        t = np.linspace(1.0, 5.0, 8)
+        ref = fit_power_law(t, 2.0 * t**3)
+        times = np.concatenate([t[::-1], t])
+        fit = fit_power_law(times, 2.0 * times**3)
+        assert fit.exponent == pytest.approx(ref.exponent, abs=1e-12)
+        assert fit.prefactor == pytest.approx(ref.prefactor, rel=1e-12)
 
 
 class TestGaussianBaseline:

@@ -210,6 +210,24 @@ class TestCli:
         assert report["front_97"]["exponent"] == pytest.approx(3.0, abs=0.01)
         assert report["width"]["exponent"] == pytest.approx(2.0, abs=0.01)
 
+    def test_fit_growth_pools_files_with_shared_orders(self, tmp_path):
+        # two analytics files over the same orders give every time twice
+        out = tmp_path / "out"
+        entries = {
+            str(n): {"status": "ok", "front_97": 5.0 * (0.1 * n) ** 3}
+            for n in range(1, 6)
+        }
+        analytics = tmp_path / "a.json"
+        analytics.write_text(json.dumps({"entries": entries}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"output_dir": str(out)}))
+        assert cli.main([
+            "fit-growth", "--config", str(cfg), str(analytics), str(analytics),
+            "--tau-dq", "0.1",
+        ]) == 0
+        report = mio.read_json(out / "growth_report.json")
+        assert report["front_97"]["exponent"] == pytest.approx(3.0, abs=1e-9)
+
     def test_invert_empty_args_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["invert"])
