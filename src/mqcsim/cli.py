@@ -159,7 +159,10 @@ def _build_system(config: dict):
         raise ConfigError(f"config field system.geometry.{err.args[0]} is missing")
     except (TypeError, InvalidGeometry) as err:
         raise ConfigError(f"config field system.geometry is malformed: {err}")
-    return build_system(geometry, system["n_spins"], max_spins=system["max_spins"])
+    try:
+        return build_system(geometry, system["n_spins"], max_spins=system["max_spins"])
+    except InvalidGeometry as err:
+        raise ConfigError(f"config field system is invalid: {err}")
 
 
 def _prepare_out(config: dict, command: str) -> Path:

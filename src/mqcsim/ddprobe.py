@@ -131,7 +131,7 @@ _SWEEP_SETUP: ContextVar[_DdSetup | None] = ContextVar("_SWEEP_SETUP", default=N
 
 def _signal(setup: _DdSetup, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
-    half = setup.hzz.propagator(config.tau / 2).matrix
+    half = setup.hzz.propagator(config.tau / 2)
     pulse = pulse_matrix(Axis.X, config.theta, setup.system.n_spins)
     cycle = half @ pulse @ half  # sample-to-sample propagator
 
@@ -181,7 +181,7 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
     iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
     norm = float(system.iz_norm())
-    half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2).matrix
+    half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
     pulse = pulse_matrix(Axis.X, config.theta, system.n_spins)
 
     rho = collective_pulse(iz, Axis.Y, np.pi / 2)

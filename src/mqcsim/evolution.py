@@ -1,9 +1,9 @@
 """Exact time evolution: propagators, collective pulses, pulse programs.
 
-Two propagation paths are provided and must agree wherever both run:
-an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and a
-matrix-free Lanczos/Krylov path applied per state vector or per density
-column. Negative times are legitimate and mean time reversal.
+State vectors have two propagation paths that must agree wherever both
+run: an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and
+a matrix-free Lanczos/Krylov path. Densities always use the
+eigendecomposition. Negative times are legitimate and mean time reversal.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
@@ -29,8 +29,14 @@ from .errors import CapExceeded, DimensionMismatch, NonConvergence
 from .spins import OperatorKind, SpinSystem, apply_operator
 
 MAX_DENSE_DIM = 1 << 14
-# evolve(method="auto") switches from eigendecomposition to Krylov above this
+# evolve(method="auto") switches state vectors from eigendecomposition to
+# Krylov above this
 EIGEN_MAX_DIM = 1 << 10
+# Lanczos residual tolerance, subspace size, and how often krylov_expmv
+# halves its substep before giving up
+KRYLOV_TOL = 1e-10
+KRYLOV_M_MAX = 30
+KRYLOV_MAX_HALVINGS = 12
 
 # single-spin operators in the (down, up) = (0, 1) ordering of spins.py
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I+
@@ -82,26 +88,16 @@ class PulseProgram:
         return sum(s.duration for s in self.steps if isinstance(s, Delay))
 
 
-@dataclass
-class Propagator:
-    """Dense unitary with the generating metadata attached."""
-
-    matrix: np.ndarray
-    duration: float
-    label: str = ""
-
-    def unitarity_defect(self) -> float:
-        u = self.matrix
-        return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+def unitarity_defect(u: np.ndarray) -> float:
+    """Largest entry of |u u^dag - 1|; zero for an exactly unitary matrix."""
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def hamiltonian_matrix(
-    system: SpinSystem, kind: OperatorKind, phi: float = 0.0
-) -> np.ndarray:
+def hamiltonian_matrix(system: SpinSystem, kind: OperatorKind) -> np.ndarray:
     """Dense operator matrix, assembled column-wise from the bitwise kernel."""
     if system.dim > MAX_DENSE_DIM:
         raise CapExceeded(f"dense {system.dim}x{system.dim} operator over budget")
-    return apply_operator(kind, system, np.eye(system.dim, dtype=complex), phi)
+    return apply_operator(kind, system, np.eye(system.dim, dtype=complex))
 
 
 @dataclass
@@ -110,21 +106,16 @@ class EigenBasis:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    kind: OperatorKind
-    phi: float = 0.0
 
     @classmethod
-    def compute(
-        cls, system: SpinSystem, kind: OperatorKind, phi: float = 0.0
-    ) -> "EigenBasis":
-        h = hamiltonian_matrix(system, kind, phi)
-        w, v = scipy.linalg.eigh(h)
-        return cls(eigenvalues=w, eigenvectors=v, kind=kind, phi=phi)
+    def compute(cls, system: SpinSystem, kind: OperatorKind) -> "EigenBasis":
+        w, v = scipy.linalg.eigh(hamiltonian_matrix(system, kind))
+        return cls(eigenvalues=w, eigenvectors=v)
 
-    def propagator(self, t: float) -> Propagator:
+    def propagator(self, t: float) -> np.ndarray:
+        """Dense exp(-iHt)."""
         v = self.eigenvectors
-        u = (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
-        return Propagator(matrix=u, duration=t, label=f"exp(-i*{self.kind.value}*t)")
+        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) @ mat without forming the propagator when mat is thin."""
@@ -141,16 +132,18 @@ class EigenBasis:
         return v @ (ph[:, None] * core * ph.conj()[None, :]) @ v.conj().T
 
 
+def _require_finite(obj: np.ndarray, t: float) -> None:
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+    if not np.all(np.isfinite(obj)):
+        raise ValueError("state or density to evolve must be finite")
+
+
 def _lanczos_expmv_single(
-    system: SpinSystem,
-    kind: OperatorKind,
-    phi: float,
-    v: np.ndarray,
-    t: float,
-    tol: float,
-    m_max: int,
+    system: SpinSystem, kind: OperatorKind, v: np.ndarray, t: float
 ) -> tuple[np.ndarray, float, bool]:
     """One Lanczos attempt at exp(-iHt) v. Returns (u, residual, converged)."""
+    tol, m_max = KRYLOV_TOL, KRYLOV_M_MAX
     beta = float(np.linalg.norm(v))
     if beta == 0.0:
         return v.copy(), 0.0, True
@@ -161,7 +154,7 @@ def _lanczos_expmv_single(
     basis[0] = v / beta
     err = np.inf
     for m in range(m_max):
-        w = apply_operator(kind, system, basis[m], phi)
+        w = apply_operator(kind, system, basis[m])
         a = float(np.real(np.vdot(basis[m], w)))
         alpha[m] = a
         w = w - a * basis[m]
@@ -186,26 +179,20 @@ def _lanczos_expmv_single(
 
 
 def krylov_expmv(
-    system: SpinSystem,
-    kind: OperatorKind,
-    v: np.ndarray,
-    t: float,
-    *,
-    phi: float = 0.0,
-    tol: float = 1e-10,
-    m_max: int = 30,
-    max_halvings: int = 12,
+    system: SpinSystem, kind: OperatorKind, v: np.ndarray, t: float
 ) -> np.ndarray:
-    """Matrix-free exp(-iHt) v with step splitting on non-convergence."""
+    """Matrix-free exp(-iHt) v with step splitting on non-convergence.
+
+    Raises ValueError for a non-finite ``t`` or ``v``.
+    """
+    _require_finite(v, t)
     steps = 1
     best_residual = np.inf
-    for _ in range(max_halvings + 1):
+    for _ in range(KRYLOV_MAX_HALVINGS + 1):
         u = v
         ok = True
         for _ in range(steps):
-            u, res, converged = _lanczos_expmv_single(
-                system, kind, phi, u, t / steps, tol, m_max
-            )
+            u, res, converged = _lanczos_expmv_single(system, kind, u, t / steps)
             best_residual = min(best_residual, res)
             if not converged:
                 ok = False
@@ -215,7 +202,7 @@ def krylov_expmv(
         steps *= 2
     raise NonConvergence(
         f"Krylov propagation did not converge after {steps // 2} substeps "
-        f"(best residual {best_residual:.3e}, tol {tol:.1e})",
+        f"(best residual {best_residual:.3e}, tol {KRYLOV_TOL:.1e})",
         residual=best_residual,
     )
 
@@ -226,45 +213,34 @@ def evolve(
     kind: OperatorKind,
     t: float,
     *,
-    phi: float = 0.0,
     method: str = "auto",
 ) -> np.ndarray:
     """Evolve a state vector (shape (D,)) or density matrix (shape (D, D)).
 
     Vectors become ``exp(-iHt) psi``; densities become
     ``exp(-iHt) rho exp(+iHt)``. ``t < 0`` reverts the evolution.
-    ``method`` is "auto", "eigen" or "krylov"; auto picks eigen up to
-    ``EIGEN_MAX_DIM`` and the matrix-free path above it.
+    Densities always use the eigenbasis. For vectors ``method`` is "auto",
+    "eigen" or "krylov"; auto picks eigen up to ``EIGEN_MAX_DIM`` and the
+    matrix-free path above it. Raises ValueError for an unknown method,
+    ``method="krylov"`` on a density, or a non-finite ``t`` or ``obj``.
     """
+    if method not in ("auto", "eigen", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
     obj = np.asarray(obj, dtype=complex)
     dim = system.dim
     is_density = obj.ndim == 2
     if obj.shape != ((dim, dim) if is_density else (dim,)):
         raise DimensionMismatch(f"object shape {obj.shape} does not match dim {dim}")
-    if is_density and dim > MAX_DENSE_DIM:
-        raise CapExceeded(f"dense {dim}x{dim} density over budget")
-
-    if method == "auto":
-        method = "eigen" if dim <= EIGEN_MAX_DIM else "krylov"
-
-    if method == "eigen":
-        basis = EigenBasis.compute(system, kind, phi)
-        return basis.evolve_density(obj, t) if is_density else basis.evolve_state(obj, t)
-
-    if method == "krylov":
-        if not is_density:
-            return krylov_expmv(system, kind, obj, t, phi=phi)
-        # U rho U+ column-wise: B = U rho, then U B+ and conjugate back
-        b = np.column_stack(
-            [krylov_expmv(system, kind, obj[:, c], t, phi=phi) for c in range(dim)]
-        )
-        bh = b.conj().T
-        c = np.column_stack(
-            [krylov_expmv(system, kind, bh[:, k], t, phi=phi) for k in range(dim)]
-        )
-        return c.conj().T
-
-    raise ValueError(f"unknown method {method!r}")
+    _require_finite(obj, t)
+    if is_density:
+        if method == "krylov":
+            raise ValueError('method="krylov" evolves state vectors only')
+        if dim > MAX_DENSE_DIM:
+            raise CapExceeded(f"dense {dim}x{dim} density over budget")
+        return EigenBasis.compute(system, kind).evolve_density(obj, t)
+    if method == "krylov" or (method == "auto" and dim > EIGEN_MAX_DIM):
+        return krylov_expmv(system, kind, obj, t)
+    return EigenBasis.compute(system, kind).evolve_state(obj, t)
 
 
 # --- collective rotations ------------------------------------------------
@@ -306,8 +282,8 @@ def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
     return out
 
 
-def compile_program(program: PulseProgram, system: SpinSystem) -> Propagator:
-    """Ordered product of step propagators (earliest step acts first)."""
+def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
+    """Dense propagator of the program (earliest step acts first)."""
     if not program.steps:
         raise ValueError("pulse program has no steps")
     dim = system.dim
@@ -322,7 +298,7 @@ def compile_program(program: PulseProgram, system: SpinSystem) -> Propagator:
             if step.hamiltonian not in bases:
                 bases[step.hamiltonian] = EigenBasis.compute(system, step.hamiltonian)
             u = bases[step.hamiltonian].evolve_columns(u, step.duration)
-    return Propagator(matrix=u, duration=program.duration, label=program.name)
+    return u
 
 
 def dq_block(
@@ -371,8 +347,6 @@ def aht_error(
     target: OperatorKind,
     system: SpinSystem,
     scale: float,
-    *,
-    phi: float = 0.0,
 ) -> float:
     """Frobenius defect per sqrt(dim) of the program against its target.
 
@@ -387,10 +361,9 @@ def aht_error(
         couplings=system.couplings * scale,
         geometry=None,
     )
-    u_prog = compile_program(program, scaled).matrix
-    u_target = EigenBasis.compute(scaled, target, phi).propagator(program.duration)
-    diff = u_prog - u_target.matrix
-    return float(np.linalg.norm(diff) / 2 ** (system.n_spins / 2))
+    u_prog = compile_program(program, scaled)
+    u_target = EigenBasis.compute(scaled, target).propagator(program.duration)
+    return float(np.linalg.norm(u_prog - u_target) / 2 ** (system.n_spins / 2))
 
 
 # --- JSON serialization ---------------------------------------------------

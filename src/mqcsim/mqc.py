@@ -173,8 +173,8 @@ def _block_propagators(run: MqcRun) -> tuple[np.ndarray, np.ndarray]:
         )
     if run.mode == Mode.PULSE_LEVEL:
         return (
-            compile_program(dq_block(run.delta1, run.delta2, sign=+1), system).matrix,
-            compile_program(dq_block(run.delta1, run.delta2, sign=-1), back_system).matrix,
+            compile_program(dq_block(run.delta1, run.delta2, sign=+1), system),
+            compile_program(dq_block(run.delta1, run.delta2, sign=-1), back_system),
         )
     eig_f = EigenBasis.compute(system, OperatorKind.HDQ)
     eig_b = (
@@ -182,7 +182,7 @@ def _block_propagators(run: MqcRun) -> tuple[np.ndarray, np.ndarray]:
         else EigenBasis.compute(back_system, OperatorKind.HDQ)
     )
     # reversed block: exp(+i tau Hdq') = exp(-i Hdq' * (-tau))
-    return eig_f.propagator(run.tau_dq).matrix, eig_b.propagator(-run.tau_dq).matrix
+    return eig_f.propagator(run.tau_dq), eig_b.propagator(-run.tau_dq)
 
 
 def order_amplitudes(run: MqcRun) -> OrderAmplitudes:

@@ -38,19 +38,13 @@ DEFAULT_MAX_SPINS = 14
 
 
 class OperatorKind(str, Enum):
-    """Collective operators available to :func:`apply_operator`.
-
-    ``HDQ_PHASE`` is the phase-rotated double-quantum Hamiltonian
-    ``exp(-i*phi*Iz) Hdq exp(+i*phi*Iz)``; the angle is passed separately
-    as the ``phi`` argument of the operator routines.
-    """
+    """Collective operators available to :func:`apply_operator`."""
 
     IZ_TOTAL = "iz"
     IX_TOTAL = "ix"
     IY_TOTAL = "iy"
     HZZ = "zz"
     HDQ = "dq"
-    HDQ_PHASE = "dq_phase"
 
 
 @dataclass(frozen=True)
@@ -233,26 +227,22 @@ def _check_state(system: SpinSystem, state: np.ndarray) -> np.ndarray:
 
 
 def apply_operator(
-    kind: OperatorKind,
-    system: SpinSystem,
-    state: np.ndarray,
-    phi: float = 0.0,
+    kind: OperatorKind, system: SpinSystem, state: np.ndarray
 ) -> np.ndarray:
     """Apply a collective operator to one state vector or a stack of columns.
 
     ``state`` has shape ``(2**N,)`` or ``(2**N, k)``; the result has the
     same shape. Everything is done with bit masks and gathers, cost
-    O(pairs * 2**N) per call. ``phi`` is only used for ``HDQ_PHASE``.
+    O(pairs * 2**N) per call.
     """
     state = _check_state(system, state)
     n = system.n_spins
     dim = system.dim
     idx = np.arange(dim)
-    mz = system._mz
     col = (slice(None),) + (None,) * (state.ndim - 1)
 
     if kind == OperatorKind.IZ_TOTAL:
-        return mz[col] * state
+        return system._mz[col] * state
 
     if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
         out = np.zeros_like(state)
@@ -284,12 +274,6 @@ def apply_operator(
             sel = idx[aligned]
             out[sel] += (-0.5 * d) * state[sel ^ mask]
         return out
-
-    if kind == OperatorKind.HDQ_PHASE:
-        # exp(-i*phi*Iz) Hdq exp(+i*phi*Iz): phase in, apply, phase out
-        ph = np.exp(1j * phi * mz)
-        tmp = apply_operator(OperatorKind.HDQ, system, ph[col] * state)
-        return np.conj(ph)[col] * tmp
 
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -328,10 +312,17 @@ def geometry_from_dict(doc: dict) -> Geometry:
     if kind == "chain":
         return Chain(d0=float(doc["d0"]), exponent=float(doc.get("exponent", 3.0)))
     if kind == "lattice3d":
+        shape = doc.get("shape", [2, 2, 2])
+        if not (
+            isinstance(shape, (list, tuple))
+            and len(shape) == 3
+            and all(type(s) is int and s > 0 for s in shape)
+        ):
+            raise InvalidGeometry(
+                f"lattice3d shape must be three positive integers, got {shape!r}"
+            )
         return Lattice3D(
-            d0=float(doc["d0"]),
-            cutoff=float(doc["cutoff"]),
-            shape=tuple(doc.get("shape", (2, 2, 2))),
+            d0=float(doc["d0"]), cutoff=float(doc["cutoff"]), shape=tuple(shape)
         )
     if kind == "explicit":
         return ExplicitCouplings(couplings=np.asarray(doc["couplings"], dtype=float))

@@ -56,7 +56,7 @@ def dense_hdq(couplings):
     return h
 
 
-def dense_operator(kind, couplings, n, phi=0.0):
+def dense_operator(kind, couplings, n):
     """Mirror of apply_operator's contract, dense and kron-built."""
     if kind == "iz":
         return total_op(IZ, n)
@@ -68,11 +68,6 @@ def dense_operator(kind, couplings, n, phi=0.0):
         return dense_hzz(couplings)
     if kind == "dq":
         return dense_hdq(couplings)
-    if kind == "dq_phase":
-        import scipy.linalg
-
-        rz = scipy.linalg.expm(-1j * phi * total_op(IZ, n))
-        return rz @ dense_hdq(couplings) @ rz.conj().T
     raise ValueError(kind)
 
 

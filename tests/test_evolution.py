@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mqcsim.evolution
 from mqcsim import (
     AllToAll,
     Axis,
     Chain,
     Delay,
+    EigenBasis,
     ExplicitCouplings,
     NonConvergence,
     OperatorKind,
@@ -23,6 +25,7 @@ from mqcsim import (
     program_from_json,
     program_to_json,
     pulse_matrix,
+    unitarity_defect,
 )
 
 from oracles import dense_hdq, random_couplings, random_state
@@ -97,29 +100,66 @@ class TestEvolve:
         b = evolve(psi, system, OperatorKind.HDQ, 0.6, method="krylov")
         assert np.max(np.abs(a - b)) < 1e-8
 
-    def test_krylov_splits_long_steps(self, sys4):
+    def test_krylov_splits_long_steps(self, sys4, monkeypatch):
         rng = np.random.default_rng(3)
         psi = random_state(4, rng)
         # t large enough that a 12-dim subspace needs splitting
-        out = krylov_expmv(sys4, OperatorKind.HZZ, psi, 40.0, m_max=12)
+        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_M_MAX", 12)
+        out = krylov_expmv(sys4, OperatorKind.HZZ, psi, 40.0)
         ref = evolve(psi, sys4, OperatorKind.HZZ, 40.0, method="eigen")
         assert np.max(np.abs(out - ref)) < 1e-7
 
-    def test_krylov_nonconvergence_reports_residual(self, sys4):
+    def test_krylov_nonconvergence_reports_residual(self, sys4, monkeypatch):
         rng = np.random.default_rng(4)
         psi = random_state(4, rng)
+        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_M_MAX", 2)
+        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_MAX_HALVINGS", 1)
         with pytest.raises(NonConvergence) as err:
-            krylov_expmv(
-                sys4, OperatorKind.HZZ, psi, 1e4, m_max=2, max_halvings=1
-            )
+            krylov_expmv(sys4, OperatorKind.HZZ, psi, 1e4)
         assert err.value.residual is not None
 
-    def test_krylov_density(self, sys4):
-        rng = np.random.default_rng(5)
-        rho = np.diag(sys4.magnetization).astype(complex)
-        a = evolve(rho, sys4, OperatorKind.HDQ, 0.5, method="eigen")
-        b = evolve(rho, sys4, OperatorKind.HDQ, 0.5, method="krylov")
-        assert np.max(np.abs(a - b)) < 1e-8
+    def test_krylov_density(self, sys4, monkeypatch):
+        # above EIGEN_MAX_DIM vectors take Krylov, densities stay on the eigenbasis
+        monkeypatch.setattr(mqcsim.evolution, "EIGEN_MAX_DIM", sys4.dim // 2)
+        calls = []
+        krylov = mqcsim.evolution.krylov_expmv
+
+        def counted(*args):
+            calls.append(args)
+            return krylov(*args)
+
+        monkeypatch.setattr(mqcsim.evolution, "krylov_expmv", counted)
+        psi = random_state(4, np.random.default_rng(5))
+        rho = evolve(np.outer(psi, psi.conj()), sys4, OperatorKind.HDQ, 0.5)
+        assert calls == []
+        out = evolve(psi, sys4, OperatorKind.HDQ, 0.5)
+        assert len(calls) == 1
+        assert np.max(np.abs(rho - np.outer(out, out.conj()))) < 1e-8
+        with pytest.raises(ValueError, match="state vectors only"):
+            evolve(rho, sys4, OperatorKind.HDQ, 0.5, method="krylov")
+
+    @pytest.mark.parametrize("route, obj, t", [
+        ("eigen", "psi", np.nan), ("krylov", "psi", np.inf),
+        ("eigen", "bad_psi", 0.5), ("krylov", "bad_psi", 0.5),
+        ("auto", "rho", np.nan), ("auto", "bad_rho", 0.5),
+        ("expmv", "psi", np.nan), ("expmv", "bad_psi", 0.5),
+    ])
+    def test_non_finite_input_rejected(self, sys4, monkeypatch, route, obj, t):
+        psi = random_state(4, np.random.default_rng(9))
+        objs = {"psi": psi, "bad_psi": psi.copy(), "rho": np.outer(psi, psi.conj())}
+        objs["bad_psi"][3] = np.nan
+        objs["bad_rho"] = objs["rho"].copy()
+        objs["bad_rho"][2, 5] = np.inf
+
+        def no_work(*args):
+            pytest.fail("operator applied before the input was checked")
+
+        monkeypatch.setattr(mqcsim.evolution, "apply_operator", no_work)
+        with pytest.raises(ValueError, match="finite"):
+            if route == "expmv":
+                krylov_expmv(sys4, OperatorKind.HDQ, objs[obj], t)
+            else:
+                evolve(objs[obj], sys4, OperatorKind.HDQ, t, method=route)
 
 
 class TestCollectivePulse:
@@ -162,14 +202,15 @@ class TestPrograms:
         rng = np.random.default_rng(8)
         psi = random_state(4, rng)
         assert np.max(
-            np.abs(prop.matrix @ psi - evolve(psi, sys4, OperatorKind.HZZ, 0.3))
+            np.abs(prop @ psi - evolve(psi, sys4, OperatorKind.HZZ, 0.3))
         ) < 1e-12
-        assert prop.duration == pytest.approx(0.3)
+        assert program.duration == pytest.approx(0.3)
 
     def test_zero_rotation_is_identity(self, sys4):
-        prop = compile_program(PulseProgram([Pulse(Axis.X, 0.0)]), sys4)
-        assert np.max(np.abs(prop.matrix - np.eye(16))) < 1e-14
-        assert prop.duration == 0.0
+        program = PulseProgram([Pulse(Axis.X, 0.0)])
+        prop = compile_program(program, sys4)
+        assert np.max(np.abs(prop - np.eye(16))) < 1e-14
+        assert program.duration == 0.0
 
     def test_dq_block_delays(self):
         program = dq_block(3e-6, 8e-6)
@@ -187,7 +228,7 @@ class TestPrograms:
             ExplicitCouplings(random_couplings(n, rng, 100.0, 2000.0)), n
         )
         prop = compile_program(dq_block(), system)
-        assert prop.unitarity_defect() < 1e-10
+        assert unitarity_defect(prop) < 1e-10
 
     def test_program_json_roundtrip(self):
         program = dq_block(2e-6, 5e-6, sign=-1)
@@ -230,9 +271,11 @@ class TestAhtError:
 
     def test_reversed_block_realizes_minus_hdq(self):
         system = build_system(AllToAll(d0=1.0), 4)
-        err = aht_error(
-            dq_block(sign=-1), OperatorKind.HDQ_PHASE, system, 500.0, phi=np.pi / 2
-        )
+        scaled = build_system(AllToAll(d0=500.0), 4)
+        block = dq_block(sign=-1)
+        # target exp(+i*Hdq*T) = exp(-i*(-Hdq)*T)
+        target = EigenBasis.compute(scaled, OperatorKind.HDQ).propagator(-block.duration)
+        err = np.linalg.norm(compile_program(block, scaled) - target) / 2 ** (4 / 2)
         # same leading-order quality as the forward block
         fwd = aht_error(dq_block(), OperatorKind.HDQ, system, 500.0)
         assert err == pytest.approx(fwd, rel=0.2)

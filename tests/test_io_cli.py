@@ -298,6 +298,18 @@ class TestCli:
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
         assert f"config field {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("geometry, message", [
+        ({"kind": "explicit", "couplings": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+         "system is invalid: explicit coupling matrix shape (3, 3) != (2, 2)"),
+        ({"kind": "all_to_all", "d0": -1.0}, "system is invalid: d0 must be positive"),
+        ({"kind": "lattice3d", "d0": 1.0, "cutoff": 2.0, "shape": [2.5, 2, 2]},
+         "system.geometry is malformed: lattice3d shape must be three positive"),
+    ], ids=["explicit-shape", "negative-d0", "fractional-shape"])
+    def test_invalid_geometry_exit_2(self, tmp_path, capsys, geometry, message):
+        cfg, _ = write_config(tmp_path, system={"geometry": geometry})
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+        assert f"config field {message}" in capsys.readouterr().err
+
     def test_malformed_section_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, system=5)
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2

@@ -21,6 +21,7 @@ from mqcsim import (
     phase_signals,
     spectrum_from_phases,
     uniform_phase_grid,
+    unitarity_defect,
 )
 
 # 16 phases resolve |k| <= 7, which covers every order |k| <= N of N <= 5 spins
@@ -93,17 +94,16 @@ def test_density_normalization_equals_echo(run):
 @PROPERTY
 @given(
     systems(),
-    st.sampled_from([OperatorKind.HZZ, OperatorKind.HDQ, OperatorKind.HDQ_PHASE]),
-    st.floats(0.0, 2 * np.pi),
+    st.sampled_from([OperatorKind.HZZ, OperatorKind.HDQ]),
     st.floats(-5.0, 5.0),
     st.floats(1e-6, 1e-5),
     st.floats(1e-6, 1e-5),
     st.sampled_from([1, -1]),
 )
-def test_propagators_unitary(system, kind, phi, t, delta1, delta2, sign):
-    assert EigenBasis.compute(system, kind, phi).propagator(t).unitarity_defect() < 1e-12
+def test_propagators_unitary(system, kind, t, delta1, delta2, sign):
+    assert unitarity_defect(EigenBasis.compute(system, kind).propagator(t)) < 1e-12
     block = compile_program(dq_block(delta1, delta2, sign), system)
-    assert block.unitarity_defect() < 1e-12
+    assert unitarity_defect(block) < 1e-12
 
 
 @PROPERTY

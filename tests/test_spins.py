@@ -145,9 +145,8 @@ class TestApplyOperator:
     def test_matches_dense_oracle(self, kind, n):
         rng = np.random.default_rng(n * 100 + len(kind.value))
         system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
-        phi = 0.7 if kind == OperatorKind.HDQ_PHASE else 0.0
-        dense = dense_operator(kind.value, system.couplings, n, phi)
-        via_apply = apply_operator(kind, system, np.eye(2**n, dtype=complex), phi)
+        dense = dense_operator(kind.value, system.couplings, n)
+        via_apply = apply_operator(kind, system, np.eye(2**n, dtype=complex))
         assert np.max(np.abs(via_apply - dense)) < 1e-12
 
     @pytest.mark.parametrize("kind", [OperatorKind.HZZ, OperatorKind.HDQ])
@@ -177,15 +176,6 @@ class TestApplyOperator:
             out = apply_operator(OperatorKind.HDQ, system, psi)
             outside = ~(np.isclose(mz, m + 2) | np.isclose(mz, m - 2))
             assert np.max(np.abs(out[outside])) < 1e-14
-
-    def test_hdq_phase_pi_half_negates_dq_terms(self):
-        # at phi = pi/2 the pair-raising term picks up exp(-2i*phi) = -1
-        system = build_system(AllToAll(d0=1.0), 2)
-        dense = apply_operator(
-            OperatorKind.HDQ_PHASE, system, np.eye(4, dtype=complex), np.pi / 2
-        )
-        plain = apply_operator(OperatorKind.HDQ, system, np.eye(4, dtype=complex))
-        assert np.allclose(dense, -plain, atol=1e-14)
 
     def test_stacked_columns_match_single_vectors(self):
         rng = np.random.default_rng(5)
