@@ -119,7 +119,7 @@ def _check_fields(config: dict, defaults: dict, prefix: str = "") -> None:
     """Reject unknown keys and values whose type differs from the default's.
 
     The keys inside system.geometry depend on its kind and are left to
-    ``geometry_from_dict``.
+    ``_build_system``.
     """
     for key in config:
         if key not in defaults:
@@ -153,6 +153,11 @@ def resolve_config(args) -> dict:
 
 def _build_system(config: dict):
     system = config["system"]
+    for key in ("d0", "exponent", "cutoff"):
+        value = system["geometry"].get(key)
+        if value is not None and not _is_number(value):
+            raise ConfigError(f"config field system.geometry.{key} must be a number, "
+                              f"got {type(value).__name__}")
     try:
         geometry = geometry_from_dict(system["geometry"])
     except KeyError as err:

@@ -275,7 +275,7 @@ def _polish(t, y, start, a_hi, t_lo, t_hi) -> tuple[float, np.ndarray]:
     # rejects as infeasible
     x0 = np.clip(x0, *bounds)
     try:
-        x, _ = curve_fit(_exp_sum, t, y, p0=x0, bounds=bounds, maxfev=20000)
+        x, _ = curve_fit(_exp_sum, t, y, p0=x0, bounds=bounds, maxfev=2000)
     except (RuntimeError, ValueError):
         x = x0
     ssr = float(np.sum((_exp_sum(t, *x) - y) ** 2))

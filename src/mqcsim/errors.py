@@ -17,17 +17,6 @@ class DimensionMismatch(MqcsimError):
     """Vector or matrix dimensions do not match the spin system."""
 
 
-class NonConvergence(MqcsimError):
-    """Iterative propagation did not reach the requested tolerance.
-
-    Carries the best residual achieved in ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class NonUniformPhaseGrid(MqcsimError):
     """Phase grid is not uniform over [0, 2*pi)."""
 

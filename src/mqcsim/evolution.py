@@ -2,8 +2,10 @@
 
 State vectors have two propagation paths that must agree wherever both
 run: an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and
-a matrix-free Lanczos/Krylov path. Densities always use the
-eigendecomposition. Negative times are legitimate and mean time reversal.
+a matrix-free Chebyshev series in H, :func:`krylov_expmv`, which needs only
+a bound on the spectrum and so has no convergence to fail. Densities always
+use the eigendecomposition. Negative times are legitimate and mean time
+reversal.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
@@ -24,19 +26,18 @@ from typing import Union
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
-from .errors import CapExceeded, DimensionMismatch, NonConvergence
+from .errors import CapExceeded, DimensionMismatch
 from .spins import OperatorKind, SpinSystem, apply_operator
 
 MAX_DENSE_DIM = 1 << 14
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
-# Lanczos residual tolerance, subspace size, and how often krylov_expmv
-# halves its substep before giving up
-KRYLOV_TOL = 1e-10
-KRYLOV_M_MAX = 30
-KRYLOV_MAX_HALVINGS = 12
+# krylov_expmv drops the Chebyshev terms past |bt| whose Bessel
+# coefficient is below this (roundoff for a unit vector)
+_SERIES_TOL = 1e-16
 
 # single-spin operators in the (down, up) = (0, 1) ordering of spins.py
 _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I+
@@ -139,72 +140,45 @@ def _require_finite(obj: np.ndarray, t: float) -> None:
         raise ValueError("state or density to evolve must be finite")
 
 
-def _lanczos_expmv_single(
-    system: SpinSystem, kind: OperatorKind, v: np.ndarray, t: float
-) -> tuple[np.ndarray, float, bool]:
-    """One Lanczos attempt at exp(-iHt) v. Returns (u, residual, converged)."""
-    tol, m_max = KRYLOV_TOL, KRYLOV_M_MAX
-    beta = float(np.linalg.norm(v))
-    if beta == 0.0:
-        return v.copy(), 0.0, True
-    n = v.shape[0]
-    basis = np.empty((m_max + 1, n), dtype=complex)
-    alpha = np.zeros(m_max)
-    betas = np.zeros(m_max + 1)
-    basis[0] = v / beta
-    err = np.inf
-    for m in range(m_max):
-        w = apply_operator(kind, system, basis[m])
-        a = float(np.real(np.vdot(basis[m], w)))
-        alpha[m] = a
-        w = w - a * basis[m]
-        if m > 0:
-            w = w - betas[m] * basis[m - 1]
-        # full reorthogonalization; subspace is tiny (<= m_max)
-        w = w - basis[: m + 1].T @ (basis[: m + 1].conj() @ w)
-        b = float(np.linalg.norm(w))
-        betas[m + 1] = b
-        tm = (
-            np.diag(alpha[: m + 1])
-            + np.diag(betas[1 : m + 1], 1)
-            + np.diag(betas[1 : m + 1], -1)
-        )
-        small = scipy.linalg.expm(-1j * t * tm)
-        y = beta * small[:, 0]
-        err = abs(b * y[m])
-        if err <= tol * beta or b < 1e-14:
-            return y @ basis[: m + 1], err, True
-        basis[m + 1] = w / b
-    return y @ basis[: m + 1], err, False
+def _spectral_bound(system: SpinSystem, kind: OperatorKind) -> float:
+    """Gershgorin bound on |eigenvalue| of the operator ``kind``; N/2 for
+    the collective spin operators."""
+    s = 0.5 * float(np.abs(system.couplings).sum())  # sum_{i<j} |d_ij|
+    bounds = {OperatorKind.HZZ: s, OperatorKind.HDQ: s / 2}
+    return bounds.get(OperatorKind(kind), system.n_spins / 2)
 
 
 def krylov_expmv(
     system: SpinSystem, kind: OperatorKind, v: np.ndarray, t: float
 ) -> np.ndarray:
-    """Matrix-free exp(-iHt) v with step splitting on non-convergence.
+    """Matrix-free exp(-iHt) v as a Chebyshev series in H.
 
-    Raises ValueError for a non-finite ``t`` or ``v``.
+    ``exp(-iHt) v = J_0(bt) v + 2 sum_{k>=1} (-i)^k J_k(bt) T_k(H/b) v``
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), where ``b`` bounds
+    the spectrum of H. The series is cut once ``k > |bt|`` and the Bessel
+    coefficients fall below ``_SERIES_TOL``; each term costs one
+    ``apply_operator`` call, so the cost grows linearly with ``|bt|``.
+
+    Raises DimensionMismatch unless ``v`` has shape (D,), and ValueError
+    for a non-finite ``t`` or ``v``.
     """
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (system.dim,):
+        raise DimensionMismatch(f"state shape {v.shape} is not ({system.dim},)")
     _require_finite(v, t)
-    steps = 1
-    best_residual = np.inf
-    for _ in range(KRYLOV_MAX_HALVINGS + 1):
-        u = v
-        ok = True
-        for _ in range(steps):
-            u, res, converged = _lanczos_expmv_single(system, kind, u, t / steps)
-            best_residual = min(best_residual, res)
-            if not converged:
-                ok = False
-                break
-        if ok:
-            return u
-        steps *= 2
-    raise NonConvergence(
-        f"Krylov propagation did not converge after {steps // 2} substeps "
-        f"(best residual {best_residual:.3e}, tol {KRYLOV_TOL:.1e})",
-        residual=best_residual,
-    )
+    b = _spectral_bound(system, kind)
+    x = b * t
+    n_terms = int(abs(x)) + 1
+    while abs(scipy.special.jv(n_terms, x)) >= _SERIES_TOL:
+        n_terms += 1
+    out = scipy.special.jv(0, x) * v
+    prev, cur = np.zeros_like(v), v
+    for k in range(1, n_terms):
+        # T_1 = (H/b) T_0 and T_{k+1} = 2 (H/b) T_k - T_{k-1}
+        scale = (1 if k == 1 else 2) / b
+        prev, cur = cur, scale * apply_operator(kind, system, cur) - prev
+        out += 2 * (1, -1j, -1, 1j)[k % 4] * scipy.special.jv(k, x) * cur
+    return out
 
 
 def evolve(

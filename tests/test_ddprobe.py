@@ -18,6 +18,7 @@ from mqcsim import (
     sweep,
 )
 
+import mqcsim.ddprobe
 from mqcsim.ddprobe import _CHUNK, _polish
 from oracles import multistart_biexponential, random_couplings
 
@@ -316,6 +317,25 @@ class TestSweep:
         )
         assert len(result.cells) == 2
         assert any("fit_failed" in c.status for c in result.cells)
+
+    def test_noise_cell_polish_capped(self, monkeypatch):
+        # the first cell above: the pair polish wanders over pure noise. With
+        # at most 2000 pair-model evaluations, each with a 4-parameter
+        # finite-difference Jacobian, it stays under 10,000 model calls
+        # (15,603 with a cap of 20000); the single exponential still wins
+        calls = []
+        model = mqcsim.ddprobe._exp_sum
+
+        def counted(*args):
+            calls.append(1)
+            return model(*args)
+
+        monkeypatch.setattr(mqcsim.ddprobe, "_exp_sum", counted)
+        result = sweep(
+            zero_system(3), [0.1], [np.pi / 2], 64, noise_sigma=50.0, base_seed=1
+        )
+        assert len(calls) < 10_000
+        assert result.cells[0].fit.degenerate
 
     def test_grid_of(self):
         system = build_system(AllToAll(d0=1.0), 4)

@@ -8,9 +8,9 @@ from mqcsim import (
     Axis,
     Chain,
     Delay,
+    DimensionMismatch,
     EigenBasis,
     ExplicitCouplings,
-    NonConvergence,
     OperatorKind,
     Pulse,
     PulseProgram,
@@ -100,23 +100,14 @@ class TestEvolve:
         b = evolve(psi, system, OperatorKind.HDQ, 0.6, method="krylov")
         assert np.max(np.abs(a - b)) < 1e-8
 
-    def test_krylov_splits_long_steps(self, sys4, monkeypatch):
+    def test_krylov_long_time(self, sys4):
+        # bt ~ 290: some 300 series terms whose Bessel coefficients must
+        # cancel to the result
         rng = np.random.default_rng(3)
         psi = random_state(4, rng)
-        # t large enough that a 12-dim subspace needs splitting
-        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_M_MAX", 12)
         out = krylov_expmv(sys4, OperatorKind.HZZ, psi, 40.0)
         ref = evolve(psi, sys4, OperatorKind.HZZ, 40.0, method="eigen")
         assert np.max(np.abs(out - ref)) < 1e-7
-
-    def test_krylov_nonconvergence_reports_residual(self, sys4, monkeypatch):
-        rng = np.random.default_rng(4)
-        psi = random_state(4, rng)
-        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_M_MAX", 2)
-        monkeypatch.setattr(mqcsim.evolution, "KRYLOV_MAX_HALVINGS", 1)
-        with pytest.raises(NonConvergence) as err:
-            krylov_expmv(sys4, OperatorKind.HZZ, psi, 1e4)
-        assert err.value.residual is not None
 
     def test_krylov_density(self, sys4, monkeypatch):
         # above EIGEN_MAX_DIM vectors take Krylov, densities stay on the eigenbasis
@@ -160,6 +151,17 @@ class TestEvolve:
                 krylov_expmv(sys4, OperatorKind.HDQ, objs[obj], t)
             else:
                 evolve(objs[obj], sys4, OperatorKind.HDQ, t, method=route)
+
+    @pytest.mark.parametrize("shape", [(16, 2), (16, 1), (8,), ()],
+                             ids=["block", "column", "short", "scalar"])
+    def test_krylov_expmv_rejects_non_vector(self, sys4, monkeypatch, shape):
+        # the series recurrence would carry a (D, k) block through silently
+        def no_work(*args):
+            pytest.fail("operator applied before the shape was checked")
+
+        monkeypatch.setattr(mqcsim.evolution, "apply_operator", no_work)
+        with pytest.raises(DimensionMismatch, match="shape"):
+            krylov_expmv(sys4, OperatorKind.HDQ, np.ones(shape, dtype=complex), 0.5)
 
 
 class TestCollectivePulse:

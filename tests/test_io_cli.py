@@ -304,7 +304,13 @@ class TestCli:
         ({"kind": "all_to_all", "d0": -1.0}, "system is invalid: d0 must be positive"),
         ({"kind": "lattice3d", "d0": 1.0, "cutoff": 2.0, "shape": [2.5, 2, 2]},
          "system.geometry is malformed: lattice3d shape must be three positive"),
-    ], ids=["explicit-shape", "negative-d0", "fractional-shape"])
+        ({"kind": "chain", "d0": "abc"}, "system.geometry.d0 must be a number"),
+        ({"kind": "chain", "d0": 1.0, "exponent": "x"},
+         "system.geometry.exponent must be a number"),
+        ({"kind": "lattice3d", "d0": 1.0, "cutoff": [2.0]},
+         "system.geometry.cutoff must be a number"),
+    ], ids=["explicit-shape", "negative-d0", "fractional-shape", "string-d0",
+            "string-exponent", "list-cutoff"])
     def test_invalid_geometry_exit_2(self, tmp_path, capsys, geometry, message):
         cfg, _ = write_config(tmp_path, system={"geometry": geometry})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2

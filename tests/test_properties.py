@@ -2,6 +2,7 @@
 the inversion over random couplings and spectra."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,9 @@ from mqcsim import (
     compile_program,
     density_spectra,
     dq_block,
+    evolve,
     invert,
+    krylov_expmv,
     loschmidt_echo,
     make_kernel_problem,
     order_amplitudes,
@@ -29,8 +32,8 @@ N_PHASES = 16
 
 
 @st.composite
-def systems(draw):
-    n_spins = draw(st.integers(2, 5))
+def systems(draw, max_spins=5):
+    n_spins = draw(st.integers(2, max_spins))
     upper = draw(st.lists(
         st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False),
         min_size=n_spins * (n_spins - 1) // 2,
@@ -89,6 +92,21 @@ def test_density_normalization_equals_echo(run):
         assert signal.phi[0] == 0.0
         assert abs(spec.normalization - echo[n]) < 1e-9
         assert abs(spec.normalization - signal.values[0].real) < 1e-9
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+@PROPERTY
+@given(systems(max_spins=6), st.floats(0.01, 5.0), st.integers(0, 2**32 - 1))
+def test_chebyshev_series_matches_eigenbasis(kind, sign, system, magnitude, seed):
+    # couplings of both signs: a spectral bound from the signed sum falls short
+    t = sign * magnitude
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+    ref = evolve(psi, system, kind, t, method="eigen")
+    assert np.max(np.abs(krylov_expmv(system, kind, psi, t) - ref)) < 1e-10
+    zero = np.zeros(system.dim, dtype=complex)
+    assert not np.any(krylov_expmv(system, kind, zero, t))
 
 
 @PROPERTY
