@@ -39,7 +39,6 @@ _DEFAULT_CONFIG: dict = {
     "format": "csv",
     "system": {
         "n_spins": 6,
-        "max_spins": 14,
         "geometry": {"kind": "all_to_all", "d0": 1.0},
     },
     "mqc": {
@@ -165,14 +164,13 @@ def _build_system(config: dict):
     except (TypeError, InvalidGeometry) as err:
         raise ConfigError(f"config field system.geometry is malformed: {err}")
     try:
-        return build_system(geometry, system["n_spins"], max_spins=system["max_spins"])
+        return build_system(geometry, system["n_spins"])
     except InvalidGeometry as err:
         raise ConfigError(f"config field system is invalid: {err}")
 
 
 def _prepare_out(config: dict, command: str) -> Path:
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     io.write_manifest(out_dir, command, config)
     return out_dir
 
@@ -430,7 +428,11 @@ def main(argv=None) -> int:
     try:
         config = resolve_config(args)
         out_dir = Path(config["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(
+                f"config field output_dir is not a usable directory: {err}")
         with io.OutputLock(out_dir):
             if args.command == "simulate-mqc":
                 return cmd_simulate_mqc(config)

@@ -177,9 +177,9 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     O(cycles * dim^3); kept as the independent cross-check of the
     spectral path (noise handling is identical).
     """
-    iz = np.diag(system.magnetization).astype(complex)
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
     iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
+    iz = np.diag(system.magnetization).astype(complex)
     norm = float(system.iz_norm())
     half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
     pulse = pulse_matrix(Axis.X, config.theta, system.n_spins)

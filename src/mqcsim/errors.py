@@ -6,7 +6,7 @@ class MqcsimError(Exception):
 
 
 class CapExceeded(MqcsimError):
-    """A requested object would exceed the configured memory budget."""
+    """A path's memory estimate exceeds the physical-memory budget."""
 
 
 class InvalidGeometry(MqcsimError):

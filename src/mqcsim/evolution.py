@@ -28,10 +28,12 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import CapExceeded, DimensionMismatch
-from .spins import OperatorKind, SpinSystem, apply_operator
+from .errors import DimensionMismatch
+from .spins import OperatorKind, SpinSystem, apply_operator, require_memory
 
-MAX_DENSE_DIM = 1 << 14
+# D x D complex matrices that the heaviest dense path holds at its peak
+# (run_dd with magnitude detection: 14, and 15.2 at N=8 from its chunks)
+_DENSE_COPIES = 16
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
@@ -94,10 +96,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
+def _require_dense(dim: int, what: str) -> None:
+    """Budget check for the heaviest dense path; every dense path builds its
+    first D x D operator in :func:`hamiltonian_matrix` or :func:`compile_program`."""
+    require_memory(_DENSE_COPIES * 16 * dim * dim, f"a dense {dim}x{dim} {what}")
+
+
 def hamiltonian_matrix(system: SpinSystem, kind: OperatorKind) -> np.ndarray:
     """Dense operator matrix, assembled column-wise from the bitwise kernel."""
-    if system.dim > MAX_DENSE_DIM:
-        raise CapExceeded(f"dense {system.dim}x{system.dim} operator over budget")
+    _require_dense(system.dim, "operator")
     return apply_operator(kind, system, np.eye(system.dim, dtype=complex))
 
 
@@ -209,8 +216,6 @@ def evolve(
     if is_density:
         if method == "krylov":
             raise ValueError('method="krylov" evolves state vectors only')
-        if dim > MAX_DENSE_DIM:
-            raise CapExceeded(f"dense {dim}x{dim} density over budget")
         return EigenBasis.compute(system, kind).evolve_density(obj, t)
     if method == "krylov" or (method == "auto" and dim > EIGEN_MAX_DIM):
         return krylov_expmv(system, kind, obj, t)
@@ -261,8 +266,7 @@ def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
     if not program.steps:
         raise ValueError("pulse program has no steps")
     dim = system.dim
-    if dim > MAX_DENSE_DIM:
-        raise CapExceeded(f"dense {dim}x{dim} propagator over budget")
+    _require_dense(dim, "propagator")
     u = np.eye(dim, dtype=complex)
     bases: dict[OperatorKind, EigenBasis] = {}
     for step in program.steps:

@@ -51,7 +51,6 @@ from .evolution import EigenBasis, compile_program, dq_block
 from .spins import OperatorKind, SpinSystem
 
 _RESIDUE_TOL = 1e-8
-MAX_PULSE_STEPS = 1 << 20  # 16 pulses per composite block in pulse-level mode
 
 
 class Mode(str, Enum):
@@ -105,11 +104,6 @@ class MqcRun:
             if abs(self.tau_dq - period) > 1e-12 * max(self.tau_dq, period):
                 raise ValueError(
                     f"pulse-level tau_dq={self.tau_dq} != 4*delta1 + 6*delta2 = {period}"
-                )
-            if 16 * self.n_blocks > MAX_PULSE_STEPS:
-                raise ValueError(
-                    f"{16 * self.n_blocks} pulses exceed the step budget "
-                    f"{MAX_PULSE_STEPS}"
                 )
 
     @property
@@ -311,8 +305,8 @@ def otoc_direct(system: SpinSystem, t: float) -> float:
     Must agree with :func:`otoc_second_moment` of the same-time spectrum;
     the two routes share no code beyond the propagator.
     """
-    iz = np.diag(system.magnetization).astype(complex)
     basis = EigenBasis.compute(system, OperatorKind.HDQ)
+    iz = np.diag(system.magnetization).astype(complex)
     izt = basis.evolve_density(iz, t)
     comm = iz @ izt - izt @ iz
     val = -np.trace(comm @ comm) / system.iz_norm()

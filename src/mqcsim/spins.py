@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -34,7 +35,24 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InvalidGeometry
 
-DEFAULT_MAX_SPINS = 14
+# bytes of physical memory: the one budget every size check compares with
+MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(n_bytes: int, what: str) -> None:
+    """Raise :class:`CapExceeded` unless ``n_bytes`` fit in ``MEMORY_BUDGET``.
+
+    Called with a path's estimate before its first large allocation.
+    """
+    if n_bytes > MEMORY_BUDGET:
+        raise CapExceeded(f"{what} needs {n_bytes} bytes, budget {MEMORY_BUDGET} bytes")
+
+
+def _vector_bytes(n_spins: int) -> int:
+    """Peak bytes of the vector path: per basis state, the int8 and float64
+    spin-sign temporaries of the Hzz diagonal, three float64 tables, and
+    ten complex vectors for the Chebyshev series and its operator gathers."""
+    return (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16)
 
 
 class OperatorKind(str, Enum):
@@ -132,6 +150,7 @@ class SpinSystem:
             raise InvalidGeometry("coupling matrix must be symmetric")
         if np.any(np.diag(self.couplings) != 0.0):
             raise InvalidGeometry("coupling matrix diagonal must be exactly zero")
+        require_memory(_vector_bytes(n), f"the {n}-spin vector path")
         iu, ju = np.triu_indices(n, k=1)
         keep = self.couplings[iu, ju] != 0.0
         self._pair_i = iu[keep]
@@ -162,22 +181,17 @@ def _lattice_sites(shape: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return list(itertools.product(*(range(s) for s in shape)))
 
 
-def build_system(
-    geometry: Geometry, n_spins: int, *, max_spins: int = DEFAULT_MAX_SPINS
-) -> SpinSystem:
+def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     """Construct a :class:`SpinSystem` with a populated coupling matrix.
 
-    Raises :class:`CapExceeded` when ``n_spins`` exceeds ``max_spins``
-    (2**N state vectors would blow the memory budget) and
-    :class:`InvalidGeometry` for non-positive geometry parameters.
+    Raises :class:`InvalidGeometry` for non-positive geometry parameters
+    and :class:`CapExceeded` when the vector path of ``n_spins`` spins would
+    not fit in ``MEMORY_BUDGET``; that check runs before the N x N
+    coupling matrix is filled.
     """
-    if n_spins > max_spins:
-        raise CapExceeded(
-            f"n_spins={n_spins} exceeds cap {max_spins} "
-            f"(2**{n_spins} amplitudes per state vector)"
-        )
     if n_spins < 2:
         raise InvalidGeometry("need at least 2 spins")
+    require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
 
     d = np.zeros((n_spins, n_spins))
     if isinstance(geometry, AllToAll):
@@ -342,10 +356,10 @@ def system_to_json(system: SpinSystem) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def system_from_json(text: str, *, max_spins: int = DEFAULT_MAX_SPINS) -> SpinSystem:
+def system_from_json(text: str) -> SpinSystem:
     doc = json.loads(text)
     n_spins = int(doc["n_spins"])
     geo = dict(doc.get("geometry", {}))
     if "couplings" in doc:
         geo["couplings"] = doc["couplings"]
-    return build_system(geometry_from_dict(geo), n_spins, max_spins=max_spins)
+    return build_system(geometry_from_dict(geo), n_spins)

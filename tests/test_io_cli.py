@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mqcsim.spins
 from mqcsim import cli
 from mqcsim import io as mio
 from mqcsim.errors import ConfigError
@@ -323,6 +324,29 @@ class TestCli:
     def test_invalid_parameter_value_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, dd={"tau": -0.5})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_output_dir_exit_2(self, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "out"
+        cfg, _ = write_config(tmp_path, output_dir=str(out))
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+        assert "config field output_dir" in capsys.readouterr().err
+
+    def test_max_spins_is_unknown_field(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, system={"max_spins": 20})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert "unknown config field system.max_spins" in capsys.readouterr().err
+
+    def test_over_budget_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", 10**6)
+        cfg, out = write_config(tmp_path, system={"n_spins": 8})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert ("a dense 256x256 operator needs 16777216 bytes, "
+                "budget 1000000 bytes") in err
+        assert not (out / "manifest.json").exists()
 
     def test_output_lock(self, tmp_path):
         cfg, out = write_config(tmp_path)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import mqcsim.spins
 from mqcsim import (
     AllToAll,
     CapExceeded,
@@ -58,10 +59,11 @@ class TestBuildSystem:
         assert np.all((system.couplings > 0).sum(axis=0) == 3)
         assert np.all(system.couplings[system.couplings > 0] == 1.0)
 
-    def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded):
+    def test_spin_count_limited_by_memory_budget_only(self, monkeypatch):
+        assert build_system(AllToAll(d0=1.0), 15).dim == 1 << 15
+        monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", 10**6)
+        with pytest.raises(CapExceeded, match="the 15-spin vector path needs"):
             build_system(AllToAll(d0=1.0), 15)
-        build_system(AllToAll(d0=1.0), 15, max_spins=20)  # configurable
 
     @pytest.mark.parametrize(
         "geometry",
