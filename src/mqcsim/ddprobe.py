@@ -210,6 +210,17 @@ def _exp_sum(t, *p):
     return sum(a * np.exp(-t * np.exp(-u)) for a, u in zip(p[::2], p[1::2]))
 
 
+def _exp_sum_jac(t, *p):
+    """Jacobian of :func:`_exp_sum`, one column per parameter:
+    d/da = exp(-t/T) and d/d(log T) = a (t/T) exp(-t/T)."""
+    cols = []
+    for a, u in zip(p[::2], p[1::2]):
+        rate = np.exp(-u)
+        decay = np.exp(-t * rate)
+        cols += [decay, a * t * rate * decay]
+    return np.stack(cols, axis=1)
+
+
 def _grid_starts(
     t: np.ndarray, y: np.ndarray, a_hi: float, t_hi: float
 ) -> tuple[list[float], list[float]]:
@@ -275,7 +286,9 @@ def _polish(t, y, start, a_hi, t_lo, t_hi) -> tuple[float, np.ndarray]:
     # rejects as infeasible
     x0 = np.clip(x0, *bounds)
     try:
-        x, _ = curve_fit(_exp_sum, t, y, p0=x0, bounds=bounds, maxfev=2000)
+        x, _ = curve_fit(
+            _exp_sum, t, y, p0=x0, bounds=bounds, maxfev=2000, jac=_exp_sum_jac
+        )
     except (RuntimeError, ValueError):
         x = x0
     ssr = float(np.sum((_exp_sum(t, *x) - y) ** 2))

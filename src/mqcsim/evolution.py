@@ -7,6 +7,14 @@ a bound on the spectrum and so has no convergence to fail. Densities always
 use the eigendecomposition. Negative times are legitimate and mean time
 reversal.
 
+:class:`EigenBasis` diagonalizes Hzz, Hdq and Iz per popcount-parity
+sector, since they change the popcount by 0 or +-2 and so have no matrix
+element between the two halves of the basis: two ``eigh`` calls of size
+D/2 instead of one of size D, in real arithmetic for a real generator
+(every kind but Iy). Ix and Iy flip one spin and keep a single sector.
+The generator is assembled through :func:`hamiltonian_matrix` from the
+bitwise kernel and then cut into its sector blocks.
+
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
 scope. The shipped eight-pulse cycle :func:`dq_block` realizes the
@@ -29,7 +37,13 @@ import scipy.linalg
 import scipy.special
 
 from .errors import DimensionMismatch
-from .spins import OperatorKind, SpinSystem, apply_operator, require_memory
+from .spins import (
+    OperatorKind,
+    SpinSystem,
+    apply_operator,
+    parity_sectors,
+    require_memory,
+)
 
 # D x D complex matrices that the heaviest dense path holds at its peak
 # (run_dd with magnitude detection: 14, and 15.2 at N=8 from its chunks)
@@ -37,6 +51,9 @@ _DENSE_COPIES = 16
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
+# generators that change the popcount by 0 or +-2, so have no matrix
+# element between states of opposite popcount parity
+_PARITY_KINDS = (OperatorKind.HZZ, OperatorKind.HDQ, OperatorKind.IZ_TOTAL)
 # krylov_expmv drops the Chebyshev terms past |bt| whose Bessel
 # coefficient is below this (roundoff for a unit vector)
 _SERIES_TOL = 1e-16
@@ -108,36 +125,70 @@ def hamiltonian_matrix(system: SpinSystem, kind: OperatorKind) -> np.ndarray:
     return apply_operator(kind, system, np.eye(system.dim, dtype=complex))
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; a real ``a`` acts on the real and imaginary parts of a complex
+    ``b`` as one real product, half the flops of a complex one."""
+    if np.isrealobj(a) and np.iscomplexobj(b):
+        return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+    return a @ b
+
+
 @dataclass
 class EigenBasis:
-    """Eigendecomposition of one Hermitian generator, reusable across times."""
+    """Eigendecomposition of one Hermitian generator, reusable across times.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    The generator is block-diagonal over ``sectors``, lists of basis states
+    it has no matrix element between; block j has the eigenvalues
+    ``eigenvalues[j]`` and the eigenvectors in the columns of
+    ``eigenvectors[j]``, which are real when the generator is.
+    """
+
+    sectors: list[np.ndarray]
+    eigenvalues: list[np.ndarray]
+    eigenvectors: list[np.ndarray]
 
     @classmethod
     def compute(cls, system: SpinSystem, kind: OperatorKind) -> "EigenBasis":
-        w, v = scipy.linalg.eigh(hamiltonian_matrix(system, kind))
-        return cls(eigenvalues=w, eigenvectors=v)
+        h = hamiltonian_matrix(system, kind)
+        if not np.any(h.imag):
+            h = h.real
+        sectors = (
+            parity_sectors(system.n_spins) if kind in _PARITY_KINDS
+            else [np.arange(system.dim)]
+        )
+        # divide and conquer: Hdq's clustered spectrum slows the default
+        # driver down about 6x at D/2 = 2048
+        pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]
+        return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
+
+    def _blocks(self, t: float):
+        """(sector, eigenvectors, exp(-i w t)) of every block."""
+        for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
+            yield s, v, np.exp(-1j * w * t)
 
     def propagator(self, t: float) -> np.ndarray:
-        """Dense exp(-iHt)."""
-        v = self.eigenvectors
-        return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
+        """Dense exp(-iHt), zero between sectors."""
+        dim = sum(s.size for s in self.sectors)
+        u = np.zeros((dim, dim), dtype=complex)
+        for s, v, ph in self._blocks(t):
+            u[np.ix_(s, s)] = _mul(v, ph[:, None] * v.conj().T)
+        return u
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) @ mat without forming the propagator when mat is thin."""
-        v = self.eigenvectors
-        return v @ (np.exp(-1j * self.eigenvalues * t)[:, None] * (v.conj().T @ mat))
+        out = np.empty(mat.shape, dtype=complex)
+        for s, v, ph in self._blocks(t):
+            out[s] = _mul(v, ph[:, None] * _mul(v.conj().T, mat[s]))
+        return out
 
     def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
         return self.evolve_columns(psi[:, None], t)[:, 0]
 
     def evolve_density(self, rho: np.ndarray, t: float) -> np.ndarray:
-        v = self.eigenvectors
-        ph = np.exp(-1j * self.eigenvalues * t)
-        core = v.conj().T @ rho @ v
-        return v @ (ph[:, None] * core * ph.conj()[None, :]) @ v.conj().T
+        """exp(-iHt) rho exp(+iHt) as two column evolutions:
+        U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag."""
+        half = self.evolve_columns(rho, t)
+        return self.evolve_columns(half.conj().T, t).conj().T
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:

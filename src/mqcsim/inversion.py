@@ -311,6 +311,38 @@ def _interp_crossing(x0, y0, x1, y1, level):
     return x0 + (level - y0) * (x1 - x0) / (y1 - y0)
 
 
+def _side_min(side: np.ndarray) -> float:
+    """Lowest sample of ``side`` before the first one above ``side[0]``."""
+    higher = np.flatnonzero(side > side[0])
+    return float(np.min(side[: higher[0]] if higher.size else side))
+
+
+def _find_peaks(x: np.ndarray, min_prominence: float) -> list[int]:
+    """Local maxima of ``x`` with prominence at least ``min_prominence``.
+
+    The same indices as scipy's ``find_peaks(x, prominence=min_prominence)``:
+    the end samples are never peaks, a flat top counts once, at its middle
+    sample (rounded down), and the prominence is the height above the
+    higher of the lowest samples reached on either side before a sample
+    higher than the peak.
+    """
+    peaks = []
+    i, last = 1, x.size - 1
+    while i < last:
+        if x[i - 1] < x[i]:
+            ahead = i + 1
+            while ahead < last and x[ahead] == x[i]:
+                ahead += 1
+            if x[ahead] < x[i]:
+                p = (i + ahead - 1) // 2
+                base = max(_side_min(x[p::-1]), _side_min(x[p:]))
+                if min_prominence <= x[p] - base:
+                    peaks.append(p)
+                i = ahead
+        i += 1
+    return peaks
+
+
 def analyze(
     dist: ClusterDistribution,
     *,
@@ -326,8 +358,6 @@ def analyze(
     between the valleys separating adjacent peaks, and the front is the
     interpolated size below which ``front_fraction`` of the mass lies.
     """
-    from scipy.signal import find_peaks
-
     f = np.asarray(dist.f, dtype=float)
     s = np.asarray(dist.size_grid, dtype=float)
     total = float(np.sum(f))
@@ -335,8 +365,7 @@ def analyze(
         raise NoPeaks("distribution carries no mass")
 
     padded = np.concatenate([[0.0], f, [0.0]])
-    idx, _ = find_peaks(padded, prominence=prominence * float(np.max(f)))
-    peak_idx = [int(i) - 1 for i in idx]
+    peak_idx = [i - 1 for i in _find_peaks(padded, prominence * float(np.max(f)))]
     if not peak_idx:
         raise NoPeaks(f"no peak above prominence {prominence} * max(f)")
 

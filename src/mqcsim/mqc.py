@@ -26,6 +26,19 @@ cycling can never access experimentally; the Fourier transform of S over
 a uniform phi grid must reproduce it under perfect reversal. Dividing by
 Tr{Iz^2} = N * 2**(N-2) makes the unperturbed echo unit height.
 
+The pass runs once per popcount-parity sector. Hdq, Hzz and the compiled
+eight-pulse block change the popcount by 0 or +-2, and rho_0 = Iz is
+diagonal, so rho_n and M_n have no element between states of opposite
+parity, and the (D/2) x (D/2) blocks of the two sectors carry all of A.
+In ideal mode the blocks are also moved into the frame of
+F = exp(i pi Iz / 4), the phase rotation at phi = pi/4, where
+exp(-i Hdq t) is real orthogonal: its entries with m_r - m_c = 0 mod 4
+come from cos(Hdq t), those with m_r - m_c = 2 mod 4 from -i sin(Hdq t),
+and F turns the latter real. rho_0 commutes with F, so rho_n and M_n are
+real there too, and neither A_{n,k} nor |(rho_n)_{rc}|^2 changes: F
+multiplies (rho_n)_{rc} by exp(i pi k / 4) and (M_n)_{cr} by its
+conjugate. Pulse-level blocks stay complex in the same loop.
+
 Two execution modes: ``IDEAL`` evolves under the effective Hamiltonians
 exactly; ``PULSE_LEVEL`` compiles the eight-pulse block and realizes the
 reversed block by shifting every pulse phase by pi/2, which is the
@@ -48,7 +61,7 @@ import numpy as np
 
 from .errors import ImaginaryResidueWarning, NoFeasibleSolution, NonUniformPhaseGrid
 from .evolution import EigenBasis, compile_program, dq_block
-from .spins import OperatorKind, SpinSystem
+from .spins import OperatorKind, SpinSystem, parity_sectors
 
 _RESIDUE_TOL = 1e-8
 
@@ -179,32 +192,51 @@ def _block_propagators(run: MqcRun) -> tuple[np.ndarray, np.ndarray]:
     return eig_f.propagator(run.tau_dq), eig_b.propagator(-run.tau_dq)
 
 
+def _rotated_frame(u: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """F u F^dag with F = exp(i pi Iz / 4): element (r, c) times
+    exp(i pi (m_r - m_c) / 4). Real for an ideal Hdq block, whose entries
+    with m_r - m_c = 0 mod 4 come from cos(Hdq t) and those with
+    m_r - m_c = 2 mod 4 from -i sin(Hdq t)."""
+    phase = np.exp(0.25j * np.pi * mz)
+    return phase[:, None] * u * phase.conj()[None, :]
+
+
 def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
     """Both per-order tables for n = 0 .. run.n_blocks from one pass.
 
-    The pass holds the two block propagators, rho_n and M_n: a fixed
-    number of D x D matrices whatever n_blocks is.
+    The pass runs once per popcount-parity sector on the sector's blocks of
+    U_f and U_b, holding them, rho_n and M_n: a fixed number of
+    (D/2) x (D/2) matrices whatever n_blocks is. Ideal blocks are taken in
+    the frame of :func:`_rotated_frame`, where they are real.
     """
     system = run.system
     u_f, u_b = _block_propagators(run)
     mz = system.magnetization
     n_orders = 2 * system.n_spins + 1
-    k_index = (np.rint(mz[:, None] - mz[None, :]).astype(int) + system.n_spins).ravel()
+    amplitudes = np.zeros((run.n_blocks + 1, n_orders), dtype=complex)
+    density = np.zeros((run.n_blocks + 1, n_orders))
+    for sector in parity_sectors(system.n_spins):
+        m = mz[sector]
+        f, b = u_f[np.ix_(sector, sector)], u_b[np.ix_(sector, sector)]
+        if run.mode == Mode.IDEAL:
+            f, b = _rotated_frame(f, m).real, _rotated_frame(b, m).real
+        f_dag, b_dag = f.conj().T, b.conj().T
+        k_index = (np.rint(m[:, None] - m[None, :]).astype(int) + system.n_spins).ravel()
 
-    def binned(weights: np.ndarray) -> np.ndarray:
-        return np.bincount(k_index, weights=weights.ravel(), minlength=n_orders)
+        def binned(weights: np.ndarray) -> np.ndarray:
+            return np.bincount(k_index, weights=weights.ravel(), minlength=n_orders)
 
-    amplitudes = np.empty((run.n_blocks + 1, n_orders), dtype=complex)
-    density = np.empty((run.n_blocks + 1, n_orders))
-    rho = np.diag(mz).astype(complex)
-    readout = rho.copy()
-    for n in range(run.n_blocks + 1):
-        if n > 0:
-            rho = u_f @ rho @ u_f.conj().T
-            readout = u_b.conj().T @ readout @ u_b
-        overlap = readout.T * rho  # element (r, c) is (M_n)_{cr} (rho_n)_{rc}
-        amplitudes[n] = binned(overlap.real) + 1j * binned(overlap.imag)
-        density[n] = binned(np.abs(rho) ** 2)
+        rho = np.diag(m).astype(f.dtype)
+        readout = rho.copy()
+        for n in range(run.n_blocks + 1):
+            if n > 0:
+                rho = f @ rho @ f_dag
+                readout = b_dag @ readout @ b
+            overlap = readout.T * rho  # element (r, c) is (M_n)_{cr} (rho_n)_{rc}
+            amplitudes[n] += binned(overlap.real)
+            if np.iscomplexobj(overlap):
+                amplitudes[n] += 1j * binned(overlap.imag)
+            density[n] += binned(np.abs(rho) ** 2)
     norm = system.iz_norm()
     return OrderAmplitudes(
         run=run,

@@ -18,8 +18,10 @@ The two Hamiltonians built here are the secular dipolar interaction
     Hdq = -1/2 sum_{i<j} d_ij (I+_i I+_j + I-_i I-_j)
 
 which flips pairs of equally oriented spins and changes the coherence
-order by +-2. Both are applied matrix-free through bit arithmetic; no
-2**N x 2**N operator is materialized by :func:`apply_operator`.
+order by +-2. Both are applied matrix-free, on the state viewed as a
+tensor with one axis per spin; no 2**N x 2**N operator is materialized by
+:func:`apply_operator`. Both change the popcount by 0 or +-2, so neither
+connects the two halves of :func:`parity_sectors`.
 """
 
 from __future__ import annotations
@@ -109,6 +111,12 @@ def magnetization_values(n_spins: int) -> np.ndarray:
     """Total magnetization m(b) = popcount(b) - N/2 for every basis state."""
     idx = np.arange(1 << n_spins, dtype=np.uint64)
     return np.bitwise_count(idx).astype(np.float64) - n_spins / 2.0
+
+
+def parity_sectors(n_spins: int) -> list[np.ndarray]:
+    """Basis states of even and of odd popcount, each in increasing order."""
+    odd = np.bitwise_count(np.arange(1 << n_spins, dtype=np.uint64)) & 1
+    return [np.flatnonzero(odd == p) for p in (0, 1)]
 
 
 def coherence_order(r: int, c: int) -> int:
@@ -246,50 +254,50 @@ def apply_operator(
     """Apply a collective operator to one state vector or a stack of columns.
 
     ``state`` has shape ``(2**N,)`` or ``(2**N, k)``; the result has the
-    same shape. Everything is done with bit masks and gathers, cost
-    O(pairs * 2**N) per call.
+    same shape. The state is viewed as a tensor with one axis of length 2
+    per spin, so a spin flip is an in-place update between two strided
+    slices; cost O(pairs * 2**N) per call, with no index arrays.
     """
-    state = _check_state(system, state)
+    state = np.ascontiguousarray(_check_state(system, state))
     n = system.n_spins
-    dim = system.dim
-    idx = np.arange(dim)
     col = (slice(None),) + (None,) * (state.ndim - 1)
 
     if kind == OperatorKind.IZ_TOTAL:
         return system._mz[col] * state
 
-    if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
-        out = np.zeros_like(state)
-        for i in range(n):
-            flipped = idx ^ (1 << i)
-            if kind == OperatorKind.IX_TOTAL:
-                out += 0.5 * state[flipped]
-            else:
-                # <x|Iy|x^e_i> = -i/2 when bit i of x is set (raising), +i/2 otherwise
-                bit = (idx >> i) & 1
-                coeff = np.where(bit == 1, -0.5j, 0.5j)
-                out += coeff[col] * state[flipped]
-        return out
-
     if kind == OperatorKind.HZZ:
         out = system._diag_zz[col] * state
-        for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
-            mask = (1 << int(i)) | (1 << int(j))
-            anti = ((idx >> int(i)) & 1) != ((idx >> int(j)) & 1)
-            sel = idx[anti]
-            out[sel] += (-0.5 * d) * state[sel ^ mask]
-        return out
-
-    if kind == OperatorKind.HDQ:
+    elif kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL, OperatorKind.HDQ):
         out = np.zeros_like(state)
-        for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
-            mask = (1 << int(i)) | (1 << int(j))
-            aligned = ((idx >> int(i)) & 1) == ((idx >> int(j)) & 1)
-            sel = idx[aligned]
-            out[sel] += (-0.5 * d) * state[sel ^ mask]
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    # the axis of bit i is n - 1 - i: spin 0 is the least significant bit
+    shape = (2,) * n + state.shape[1:]
+    src, dst = state.reshape(shape), out.reshape(shape)
+
+    def at(bits: dict[int, int]) -> tuple:
+        index = [slice(None)] * n
+        for i, b in bits.items():
+            index[n - 1 - int(i)] = b
+        return tuple(index)
+
+    if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
+        for i in range(n):
+            for b in (0, 1):
+                if kind == OperatorKind.IX_TOTAL:
+                    coeff = 0.5
+                else:
+                    # <x|Iy|x^e_i> = -i/2 when bit i of x is set (raising), +i/2 otherwise
+                    coeff = -0.5j if b else 0.5j
+                dst[at({i: b})] += coeff * src[at({i: 1 - b})]
         return out
 
-    raise ValueError(f"unknown operator kind {kind!r}")
+    # Hzz flips anti-aligned pairs (bits 01 and 10), Hdq aligned ones (00, 11)
+    flips = ((0, 1), (1, 0)) if kind == OperatorKind.HZZ else ((0, 0), (1, 1))
+    for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
+        for a, b in flips:
+            dst[at({i: a, j: b})] += (-0.5 * d) * src[at({i: 1 - a, j: 1 - b})]
+    return out
 
 
 # --- JSON serialization -------------------------------------------------

@@ -320,9 +320,10 @@ class TestSweep:
 
     def test_noise_cell_polish_capped(self, monkeypatch):
         # the first cell above: the pair polish wanders over pure noise. With
-        # at most 2000 pair-model evaluations, each with a 4-parameter
-        # finite-difference Jacobian, it stays under 10,000 model calls
-        # (15,603 with a cap of 20000); the single exponential still wins
+        # at most 2000 pair-model evaluations and an analytic Jacobian it
+        # makes 2,012 model calls (9,158 with a finite-difference Jacobian,
+        # 15,603 with that and a cap of 20000); the single exponential
+        # still wins
         calls = []
         model = mqcsim.ddprobe._exp_sum
 

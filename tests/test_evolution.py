@@ -28,6 +28,7 @@ from mqcsim import (
     unitarity_defect,
 )
 
+from mqcsim.spins import parity_sectors
 from oracles import dense_hdq, random_couplings, random_state
 
 UP, DOWN = 1, 0
@@ -281,3 +282,43 @@ class TestAhtError:
         # same leading-order quality as the forward block
         fwd = aht_error(dq_block(), OperatorKind.HDQ, system, 500.0)
         assert err == pytest.approx(fwd, rel=0.2)
+
+
+class TestParitySectors:
+    """The invariants behind the sector-wise eigenbasis and MQC pass."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    def test_sectors_split_by_popcount_parity(self, n):
+        even, odd = parity_sectors(n)
+        assert even.size == odd.size == 1 << (n - 1)
+        assert sorted(np.concatenate([even, odd])) == list(range(1 << n))
+        assert all(int(b).bit_count() % 2 == 0 for b in even)
+        assert all(int(b).bit_count() % 2 == 1 for b in odd)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize(
+        "kind", [OperatorKind.HZZ, OperatorKind.HDQ, OperatorKind.IZ_TOTAL]
+    )
+    def test_generator_has_exact_zeros_between_sectors(self, n, kind):
+        rng = np.random.default_rng(n)
+        system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
+        even, odd = parity_sectors(n)
+        h = hamiltonian_matrix(system, kind)
+        assert not np.any(h[np.ix_(even, odd)])
+        assert not np.any(h[np.ix_(odd, even)])
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("mismatch", [0.0, 0.05])
+    def test_compiled_dq_block_conserves_parity(self, n, sign, mismatch):
+        # in the toggling frame Hzz becomes Hyy, which also flips spins in
+        # pairs, and the eight pulses rotate by the identity in total
+        rng = np.random.default_rng(10 * n)
+        couplings = random_couplings(n, rng, 100.0, 2000.0) * (1.0 + mismatch)
+        system = build_system(ExplicitCouplings(couplings), n)
+        u = compile_program(dq_block(sign=sign), system)
+        even, odd = parity_sectors(n)
+        assert np.max(np.abs(u[np.ix_(even, odd)])) < 1e-12
+        assert np.max(np.abs(u[np.ix_(odd, even)])) < 1e-12
+        # the block does mix within a sector, so the check above has teeth
+        assert np.max(np.abs(u[np.ix_(even, even)] - np.eye(even.size))) > 1e-3

@@ -13,7 +13,7 @@ from mqcsim import (
     make_kernel_problem,
     mixture_second_moment,
 )
-from mqcsim.inversion import _solve_tikhonov_nnls, _second_difference
+from mqcsim.inversion import _find_peaks, _solve_tikhonov_nnls, _second_difference
 
 from fixtures import (
     BIMODAL_ORDERS,
@@ -234,6 +234,49 @@ class TestAnalyze:
         an = analyze(dist)
         step = s[1] / s[0]
         assert s[30] / step <= an.front_97 <= s[30] * step
+
+
+class TestPeakFinder:
+    @staticmethod
+    def arrays(rng):
+        """64-point arrays as analyze pads them: noise, plateaus from
+        coarse levels (flat tops at the edges too), sparse NNLS-like
+        solutions, and smooth bumps."""
+        for trial in range(240):
+            kind = trial % 4
+            if kind == 0:
+                f = rng.random(64)
+            elif kind == 1:
+                f = np.floor(rng.random(64) * rng.integers(2, 5)) / 4
+            elif kind == 2:
+                f = np.where(rng.random(64) < 0.2, rng.random(64), 0.0)
+            else:
+                x = np.arange(64.0)
+                f = sum(rng.random() * np.exp(-((x - rng.uniform(-5, 69)) ** 2)
+                                              / rng.uniform(1, 40))
+                        for _ in range(rng.integers(1, 4)))
+            yield np.concatenate([[0.0], f, [0.0]])
+
+    def test_matches_scipy_find_peaks(self):
+        from scipy.signal import find_peaks
+
+        rng = np.random.default_rng(64)
+        checked = 0
+        for x in self.arrays(rng):
+            for fraction in (0.0, 0.02, 0.3):
+                min_prominence = fraction * float(np.max(x))
+                expected = find_peaks(x, prominence=min_prominence)[0].tolist()
+                assert _find_peaks(x, min_prominence) == expected
+                checked += 1
+        assert checked >= 600
+
+    def test_plateau_resolves_to_middle(self):
+        x = np.array([0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0])
+        assert _find_peaks(x, 0.0) == [3, 7]
+        # the lower plateau reaches down to 1 before the higher peak, so its
+        # prominence is 1, and a prominence equal to the threshold is kept
+        assert _find_peaks(x, 1.0) == [3, 7]
+        assert _find_peaks(x, 1.5) == [7]
 
 
 class TestPowerLaw:

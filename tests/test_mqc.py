@@ -20,6 +20,7 @@ from mqcsim import (
     uniform_phase_grid,
 )
 
+from mqcsim.mqc import _block_propagators, _rotated_frame
 from oracles import brute_force_mqc_signal as brute_force_signal
 from oracles import random_couplings
 
@@ -181,6 +182,22 @@ class TestSpectra:
         # at higher order in the couplings
         assert spec.weight_at(0) > 0.9
         assert np.sum(spec.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestRotatedFrame:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("mismatch", [0.0, 0.05])
+    def test_ideal_blocks_are_real(self, n, mismatch):
+        rng = np.random.default_rng(n)
+        system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
+        run = MqcRun(system, 1, 0.3, np.array([0.0]), mismatch=mismatch)
+        for u in _block_propagators(run):
+            assert np.max(np.abs(u.imag)) > 0.01  # complex in the lab frame
+            rotated = _rotated_frame(u, system.magnetization)
+            assert np.max(np.abs(rotated.imag)) <= 1e-12
+            # F is unitary, so the real part is orthogonal
+            real = rotated.real
+            assert np.max(np.abs(real @ real.T - np.eye(system.dim))) < 1e-12
 
 
 class TestLoschmidtEcho:

@@ -3,6 +3,7 @@ the inversion over random couplings and spectra."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from mqcsim import (
     density_spectra,
     dq_block,
     evolve,
+    hamiltonian_matrix,
     invert,
     krylov_expmv,
     loschmidt_echo,
@@ -107,6 +109,16 @@ def test_chebyshev_series_matches_eigenbasis(kind, sign, system, magnitude, seed
     assert np.max(np.abs(krylov_expmv(system, kind, psi, t) - ref)) < 1e-10
     zero = np.zeros(system.dim, dtype=complex)
     assert not np.any(krylov_expmv(system, kind, zero, t))
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@PROPERTY
+@given(systems(max_spins=6), st.floats(-5.0, 5.0))
+def test_sector_propagator_matches_expm(kind, system, t):
+    # the eigenbasis works per parity sector; expm sees the full matrix
+    expected = scipy.linalg.expm(-1j * t * hamiltonian_matrix(system, kind))
+    u = EigenBasis.compute(system, kind).propagator(t)
+    assert np.max(np.abs(u - expected)) < 1e-10
 
 
 @PROPERTY

@@ -189,6 +189,46 @@ class TestApplyOperator:
             assert np.allclose(stacked[:, c], single)
 
 
+def gather_apply(kind, system, state):
+    """The mask-and-gather form of the kernel: per spin or pair, index
+    arrays select the affected states and gather their flipped partners."""
+    idx = np.arange(system.dim)
+    col = (slice(None),) + (None,) * (state.ndim - 1)
+    if kind == OperatorKind.IZ_TOTAL:
+        return system.magnetization[col] * state
+    if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
+        out = np.zeros_like(state)
+        for i in range(system.n_spins):
+            flipped = idx ^ (1 << i)
+            if kind == OperatorKind.IX_TOTAL:
+                out += 0.5 * state[flipped]
+            else:
+                coeff = np.where((idx >> i) & 1 == 1, -0.5j, 0.5j)
+                out += coeff[col] * state[flipped]
+        return out
+    out = system._diag_zz[col] * state if kind == OperatorKind.HZZ else np.zeros_like(state)
+    for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
+        same = ((idx >> int(i)) & 1) == ((idx >> int(j)) & 1)
+        sel = idx[~same if kind == OperatorKind.HZZ else same]
+        out[sel] += (-0.5 * d) * state[sel ^ ((1 << int(i)) | (1 << int(j)))]
+    return out
+
+
+class TestTensorKernel:
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_bit_identical_to_gather_kernel(self, kind, n):
+        # the same addends in the same order for every element: equal bits
+        rng = np.random.default_rng(n)
+        couplings = random_couplings(n, rng)
+        couplings[0, n - 1] = couplings[n - 1, 0] = 0.0  # a dropped pair
+        system = build_system(ExplicitCouplings(couplings), n)
+        block = rng.normal(size=(system.dim, 3)) + 1j * rng.normal(size=(system.dim, 3))
+        for state in (block[:, 0], block, np.asfortranarray(block), block.real):
+            expected = gather_apply(kind, system, state.astype(complex))
+            assert apply_operator(kind, system, state).tobytes() == expected.tobytes()
+
+
 class TestSerialization:
     @pytest.mark.parametrize(
         "geometry,n",
