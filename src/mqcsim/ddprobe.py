@@ -11,9 +11,10 @@ factorization plus one (chunk x dim) @ (dim x dim) GEMM per chunk of
 cycles; the Hzz eigenbasis, the observables and the tipped density are
 built once per system and shared by every cell of a sweep. The decay fit
 is a grid scan over time constants, with the amplitudes solved in closed
-form, plus one local polish of each model. Additive white Gaussian noise
-of scale ``noise_sigma/sqrt(n_scans)`` per acquisition window models scan
-averaging; everything is deterministic under a fixed seed.
+form, plus one local polish of each model the scan supports. Additive
+white Gaussian noise of scale ``noise_sigma/sqrt(n_scans)`` per
+acquisition window models scan averaging; everything is deterministic
+under a fixed seed.
 """
 
 from __future__ import annotations
@@ -161,21 +162,14 @@ def run_dd(system: SpinSystem, config: DdConfig) -> DdSeries:
     setup = _SWEEP_SETUP.get()
     if setup is None or setup.system is not system:
         setup = _DdSetup(system)
-    signal = _signal(setup, config)
-    if config.noise_sigma > 0:
-        rng = np.random.default_rng(config.rng_seed)
-        signal = signal + rng.normal(
-            0.0, config.noise_sigma / np.sqrt(config.n_scans), config.n_cycles
-        )
-    times = (np.arange(config.n_cycles) + 0.5) * config.tau
-    return DdSeries(times=times, values=signal, config=config)
+    return _series(_signal(setup, config), config)
 
 
 def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Cycle-by-cycle reference implementation of :func:`run_dd`.
 
     O(cycles * dim^3); kept as the independent cross-check of the
-    spectral path (noise handling is identical).
+    spectral path (the noise model is shared).
     """
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
     iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
@@ -196,6 +190,13 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
             signal[j] = sx
         rho = half @ rho @ half.conj().T
         rho = pulse @ rho @ pulse.conj().T
+    return _series(signal, config)
+
+
+def _series(signal: np.ndarray, config: DdConfig) -> DdSeries:
+    """The acquired series: the noiseless signal plus white noise of scale
+    ``noise_sigma/sqrt(n_scans)`` drawn from ``rng_seed``, sampled at the
+    window centers ``(j + 1/2) tau``."""
     if config.noise_sigma > 0:
         rng = np.random.default_rng(config.rng_seed)
         signal = signal + rng.normal(
@@ -223,13 +224,14 @@ def _exp_sum_jac(t, *p):
 
 def _grid_starts(
     t: np.ndarray, y: np.ndarray, a_hi: float, t_hi: float
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float] | None, list[float]]:
     """Best bi- and single-exponential starts on a log grid of time constants.
 
     With the time constants fixed the model is linear in its amplitudes
     (variable projection), so each grid column and each pair of columns
     gets its non-negative amplitudes in closed form from a 1x1 or 2x2 Gram
-    system. Returns ``[a_f, t_f, a_s, t_s]`` and ``[a, t_s]``.
+    system. Returns ``[a_f, t_f, a_s, t_s]`` and ``[a, t_s]``; the pair is
+    None when no pair of columns beats the best single column.
     """
     # from the sample spacing up: a shorter time constant fits one sample
     dt = t[1] - t[0]
@@ -263,11 +265,9 @@ def _grid_starts(
     ok = solvable & (ci >= 0) & (ck >= 0) & (ci <= c_hi[i]) & (ck <= c_hi[k])
     gain = np.where(ok, ci * b[i] + ck * b[k], -np.inf)
     p = int(np.argmax(gain))
-    if gain[p] > gain1[s]:
-        pair = [ci[p] / norms[i[p]], taus[i[p]], ck[p] / norms[k[p]], taus[k[p]]]
-    else:
-        pair = [0.0, taus[0], *single]
-    return pair, single
+    if gain[p] <= gain1[s]:
+        return None, single
+    return [ci[p] / norms[i[p]], taus[i[p]], ck[p] / norms[k[p]], taus[k[p]]], single
 
 
 def _polish(t, y, start, a_hi, t_lo, t_hi) -> tuple[float, np.ndarray]:
@@ -306,9 +306,10 @@ def fit_biexponential(
 
     A grid scan over log-spaced time constants, with the amplitudes
     projected out in closed form, picks the start of one local polish of
-    each model. Data the second exponential does not improve (within 1%
-    of residual), or whose two time constants agree within 5%, collapses
-    to the single exponential branch with ``a_fast = 0`` and
+    each model. Data where no pair of grid columns beats the best single
+    one, where the polished pair does not improve on the single exponential
+    (within 1% of residual), or where its two time constants agree within
+    5%, collapses to the single exponential branch with ``a_fast = 0`` and
     ``degenerate=True``.
 
     Raises ValueError for non-finite or non-increasing times, non-finite
@@ -340,16 +341,16 @@ def fit_biexponential(
     t_hi = 1e6 * (t[-1] - t[0])
     t_lo = 1e-3 * (t[1] - t[0])
     pair0, single0 = _grid_starts(t, y, 10 * scale, t_hi)
-    best = _polish(t, y, pair0, 10 * scale, t_lo, t_hi)
     single = _polish(t, y, single0, 10 * scale, t_lo, t_hi)
+    degenerate = pair0 is None
+    if not degenerate:
+        best = _polish(t, y, pair0, 10 * scale, t_lo, t_hi)
+        a_f, t_f, a_s, t_s = best[1]
+        if t_f > t_s:
+            t_f, t_s, a_f, a_s = t_s, t_f, a_s, a_f
+        degenerate = abs(t_s - t_f) <= 0.05 * t_s or single[0] <= best[0] * 1.01
 
-    a_f, t_f, a_s, t_s = best[1]
-    if t_f > t_s:
-        t_f, t_s, a_f, a_s = t_s, t_f, a_s, a_f
-    close_times = abs(t_s - t_f) <= 0.05 * t_s
-    no_gain = single[0] <= best[0] * 1.01
-
-    if close_times or no_gain:
+    if degenerate:
         ssr, (a, t_s) = single
         fit = DecayFit(
             a_fast=0.0, t_fast=t_s, a_slow=float(a), t_slow=float(t_s),
@@ -510,7 +511,7 @@ def sweep(
                     n_scans=n_scans, rng_seed=seed,
                 )
                 series = run_dd(system, config)
-                sigma_eff = noise_sigma / np.sqrt(n_scans) if noise_sigma > 0 else 0.0
+                sigma_eff = noise_sigma / np.sqrt(n_scans)
                 n_star, snr = optimal_cycles(series.values, sigma_eff)
                 try:
                     fit = fit_biexponential(series)

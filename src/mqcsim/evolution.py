@@ -13,7 +13,9 @@ element between the two halves of the basis: two ``eigh`` calls of size
 D/2 instead of one of size D, in real arithmetic for a real generator
 (every kind but Iy). Ix and Iy flip one spin and keep a single sector.
 The generator is assembled through :func:`hamiltonian_matrix` from the
-bitwise kernel and then cut into its sector blocks.
+bitwise kernel, real for every kind but Iy, and then cut into its sector
+blocks; :meth:`EigenBasis.sector_propagators` gives exp(-iHt) block by
+block, and the dense :meth:`EigenBasis.propagator` is assembled from it.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
@@ -63,7 +65,6 @@ _SP = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # I+
 _SM = _SP.T.conj()
 _IX1 = 0.5 * (_SP + _SM)
 _IY1 = (_SP - _SM) / 2j
-_IZ1 = np.array([[-0.5, 0.0], [0.0, 0.5]], dtype=complex)
 
 
 class Axis(str, Enum):
@@ -120,9 +121,10 @@ def _require_dense(dim: int, what: str) -> None:
 
 
 def hamiltonian_matrix(system: SpinSystem, kind: OperatorKind) -> np.ndarray:
-    """Dense operator matrix, assembled column-wise from the bitwise kernel."""
+    """Dense operator matrix, assembled column-wise from the bitwise kernel:
+    float64 for every kind but Iy, complex128 for Iy."""
     _require_dense(system.dim, "operator")
-    return apply_operator(kind, system, np.eye(system.dim, dtype=complex))
+    return apply_operator(kind, system, np.eye(system.dim))
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,8 +152,6 @@ class EigenBasis:
     @classmethod
     def compute(cls, system: SpinSystem, kind: OperatorKind) -> "EigenBasis":
         h = hamiltonian_matrix(system, kind)
-        if not np.any(h.imag):
-            h = h.real
         sectors = (
             parity_sectors(system.n_spins) if kind in _PARITY_KINDS
             else [np.arange(system.dim)]
@@ -161,23 +161,24 @@ class EigenBasis:
         pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]
         return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
 
-    def _blocks(self, t: float):
-        """(sector, eigenvectors, exp(-i w t)) of every block."""
+    def sector_propagators(self, t: float):
+        """(sector, block of exp(-iHt) on it) for every sector in turn."""
         for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
-            yield s, v, np.exp(-1j * w * t)
+            yield s, _mul(v, np.exp(-1j * w * t)[:, None] * v.conj().T)
 
     def propagator(self, t: float) -> np.ndarray:
         """Dense exp(-iHt), zero between sectors."""
         dim = sum(s.size for s in self.sectors)
         u = np.zeros((dim, dim), dtype=complex)
-        for s, v, ph in self._blocks(t):
-            u[np.ix_(s, s)] = _mul(v, ph[:, None] * v.conj().T)
+        for s, block in self.sector_propagators(t):
+            u[np.ix_(s, s)] = block
         return u
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) @ mat without forming the propagator when mat is thin."""
         out = np.empty(mat.shape, dtype=complex)
-        for s, v, ph in self._blocks(t):
+        for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
+            ph = np.exp(-1j * w * t)
             out[s] = _mul(v, ph[:, None] * _mul(v.conj().T, mat[s]))
         return out
 

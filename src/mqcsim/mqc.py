@@ -30,7 +30,8 @@ The pass runs once per popcount-parity sector. Hdq, Hzz and the compiled
 eight-pulse block change the popcount by 0 or +-2, and rho_0 = Iz is
 diagonal, so rho_n and M_n have no element between states of opposite
 parity, and the (D/2) x (D/2) blocks of the two sectors carry all of A.
-In ideal mode the blocks are also moved into the frame of
+In ideal mode the blocks come straight from the sector eigenbases of Hdq,
+and no D x D propagator is formed; they are also moved into the frame of
 F = exp(i pi Iz / 4), the phase rotation at phi = pi/4, where
 exp(-i Hdq t) is real orthogonal: its entries with m_r - m_c = 0 mod 4
 come from cos(Hdq t), those with m_r - m_c = 2 mod 4 from -i sin(Hdq t),
@@ -43,7 +44,10 @@ Two execution modes: ``IDEAL`` evolves under the effective Hamiltonians
 exactly; ``PULSE_LEVEL`` compiles the eight-pulse block and realizes the
 reversed block by shifting every pulse phase by pi/2, which is the
 standard construction for -Hdq. A forward/backward coupling mismatch
-emulates imperfect reversal and degrades the echo.
+emulates imperfect reversal and degrades the echo. Hdq and Hzz are linear
+in the couplings, so scaling the reversed couplings by 1 + mismatch scales
+the reversed time instead: both directions share one eigenbasis (ideal) or
+one system with longer reversed delays (pulse level).
 
 Finite systems revive: unlike a macroscopic sample, the second moment
 oscillates once the coherence distribution feels the system size, so
@@ -83,7 +87,8 @@ class MqcRun:
     """One protocol configuration; ``t_n = n_blocks * tau_dq``.
 
     ``mismatch`` scales the couplings of the reversed blocks by
-    ``1 + mismatch``; zero means perfect reversal. In pulse-level mode
+    ``1 + mismatch`` and must exceed -1, since a factor <= 0 reverses
+    nothing; zero means perfect reversal. In pulse-level mode
     ``tau_dq`` must equal the block period ``4*delta1 + 6*delta2``.
     """
 
@@ -111,6 +116,8 @@ class MqcRun:
             raise ValueError("phases must lie in [0, 2*pi)")
         if self.tau_dq <= 0:
             raise ValueError("tau_dq must be positive")
+        if self.mismatch <= -1:
+            raise ValueError("mismatch must be > -1")
         self.mode = Mode(self.mode)
         if self.mode == Mode.PULSE_LEVEL:
             period = 4 * self.delta1 + 6 * self.delta2
@@ -168,28 +175,30 @@ class OrderAmplitudes:
     density: np.ndarray
 
 
-def _block_propagators(run: MqcRun) -> tuple[np.ndarray, np.ndarray]:
-    """Forward block U_f and reversed block U_b, the latter with mismatch."""
+def _sector_blocks(run: MqcRun):
+    """(sector, U_f block, U_b block) for each popcount-parity sector: real
+    ideal blocks in the frame of :func:`_rotated_frame`, or complex blocks
+    cut from the compiled pulse-level cycles. The mismatch scales U_b's time.
+    """
     system = run.system
-    back_system = system
-    if run.mismatch != 0.0:
-        back_system = SpinSystem(
-            n_spins=system.n_spins,
-            couplings=system.couplings * (1.0 + run.mismatch),
-            geometry=None,
-        )
+    scale = 1.0 + run.mismatch
     if run.mode == Mode.PULSE_LEVEL:
-        return (
-            compile_program(dq_block(run.delta1, run.delta2, sign=+1), system),
-            compile_program(dq_block(run.delta1, run.delta2, sign=-1), back_system),
+        u_f = compile_program(dq_block(run.delta1, run.delta2, sign=+1), system)
+        u_b = compile_program(
+            dq_block(scale * run.delta1, scale * run.delta2, sign=-1), system
         )
-    eig_f = EigenBasis.compute(system, OperatorKind.HDQ)
-    eig_b = (
-        eig_f if back_system is system
-        else EigenBasis.compute(back_system, OperatorKind.HDQ)
-    )
-    # reversed block: exp(+i tau Hdq') = exp(-i Hdq' * (-tau))
-    return eig_f.propagator(run.tau_dq), eig_b.propagator(-run.tau_dq)
+        for s in parity_sectors(system.n_spins):
+            yield s, u_f[np.ix_(s, s)], u_b[np.ix_(s, s)]
+        return
+    eig = EigenBasis.compute(system, OperatorKind.HDQ)
+    # reversed block: exp(+i tau Hdq') = exp(-i Hdq * (-scale * tau))
+    forward = eig.sector_propagators(run.tau_dq)
+    backward = eig.sector_propagators(-scale * run.tau_dq)
+    for (s, f), (_, b) in zip(forward, backward):
+        m = system.magnetization[s]
+        # real copies, so that the complex blocks can be freed
+        f, b = _rotated_frame(f, m).real.copy(), _rotated_frame(b, m).real.copy()
+        yield s, f, b
 
 
 def _rotated_frame(u: np.ndarray, mz: np.ndarray) -> np.ndarray:
@@ -204,22 +213,17 @@ def _rotated_frame(u: np.ndarray, mz: np.ndarray) -> np.ndarray:
 def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
     """Both per-order tables for n = 0 .. run.n_blocks from one pass.
 
-    The pass runs once per popcount-parity sector on the sector's blocks of
-    U_f and U_b, holding them, rho_n and M_n: a fixed number of
-    (D/2) x (D/2) matrices whatever n_blocks is. Ideal blocks are taken in
-    the frame of :func:`_rotated_frame`, where they are real.
+    The pass runs once per popcount-parity sector on the blocks of
+    :func:`_sector_blocks`, holding them, rho_n and M_n: a fixed number of
+    (D/2) x (D/2) matrices whatever n_blocks is.
     """
     system = run.system
-    u_f, u_b = _block_propagators(run)
     mz = system.magnetization
     n_orders = 2 * system.n_spins + 1
     amplitudes = np.zeros((run.n_blocks + 1, n_orders), dtype=complex)
     density = np.zeros((run.n_blocks + 1, n_orders))
-    for sector in parity_sectors(system.n_spins):
+    for sector, f, b in _sector_blocks(run):
         m = mz[sector]
-        f, b = u_f[np.ix_(sector, sector)], u_b[np.ix_(sector, sector)]
-        if run.mode == Mode.IDEAL:
-            f, b = _rotated_frame(f, m).real, _rotated_frame(b, m).real
         f_dag, b_dag = f.conj().T, b.conj().T
         k_index = (np.rint(m[:, None] - m[None, :]).astype(int) + system.n_spins).ravel()
 

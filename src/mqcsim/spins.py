@@ -239,26 +239,25 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     return SpinSystem(n_spins=n_spins, couplings=d, geometry=geometry)
 
 
-def _check_state(system: SpinSystem, state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    if state.shape[0] != system.dim:
-        raise DimensionMismatch(
-            f"state length {state.shape[0]} != 2**{system.n_spins}"
-        )
-    return state.astype(np.complex128, copy=False)
-
-
 def apply_operator(
     kind: OperatorKind, system: SpinSystem, state: np.ndarray
 ) -> np.ndarray:
     """Apply a collective operator to one state vector or a stack of columns.
 
     ``state`` has shape ``(2**N,)`` or ``(2**N, k)``; the result has the
-    same shape. The state is viewed as a tensor with one axis of length 2
-    per spin, so a spin flip is an in-place update between two strided
-    slices; cost O(pairs * 2**N) per call, with no index arrays.
+    same shape. Every kind but Iy has real matrix elements, so a real state
+    gives a float64 result and a complex one a complex128 result; Iy always
+    gives complex128. The state is viewed as a tensor with one axis of
+    length 2 per spin, so a spin flip is an in-place update between two
+    strided slices; cost O(pairs * 2**N) per call, with no index arrays.
     """
-    state = np.ascontiguousarray(_check_state(system, state))
+    state = np.asarray(state)
+    if state.shape[0] != system.dim:
+        raise DimensionMismatch(
+            f"state length {state.shape[0]} != 2**{system.n_spins}"
+        )
+    real = kind != OperatorKind.IY_TOTAL and not np.iscomplexobj(state)
+    state = np.ascontiguousarray(state, dtype=np.float64 if real else np.complex128)
     n = system.n_spins
     col = (slice(None),) + (None,) * (state.ndim - 1)
 
@@ -301,13 +300,6 @@ def apply_operator(
 
 
 # --- JSON serialization -------------------------------------------------
-
-_GEOMETRY_KINDS = {
-    "all_to_all": AllToAll,
-    "chain": Chain,
-    "lattice3d": Lattice3D,
-    "explicit": ExplicitCouplings,
-}
 
 
 def geometry_to_dict(geometry: Geometry) -> dict:

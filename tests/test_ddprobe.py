@@ -319,11 +319,11 @@ class TestSweep:
         assert any("fit_failed" in c.status for c in result.cells)
 
     def test_noise_cell_polish_capped(self, monkeypatch):
-        # the first cell above: the pair polish wanders over pure noise. With
-        # at most 2000 pair-model evaluations and an analytic Jacobian it
-        # makes 2,012 model calls (9,158 with a finite-difference Jacobian,
-        # 15,603 with that and a cap of 20000); the single exponential
-        # still wins
+        # the first cell above: on pure noise no pair of grid columns beats
+        # the best single one, so the pair polish is skipped and the fit
+        # makes 11 model calls (2,012 when the pair polish ran to its cap of
+        # 2000 evaluations, 15,603 with a finite-difference Jacobian and a
+        # cap of 20000); the single exponential wins
         calls = []
         model = mqcsim.ddprobe._exp_sum
 
@@ -335,7 +335,7 @@ class TestSweep:
         result = sweep(
             zero_system(3), [0.1], [np.pi / 2], 64, noise_sigma=50.0, base_seed=1
         )
-        assert len(calls) < 10_000
+        assert len(calls) <= 50
         assert result.cells[0].fit.degenerate
 
     def test_grid_of(self):

@@ -268,6 +268,11 @@ class TestCli:
         name = f"{section}.{field}" if section else field
         assert f"config field {name} must be" in capsys.readouterr().err
 
+    def test_no_reversal_mismatch_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, mqc={"mismatch": -1.0})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert "mismatch must be > -1" in capsys.readouterr().err
+
     def test_int_for_float_field_runs(self, tmp_path):
         outputs = []
         for tau_dq in (1, 1.0):

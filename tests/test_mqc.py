@@ -3,13 +3,17 @@ import pytest
 
 from mqcsim import (
     AllToAll,
+    EigenBasis,
     ExplicitCouplings,
     Mode,
     MqcRun,
     NonUniformPhaseGrid,
+    OperatorKind,
     PhaseSignal,
     build_system,
+    compile_program,
     density_spectra,
+    dq_block,
     loschmidt_echo,
     order_amplitudes,
     otoc_direct,
@@ -20,7 +24,7 @@ from mqcsim import (
     uniform_phase_grid,
 )
 
-from mqcsim.mqc import _block_propagators, _rotated_frame
+from mqcsim.mqc import _rotated_frame, _sector_blocks
 from oracles import brute_force_mqc_signal as brute_force_signal
 from oracles import random_couplings
 
@@ -100,6 +104,12 @@ class TestRunProtocol:
                 params = {"tau_dq": 0.1, field: bad}
                 with pytest.raises(ValueError, match=field):
                     MqcRun(sys2, 1, phases=np.array([0.0]), **params)
+
+    @pytest.mark.parametrize("mismatch", [-1.0, -2.5])
+    def test_mismatch_must_exceed_minus_one(self, sys2, mismatch):
+        # reversed couplings scaled by 1 + mismatch <= 0 reverse nothing
+        with pytest.raises(ValueError, match="mismatch"):
+            MqcRun(sys2, 1, 0.1, np.array([0.0]), mismatch=mismatch)
 
     def test_pulse_level_tau_must_match_block(self, sys2):
         with pytest.raises(ValueError):
@@ -191,13 +201,75 @@ class TestRotatedFrame:
         rng = np.random.default_rng(n)
         system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
         run = MqcRun(system, 1, 0.3, np.array([0.0]), mismatch=mismatch)
-        for u in _block_propagators(run):
-            assert np.max(np.abs(u.imag)) > 0.01  # complex in the lab frame
-            rotated = _rotated_frame(u, system.magnetization)
-            assert np.max(np.abs(rotated.imag)) <= 1e-12
-            # F is unitary, so the real part is orthogonal
-            real = rotated.real
-            assert np.max(np.abs(real @ real.T - np.eye(system.dim))) < 1e-12
+        eig = EigenBasis.compute(system, OperatorKind.HDQ)
+        forward = eig.sector_propagators(0.3)
+        backward = eig.sector_propagators(-(1.0 + mismatch) * 0.3)
+        for (s, f, b), (_, u_f), (_, u_b) in zip(_sector_blocks(run), forward, backward):
+            for u, real in ((u_f, f), (u_b, b)):
+                assert np.max(np.abs(u.imag)) > 0.01  # complex in the lab frame
+                rotated = _rotated_frame(u, system.magnetization[s])
+                assert np.max(np.abs(rotated.imag)) <= 1e-12
+                assert np.array_equal(real, rotated.real)
+                # F is unitary, so the real part is orthogonal
+                assert np.max(np.abs(real @ real.T - np.eye(s.size))) < 1e-12
+
+
+class TestMismatchAsTimeScale:
+    """Hdq and Hzz are linear in the couplings, so reversed blocks with the
+    couplings scaled by lambda are reversed blocks run lambda times as long."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("scale", [0.7, 1.05, 1.5])
+    def test_ideal(self, n, scale):
+        couplings = random_couplings(n, np.random.default_rng(n))
+        system = build_system(ExplicitCouplings(couplings), n)
+        scaled = build_system(ExplicitCouplings(couplings * scale), n)
+        by_couplings = EigenBasis.compute(scaled, OperatorKind.HDQ).propagator(-0.3)
+        by_time = EigenBasis.compute(system, OperatorKind.HDQ).propagator(-scale * 0.3)
+        assert np.max(np.abs(by_couplings - by_time)) < 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("scale", [0.7, 1.05, 1.5])
+    def test_pulse_level(self, n, scale):
+        couplings = random_couplings(n, np.random.default_rng(n), 100.0, 2000.0)
+        system = build_system(ExplicitCouplings(couplings), n)
+        scaled = build_system(ExplicitCouplings(couplings * scale), n)
+        by_couplings = compile_program(dq_block(3e-6, 8e-6, sign=-1), scaled)
+        by_time = compile_program(dq_block(scale * 3e-6, scale * 8e-6, sign=-1), system)
+        assert np.max(np.abs(by_couplings - by_time)) < 1e-12
+
+    def test_pulse_level_run_matches_scaled_couplings(self):
+        # the definition of the mismatch: reversed cycles compiled under
+        # couplings * (1 + mismatch), here checked by dense products
+        n, mismatch, n_blocks = 4, 0.3, 3
+        couplings = random_couplings(n, np.random.default_rng(3), 100.0, 2000.0)
+        system = build_system(ExplicitCouplings(couplings), n)
+        scaled = build_system(ExplicitCouplings(couplings * (1.0 + mismatch)), n)
+        u_f = np.linalg.matrix_power(compile_program(dq_block(sign=1), system), n_blocks)
+        u_b = np.linalg.matrix_power(compile_program(dq_block(sign=-1), scaled), n_blocks)
+        mz = system.magnetization
+        phases = uniform_phase_grid(8)
+        runs = [MqcRun(system, n_blocks, 60e-6, phases, mode=Mode.PULSE_LEVEL,
+                       mismatch=m) for m in (0.0, mismatch)]
+        perfect, signal = (phase_signals(order_amplitudes(r))[-1] for r in runs)
+        assert np.max(np.abs(signal.values - perfect.values)) > 1e-4
+        for phi, val in zip(phases, signal.values):
+            u = u_b @ np.diag(np.exp(1j * phi * mz)) @ u_f
+            expected = np.trace(np.diag(mz) @ u @ np.diag(mz) @ u.conj().T)
+            assert abs(val - expected.real / system.iz_norm()) < 1e-10
+
+    def test_one_eigenbasis_per_ideal_run(self, monkeypatch):
+        calls = []
+        compute = EigenBasis.compute
+
+        def counted(cls, *args):
+            calls.append(args)
+            return compute(*args)
+
+        monkeypatch.setattr(EigenBasis, "compute", classmethod(counted))
+        system = build_system(AllToAll(d0=1.0), 5)
+        order_amplitudes(MqcRun(system, 3, 0.2, np.array([0.0]), mismatch=0.05))
+        assert len(calls) == 1
 
 
 class TestLoschmidtEcho:
