@@ -4,12 +4,17 @@ The sequence is a pi/2 pulse along Y (tipping Iz into Ix) followed by a
 train of theta rotations along X with period tau; the transverse signal is
 sampled at the center of every window, t_j = (j + 1/2) tau after the tip.
 Detection picks the component aligned with the initial transverse
-magnetization (Ix); a magnitude mode is available behind ``detect``.
+magnetization (Ix); a magnitude mode is available behind ``detect``. The
+global spin flip prod sigma_x commutes with Hzz, with the X pulses and
+with the tipped density Ix, and anticommutes with Iy, so Tr{Iy rho_j} = 0
+at every sample and the magnitude is the absolute value of the aligned
+signal.
 
 The cycle propagator is diagonalized once, so a cell costs one Schur
 factorization plus one (chunk x dim) @ (dim x dim) GEMM per chunk of
-cycles; the Hzz eigenbasis, the observables and the tipped density are
-built once per system and shared by every cell of a sweep. The decay fit
+cycles. The tip is folded into the change to the Schur basis, and the Hzz
+eigenbasis is computed once per system (:meth:`EigenBasis.compute` keeps
+it), so every cell of a sweep shares it without further setup. The decay fit
 is a grid scan over time constants, with the amplitudes solved in closed
 form, plus one local polish of each model the scan supports. Additive
 white Gaussian noise of scale ``noise_sigma/sqrt(n_scans)`` per
@@ -19,9 +24,7 @@ under a fixed seed.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +58,9 @@ class DdConfig:
     noise_sigma: float = 0.0
     n_scans: int = 1
     rng_seed: int = 0
-    detect: str = "aligned"  # or "magnitude"
+    # "aligned" reads Tr{Ix rho_j}; "magnitude" its absolute value, since
+    # the Iy component vanishes (see the module docstring)
+    detect: str = "aligned"
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -106,70 +111,46 @@ class DecayFit:
         return self.a_fast + self.a_slow
 
 
-class _DdSetup:
-    """The per-system pieces of an acquisition, built once and shared by
-    every cell of a sweep: the Hzz eigenbasis, the observables and the
-    tipped initial density ``rho0 = Y(pi/2) Iz``."""
-
-    def __init__(self, system: SpinSystem):
-        self.system = system
-        self.hzz = EigenBasis.compute(system, OperatorKind.HZZ)
-        self.ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
-        iz = np.diag(system.magnetization).astype(complex)
-        self.rho0 = collective_pulse(iz, Axis.Y, np.pi / 2)
-        self.norm = float(system.iz_norm())
-
-    @cached_property
-    def iy(self) -> np.ndarray:
-        return hamiltonian_matrix(self.system, OperatorKind.IY_TOTAL)
-
-
-# the setup a running sweep shares with the run_dd calls of its cells; the
-# cells still go through run_dd, the public entry point that perfbench's
-# traced run spans, and run_dd builds its own setup for any other system
-_SWEEP_SETUP: ContextVar[_DdSetup | None] = ContextVar("_SWEEP_SETUP", default=None)
-
-
-def _signal(setup: _DdSetup, config: DdConfig) -> np.ndarray:
+def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
-    half = setup.hzz.propagator(config.tau / 2)
-    pulse = pulse_matrix(Axis.X, config.theta, setup.system.n_spins)
-    cycle = half @ pulse @ half  # sample-to-sample propagator
-
-    # diagonalize the unitary cycle once; for a normal matrix the complex
-    # Schur form is diagonal to roundoff
-    t_mat, w = scipy.linalg.schur(cycle, output="complex")
+    half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
+    # diagonalize the unitary sample-to-sample propagator once; for a normal
+    # matrix the complex Schur form is diagonal to roundoff
+    t_mat, w = scipy.linalg.schur(
+        half @ pulse_matrix(Axis.X, config.theta, system.n_spins) @ half,
+        output="complex",
+    )
     # eigenphases, so that lam^j stays on the unit circle for any j
     phase = np.angle(np.diag(t_mat))
-    rho_s = w.conj().T @ (half @ setup.rho0 @ half.conj().T) @ w  # first sample
-    obs = [setup.ix] if config.detect == "aligned" else [setup.ix, setup.iy]
-    # Tr{O V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j with
-    # W = rho_s * (w^+ O w)^T; the observables sit side by side in one W
-    weights = np.hstack([rho_s * (w.conj().T @ o @ w).T for o in obs])
-    dim = phase.size
-    comps = np.empty((len(obs), config.n_cycles))
+    # first sample in the Schur basis, with the tip folded in:
+    # rho_s = g Iz g^dag with g = w^dag half Y(pi/2), and Iz diagonal
+    g = w.conj().T @ half @ pulse_matrix(Axis.Y, np.pi / 2, system.n_spins)
+    rho_s = (g * system.magnetization) @ g.conj().T
+    ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
+    # Tr{Ix V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j
+    # with W = rho_s * (w^+ Ix w)^T
+    weights = rho_s * (w.conj().T @ ix @ w).T
+    signal = np.empty(config.n_cycles)
     for start in range(0, config.n_cycles, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, config.n_cycles))
         lam = np.exp(1j * np.outer(j, phase))
-        prod = (lam @ weights).reshape(j.size, len(obs), dim)
-        comps[:, j] = np.sum(prod * lam.conj()[:, None, :], axis=2).real.T
-    comps /= setup.norm
-    return comps[0] if config.detect == "aligned" else np.hypot(*comps)
+        signal[j] = np.sum((lam @ weights) * lam.conj(), axis=1).real
+    signal /= system.iz_norm()
+    return signal if config.detect == "aligned" else np.abs(signal)
 
 
 def run_dd(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Simulate the pulse-train acquisition; see the module docstring."""
-    setup = _SWEEP_SETUP.get()
-    if setup is None or setup.system is not system:
-        setup = _DdSetup(system)
-    return _series(_signal(setup, config), config)
+    return _series(_signal(system, config), config)
 
 
 def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Cycle-by-cycle reference implementation of :func:`run_dd`.
 
     O(cycles * dim^3); kept as the independent cross-check of the
-    spectral path (the noise model is shared).
+    spectral path (the noise model is shared). It tips with
+    :func:`collective_pulse` and reads the Ix and Iy traces itself, so
+    neither the folded tip nor the vanishing Iy component is assumed here.
     """
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
     iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
@@ -353,7 +334,7 @@ def fit_biexponential(
     if degenerate:
         ssr, (a, t_s) = single
         fit = DecayFit(
-            a_fast=0.0, t_fast=t_s, a_slow=float(a), t_slow=float(t_s),
+            a_fast=0.0, t_fast=float(t_s), a_slow=float(a), t_slow=float(t_s),
             residual_rms=float(np.sqrt(ssr / t.size)), fit_window=window,
             degenerate=True,
         )
@@ -499,34 +480,29 @@ def sweep(
     if tau_grid.size == 0 or theta_grid.size == 0:
         raise ValueError("sweep grids must be non-empty")
     cells = []
-    # every cell's run_dd shares one setup: the system is the same throughout
-    token = _SWEEP_SETUP.set(_DdSetup(system))
-    try:
-        for i, tau in enumerate(tau_grid):
-            for j, theta in enumerate(theta_grid):
-                seed = mix_seed(base_seed, i, j)
-                config = DdConfig(
-                    tau=float(tau), theta=float(theta), n_cycles=n_cycles,
-                    transient_skip=transient_skip, noise_sigma=noise_sigma,
-                    n_scans=n_scans, rng_seed=seed,
+    for i, tau in enumerate(tau_grid):
+        for j, theta in enumerate(theta_grid):
+            seed = mix_seed(base_seed, i, j)
+            config = DdConfig(
+                tau=float(tau), theta=float(theta), n_cycles=n_cycles,
+                transient_skip=transient_skip, noise_sigma=noise_sigma,
+                n_scans=n_scans, rng_seed=seed,
+            )
+            series = run_dd(system, config)
+            sigma_eff = noise_sigma / np.sqrt(n_scans)
+            n_star, snr = optimal_cycles(series.values, sigma_eff)
+            try:
+                fit = fit_biexponential(series)
+                status = "ok"
+                amplitude = fit.amplitude
+            except FitFailure as err:
+                fit = None
+                status = f"fit_failed: {err}"
+                amplitude = np.nan
+            cells.append(
+                SweepCell(
+                    tau=float(tau), theta=float(theta), status=status, fit=fit,
+                    amplitude=amplitude, n_star=n_star, snr=snr, rng_seed=seed,
                 )
-                series = run_dd(system, config)
-                sigma_eff = noise_sigma / np.sqrt(n_scans)
-                n_star, snr = optimal_cycles(series.values, sigma_eff)
-                try:
-                    fit = fit_biexponential(series)
-                    status = "ok"
-                    amplitude = fit.amplitude
-                except FitFailure as err:
-                    fit = None
-                    status = f"fit_failed: {err}"
-                    amplitude = np.nan
-                cells.append(
-                    SweepCell(
-                        tau=float(tau), theta=float(theta), status=status, fit=fit,
-                        amplitude=amplitude, n_star=n_star, snr=snr, rng_seed=seed,
-                    )
-                )
-    finally:
-        _SWEEP_SETUP.reset(token)
+            )
     return SweepResult(tau_grid=tau_grid, theta_grid=theta_grid, cells=cells)

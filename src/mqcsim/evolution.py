@@ -16,6 +16,8 @@ The generator is assembled through :func:`hamiltonian_matrix` from the
 bitwise kernel, real for every kind but Iy, and then cut into its sector
 blocks; :meth:`EigenBasis.sector_propagators` gives exp(-iHt) block by
 block, and the dense :meth:`EigenBasis.propagator` is assembled from it.
+:meth:`EigenBasis.compute` keeps each basis for as long as its system
+lives, so every caller on one system shares one diagonalization per kind.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
@@ -30,6 +32,7 @@ published phase table. Shifting every pulse phase by ``pi/2`` (the
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -47,9 +50,9 @@ from .spins import (
     require_memory,
 )
 
-# D x D complex matrices that the heaviest dense path holds at its peak
-# (run_dd with magnitude detection: 14, and 15.2 at N=8 from its chunks)
-_DENSE_COPIES = 16
+# D x D complex matrices that the heaviest dense path holds at its peak,
+# traced at N=8 and 9: 9.8 for run_dd_stepwise, 8.8 for run_dd
+_DENSE_COPIES = 10
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
@@ -151,15 +154,25 @@ class EigenBasis:
 
     @classmethod
     def compute(cls, system: SpinSystem, kind: OperatorKind) -> "EigenBasis":
-        h = hamiltonian_matrix(system, kind)
-        sectors = (
-            parity_sectors(system.n_spins) if kind in _PARITY_KINDS
-            else [np.arange(system.dim)]
-        )
-        # divide and conquer: Hdq's clustered spectrum slows the default
-        # driver down about 6x at D/2 = 2048
-        pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]
-        return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
+        """The eigenbasis of ``kind`` on ``system``, diagonalized on the first
+        call for that pair and returned as the same object on every later one.
+
+        The cache holds a system only weakly, so its bases go when the
+        system does; a caller must not modify the arrays it is handed.
+        """
+        kind = OperatorKind(kind)
+        bases = _BASES.setdefault(system, {})
+        if kind not in bases:
+            h = hamiltonian_matrix(system, kind)
+            sectors = (
+                parity_sectors(system.n_spins) if kind in _PARITY_KINDS
+                else [np.arange(system.dim)]
+            )
+            # divide and conquer: Hdq's clustered spectrum slows the default
+            # driver down about 6x at D/2 = 2048
+            pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]
+            bases[kind] = cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
+        return bases[kind]
 
     def sector_propagators(self, t: float):
         """(sector, block of exp(-iHt) on it) for every sector in turn."""
@@ -190,6 +203,10 @@ class EigenBasis:
         U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag."""
         half = self.evolve_columns(rho, t)
         return self.evolve_columns(half.conj().T, t).conj().T
+
+
+# every EigenBasis.compute result, per system and then per kind
+_BASES: weakref.WeakKeyDictionary[SpinSystem, dict] = weakref.WeakKeyDictionary()
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:
@@ -320,14 +337,12 @@ def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
     dim = system.dim
     _require_dense(dim, "propagator")
     u = np.eye(dim, dtype=complex)
-    bases: dict[OperatorKind, EigenBasis] = {}
     for step in program.steps:
         if isinstance(step, Pulse):
             u = _apply_left(_pulse_u2(step.axis, step.angle), u, system.n_spins)
         else:
-            if step.hamiltonian not in bases:
-                bases[step.hamiltonian] = EigenBasis.compute(system, step.hamiltonian)
-            u = bases[step.hamiltonian].evolve_columns(u, step.duration)
+            basis = EigenBasis.compute(system, step.hamiltonian)
+            u = basis.evolve_columns(u, step.duration)
     return u
 
 

@@ -124,14 +124,16 @@ def coherence_order(r: int, c: int) -> int:
     return int(r).bit_count() - int(c).bit_count()
 
 
-@dataclass
+@dataclass(eq=False)
 class SpinSystem:
     """N coupled spins 1/2; read-only after construction.
 
     ``couplings`` must be symmetric with an exactly zero diagonal. Derived
     lookup tables (magnetization per state, pair list, Hzz diagonal) are
     prepared once here and shared by all operator applications, which are
-    pure reads and safe for concurrent use.
+    pure reads and safe for concurrent use. Equality and hash are by
+    identity: two systems built from the same geometry are different keys
+    of any cache that holds results per system.
     """
 
     n_spins: int

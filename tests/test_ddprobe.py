@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mqcsim.evolution
 from mqcsim import (
     AllToAll,
     DdConfig,
+    DecayFit,
     ExplicitCouplings,
     FitFailure,
+    OperatorKind,
     build_system,
     cumulative_snr,
     estimate_noise_sigma,
@@ -127,6 +132,15 @@ class TestBiexponentialFit:
         assert fit.a_fast == 0.0
         assert fit.t_slow == pytest.approx(5.0, rel=0.01)
         assert fit.a_slow == pytest.approx(0.8, rel=0.01)
+
+    def test_degenerate_fit_fields_are_python_floats(self):
+        t = np.linspace(0.1, 30, 300)
+        fit = fit_biexponential((t, 0.8 * np.exp(-t / 5.0)))
+        assert fit.degenerate
+        names = [f.name for f in dataclasses.fields(DecayFit) if f.type == "float"]
+        assert names == ["a_fast", "t_fast", "a_slow", "t_slow", "residual_rms"]
+        for name in names:
+            assert type(getattr(fit, name)) is float, name
 
     def test_white_noise_fails(self):
         rng = np.random.default_rng(5)
@@ -351,6 +365,19 @@ class TestSweep:
                 assert slow[i, j] == cell.fit.t_slow
         with pytest.raises(ValueError):
             result.grid_of("fit")
+
+    def test_one_hzz_build_per_sweep(self, monkeypatch):
+        kinds = []
+        build = mqcsim.evolution.hamiltonian_matrix
+
+        def counted(system, kind):
+            kinds.append(kind)
+            return build(system, kind)
+
+        monkeypatch.setattr(mqcsim.evolution, "hamiltonian_matrix", counted)
+        system = build_system(AllToAll(d0=1.0), 4)
+        sweep(system, [0.1, 0.2], [np.pi / 4, np.pi / 2], 32)
+        assert kinds.count(OperatorKind.HZZ) == 1
 
     def test_empty_grid_rejected(self):
         system = build_system(AllToAll(d0=1.0), 4)

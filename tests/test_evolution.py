@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -282,6 +284,25 @@ class TestAhtError:
         # same leading-order quality as the forward block
         fwd = aht_error(dq_block(), OperatorKind.HDQ, system, 500.0)
         assert err == pytest.approx(fwd, rel=0.2)
+
+
+class TestEigenBasisCache:
+    def test_one_basis_per_system_and_kind(self):
+        system = build_system(Chain(d0=1.0), 4)
+        basis = EigenBasis.compute(system, OperatorKind.HZZ)
+        assert EigenBasis.compute(system, OperatorKind.HZZ) is basis
+        assert EigenBasis.compute(system, OperatorKind.HDQ) is not basis
+        twin = build_system(Chain(d0=1.0), 4)
+        assert EigenBasis.compute(twin, OperatorKind.HZZ) is not basis
+
+    def test_entry_goes_with_its_system(self):
+        system = build_system(Chain(d0=1.0), 4)
+        basis = EigenBasis.compute(system, OperatorKind.HZZ)
+        bases = mqcsim.evolution._BASES
+        assert bases[system][OperatorKind.HZZ] is basis
+        del system
+        gc.collect()
+        assert all(b is not basis for kinds in bases.values() for b in kinds.values())
 
 
 class TestParitySectors:

@@ -85,21 +85,27 @@ def _dense_paths(system: SpinSystem) -> dict:
 
 
 DENSE_PATHS = list(_dense_paths(_system(2)))
+# the sizes whose traced peaks set the single dense factor
+TRACED_SPINS = (8, 9)
 
 
 @functools.cache
-def dense_peaks_n8() -> dict:
-    return {name: traced_peak(fn) for name, fn in _dense_paths(_system(8)).items()}
+def dense_peaks(n: int) -> dict:
+    # each path on its own fresh system: on a shared one, the eigenbases that
+    # earlier paths computed would hide a later path's eigh
+    return {name: traced_peak(_dense_paths(_system(n))[name]) for name in DENSE_PATHS}
 
 
 @pytest.mark.parametrize("path", DENSE_PATHS)
 def test_dense_path_within_estimate(path):
-    assert dense_peaks_n8()[path] <= dense_bytes(1 << 8)
+    for n in TRACED_SPINS:
+        assert dense_peaks(n)[path] <= dense_bytes(1 << n), n
 
 
 def test_dense_estimate_is_tight():
     # the single factor is set by the heaviest path, not padded beyond it
-    assert dense_bytes(1 << 8) <= 1.25 * max(dense_peaks_n8().values())
+    for n in TRACED_SPINS:
+        assert dense_bytes(1 << n) <= 1.25 * max(dense_peaks(n).values()), n
 
 
 @pytest.mark.parametrize("n", [10, 12])
@@ -115,7 +121,7 @@ def test_vector_path_within_estimate(n, kind):
 def test_box_budget_admits_n12_dense_and_refuses_n13(monkeypatch):
     monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", BOX_BYTES)
     _require_dense(1 << 12, "operator")
-    with pytest.raises(CapExceeded, match=r"dense 8192x8192 operator needs 17179869184 bytes"):
+    with pytest.raises(CapExceeded, match=r"dense 8192x8192 operator needs 10737418240 bytes"):
         _require_dense(1 << 13, "operator")
     system = _system(13)  # the vector path of 13 spins fits
     with pytest.raises(CapExceeded):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mqcsim.evolution
 from mqcsim import (
     AllToAll,
     EigenBasis,
@@ -270,6 +271,21 @@ class TestMismatchAsTimeScale:
         system = build_system(AllToAll(d0=1.0), 5)
         order_amplitudes(MqcRun(system, 3, 0.2, np.array([0.0]), mismatch=0.05))
         assert len(calls) == 1
+
+    def test_one_hzz_build_per_pulse_level_run(self, monkeypatch):
+        # the forward and the reversed cycle compile on one Hzz eigenbasis
+        kinds = []
+        build = mqcsim.evolution.hamiltonian_matrix
+
+        def counted(system, kind):
+            kinds.append(kind)
+            return build(system, kind)
+
+        monkeypatch.setattr(mqcsim.evolution, "hamiltonian_matrix", counted)
+        system = build_system(AllToAll(d0=1000.0), 4)
+        order_amplitudes(MqcRun(system, 2, 60e-6, np.array([0.0]),
+                                mode=Mode.PULSE_LEVEL, mismatch=0.05))
+        assert kinds == [OperatorKind.HZZ]
 
 
 class TestLoschmidtEcho:

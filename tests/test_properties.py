@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqcsim import (
+    DdConfig,
     EigenBasis,
     ExplicitCouplings,
     MqcRun,
@@ -24,6 +25,8 @@ from mqcsim import (
     make_kernel_problem,
     order_amplitudes,
     phase_signals,
+    run_dd,
+    run_dd_stepwise,
     spectrum_from_phases,
     uniform_phase_grid,
     unitarity_defect,
@@ -134,6 +137,20 @@ def test_propagators_unitary(system, kind, t, delta1, delta2, sign):
     assert unitarity_defect(EigenBasis.compute(system, kind).propagator(t)) < 1e-12
     block = compile_program(dq_block(delta1, delta2, sign), system)
     assert unitarity_defect(block) < 1e-12
+
+
+@PROPERTY
+@given(systems(), st.floats(0.01, 1.0), st.floats(0.05, np.pi))
+def test_dd_magnitude_is_abs_of_aligned(system, tau, theta):
+    # prod sigma_x commutes with Hzz, the X pulses and the tipped density and
+    # anticommutes with Iy, so Tr{Iy rho_j} = 0; the stepwise route still
+    # computes that trace, and shows it vanishing
+    def values(route, detect):
+        return route(system, DdConfig(tau, theta, n_cycles=16, detect=detect)).values
+
+    assert np.array_equal(values(run_dd, "magnitude"), np.abs(values(run_dd, "aligned")))
+    stepwise = values(run_dd_stepwise, "magnitude")
+    assert np.max(np.abs(stepwise - np.abs(values(run_dd_stepwise, "aligned")))) < 1e-12
 
 
 @PROPERTY

@@ -37,6 +37,15 @@ class TestBuildSystem:
         assert system.couplings[0, 1] == 1.0
         assert np.all(np.diag(system.couplings) == 0.0)
 
+    def test_identity_equality_and_hash(self):
+        # systems are cache keys: equal only to themselves, whatever their couplings
+        system = build_system(Chain(d0=1.0), 3)
+        twin = build_system(Chain(d0=1.0), 3)
+        assert system == system
+        assert system != twin
+        assert hash(system) == hash(system)
+        assert len({system, twin, system}) == 2
+
     def test_chain_dipolar_power(self):
         system = build_system(Chain(d0=1.0, exponent=3), 3)
         assert system.couplings[0, 2] == pytest.approx(1.0 / 8.0)
