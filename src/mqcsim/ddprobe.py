@@ -10,11 +10,18 @@ with the tipped density Ix, and anticommutes with Iy, so Tr{Iy rho_j} = 0
 at every sample and the magnitude is the absolute value of the aligned
 signal.
 
-The cycle propagator is diagonalized once, so a cell costs one Schur
-factorization plus one (chunk x dim) @ (dim x dim) GEMM per chunk of
-cycles. The tip is folded into the change to the Schur basis, and the Hzz
-eigenbasis is computed once per system (:meth:`EigenBasis.compute` keeps
-it), so every cell of a sweep shares it without further setup. The decay fit
+The cycle propagator V = half . X(theta) . half is diagonalized once per
+cell, and never as one D x D matrix. V, Ix and the tipped density commute
+with the spin flip, so each splits into two (D/2) x (D/2) blocks on the
+flip-symmetric and flip-antisymmetric states, and the signal is the sum of
+the two blocks' signals. Each block of V is a symmetric unitary, so it has
+a real orthogonal eigenbasis, which real ``eigh`` calls find; the complex
+Schur form is only the fallback for a basis that leaves an off-diagonal
+residue. A cell then costs two real eigendecompositions plus one
+(chunk x D/2) @ (D/2 x D/2) GEMM per block and chunk of cycles. The tip is
+folded into the change to the Floquet basis, and the Hzz eigenbasis is
+computed once per system (:meth:`EigenBasis.compute` keeps it), so every
+cell of a sweep shares it without further setup. The decay fit
 is a grid scan over time constants, with the amplitudes solved in closed
 form, plus one local polish of each model the scan supports. Additive
 white Gaussian noise of scale ``noise_sigma/sqrt(n_scans)`` per
@@ -32,7 +39,14 @@ import scipy.linalg
 from scipy.optimize import curve_fit
 
 from .errors import FitFailure
-from .evolution import Axis, EigenBasis, collective_pulse, pulse_matrix, hamiltonian_matrix
+from .evolution import (
+    Axis,
+    EigenBasis,
+    _mul,
+    collective_pulse,
+    hamiltonian_matrix,
+    pulse_matrix,
+)
 from .spins import OperatorKind, SpinSystem
 
 _SEED_MIX_A = 0x9E3779B97F4A7C15
@@ -45,6 +59,15 @@ _CHUNK = 128
 _GRID_PER_DECADE = 8
 # smallest 1 - g^2 of two unit grid columns whose 2x2 Gram system is solved
 _MIN_DET = 1e-9
+# weight of Im V in the real symmetric matrix Re V + c Im V whose
+# eigenvectors diagonalize a symmetric unitary cycle V
+_MIX = 0.6180339887498949
+# adjacent eigenvalues of Re V + c Im V closer than this form one run, which
+# the perpendicular combination re-splits
+_CLUSTER_GAP = 1e-4
+# largest off-diagonal |O^T V O| the real Floquet basis may leave; above it
+# the block falls back to the complex Schur form
+_MAX_RESIDUE = 1e-9
 
 
 @dataclass
@@ -111,30 +134,74 @@ class DecayFit:
         return self.a_fast + self.a_slow
 
 
+def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of a matrix that commutes with the global spin flip
+    s -> ~s: on the states (|s> + |~s>)/sqrt2 and (|s> - |~s>)/sqrt2 for the
+    s whose top bit is 0, they are m[s, s'] + m[s, ~s'] and m[s, s'] - m[s, ~s']."""
+    h = m.shape[0] // 2
+    same, cross = m[:h, :h], m[:h, ::-1][:, :h]  # column k of cross is ~k
+    return same + cross, same - cross
+
+
+def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors (columns) and eigenphases of a symmetric unitary ``v``.
+
+    Re v and Im v are commuting real symmetric matrices, so v has a real
+    orthogonal eigenbasis (Dyson, J. Math. Phys. 3, 140, 1962), taken from
+    one real ``eigh`` of Re v + c Im v. Its eigenvalue sqrt(1 + c^2)
+    cos(phi - phi0) is the same for phi and 2 phi0 - phi, so each run of
+    near-equal eigenvalues is re-split by the perpendicular combination
+    Im v - c Re v, which is sqrt(1 + c^2) sin(phi - phi0). Where the basis
+    leaves an off-diagonal residue above ``_MAX_RESIDUE``, the complex Schur
+    vectors are returned instead.
+    """
+    re, im = v.real, v.imag
+    vals, o = scipy.linalg.eigh(re + _MIX * im, driver="evd")
+    perp = im - _MIX * re
+    breaks = np.flatnonzero(np.diff(vals) >= _CLUSTER_GAP) + 1
+    for run in np.split(np.arange(vals.size), breaks):
+        if run.size > 1:
+            oc = o[:, run]
+            o[:, run] = oc @ np.linalg.eigh(oc.T @ perp @ oc)[1]
+    d = _mul(o.T, _mul(o.T, v).T).T  # o^T v o
+    diag = np.diag(d)
+    if np.max(np.abs(d - np.diag(diag))) > _MAX_RESIDUE:
+        t_mat, o = scipy.linalg.schur(v, output="complex")
+        diag = np.diag(t_mat)
+    return o, np.angle(diag)
+
+
 def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
+    n = system.n_spins
     half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
-    # diagonalize the unitary sample-to-sample propagator once; for a normal
-    # matrix the complex Schur form is diagonal to roundoff
-    t_mat, w = scipy.linalg.schur(
-        half @ pulse_matrix(Axis.X, config.theta, system.n_spins) @ half,
-        output="complex",
+    # the tipped density Y(pi/2) Iz Y(pi/2)^T, in real arithmetic
+    tip = pulse_matrix(Axis.Y, np.pi / 2, n).real
+    blocks = zip(
+        _flip_blocks(half),
+        _flip_blocks(pulse_matrix(Axis.X, config.theta, n)),
+        _flip_blocks((tip * system.magnetization) @ tip.T),
+        _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL)),
     )
-    # eigenphases, so that lam^j stays on the unit circle for any j
-    phase = np.angle(np.diag(t_mat))
-    # first sample in the Schur basis, with the tip folded in:
-    # rho_s = g Iz g^dag with g = w^dag half Y(pi/2), and Iz diagonal
-    g = w.conj().T @ half @ pulse_matrix(Axis.Y, np.pi / 2, system.n_spins)
-    rho_s = (g * system.magnetization) @ g.conj().T
-    ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
-    # Tr{Ix V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j
-    # with W = rho_s * (w^+ Ix w)^T
-    weights = rho_s * (w.conj().T @ ix @ w).T
-    signal = np.empty(config.n_cycles)
-    for start in range(0, config.n_cycles, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, config.n_cycles))
-        lam = np.exp(1j * np.outer(j, phase))
-        signal[j] = np.sum((lam @ weights) * lam.conj(), axis=1).real
+    signal = np.zeros(config.n_cycles)
+    # the spin flip keeps every operator block-diagonal: the signal is the
+    # sum of the two blocks' signals
+    for half_b, pulse_b, rho_b, ix_b in blocks:
+        w, phase = _floquet_basis(half_b @ pulse_b @ half_b)
+        # first sample in the Floquet basis: rho_s = g rho g^dag with
+        # g = w^dag half; g rho = (rho^T g^T)^T keeps the real factor left
+        g = _mul(w.conj().T, half_b)
+        rho_s = _mul(rho_b.T, g.T).T @ g.conj().T
+        # Tr{Ix V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j
+        # with W = rho_s * (w^dag Ix w)^T
+        weights = rho_s * _mul(w.conj().T, _mul(ix_b, w)).T
+        # lam_a^j = lam_a^k lam_a^j0 for j = j0 + k: one table of the k < _CHUNK
+        # powers, and one direct exp per chunk offset, so nothing drifts
+        table = np.exp(1j * np.outer(np.arange(min(_CHUNK, config.n_cycles)), phase))
+        for start in range(0, config.n_cycles, _CHUNK):
+            stop = min(start + _CHUNK, config.n_cycles)
+            lam = table[: stop - start] * np.exp(1j * start * phase)
+            signal[start:stop] += np.sum((lam @ weights) * lam.conj(), axis=1).real
     signal /= system.iz_norm()
     return signal if config.detect == "aligned" else np.abs(signal)
 

@@ -7,11 +7,12 @@ a bound on the spectrum and so has no convergence to fail. Densities always
 use the eigendecomposition. Negative times are legitimate and mean time
 reversal.
 
-:class:`EigenBasis` diagonalizes Hzz, Hdq and Iz per popcount-parity
-sector, since they change the popcount by 0 or +-2 and so have no matrix
-element between the two halves of the basis: two ``eigh`` calls of size
-D/2 instead of one of size D, in real arithmetic for a real generator
-(every kind but Iy). Ix and Iy flip one spin and keep a single sector.
+:class:`EigenBasis` diagonalizes Hzz and Iz per magnetization sector,
+since they keep the popcount: N+1 ``eigh`` calls of at most C(N, N/2)
+states instead of one of size D. Hdq changes the popcount by +-2, so it is
+diagonalized per popcount-parity sector, two ``eigh`` calls of size D/2.
+Both run in real arithmetic for a real generator (every kind but Iy). Ix
+and Iy flip one spin and keep a single sector.
 The generator is assembled through :func:`hamiltonian_matrix` from the
 bitwise kernel, real for every kind but Iy, and then cut into its sector
 blocks; :meth:`EigenBasis.sector_propagators` gives exp(-iHt) block by
@@ -46,19 +47,20 @@ from .spins import (
     OperatorKind,
     SpinSystem,
     apply_operator,
+    magnetization_sectors,
     parity_sectors,
     require_memory,
 )
 
 # D x D complex matrices that the heaviest dense path holds at its peak,
-# traced at N=8 and 9: 9.8 for run_dd_stepwise, 8.8 for run_dd
+# traced at N=8 and 9: 9.6 for run_dd_stepwise, 6.3 for run_dd
 _DENSE_COPIES = 10
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
-# generators that change the popcount by 0 or +-2, so have no matrix
-# element between states of opposite popcount parity
-_PARITY_KINDS = (OperatorKind.HZZ, OperatorKind.HDQ, OperatorKind.IZ_TOTAL)
+# generators that keep the popcount, so have no matrix element between
+# states of different magnetization
+_MAGNETIZATION_KINDS = (OperatorKind.HZZ, OperatorKind.IZ_TOTAL)
 # krylov_expmv drops the Chebyshev terms past |bt| whose Bessel
 # coefficient is below this (roundoff for a unit vector)
 _SERIES_TOL = 1e-16
@@ -143,7 +145,9 @@ class EigenBasis:
     """Eigendecomposition of one Hermitian generator, reusable across times.
 
     The generator is block-diagonal over ``sectors``, lists of basis states
-    it has no matrix element between; block j has the eigenvalues
+    it has no matrix element between: the N+1 magnetization sectors for Hzz
+    and Iz, the two popcount-parity sectors for Hdq, and one sector of every
+    state for Ix and Iy. Block j has the eigenvalues
     ``eigenvalues[j]`` and the eigenvectors in the columns of
     ``eigenvectors[j]``, which are real when the generator is.
     """
@@ -164,10 +168,12 @@ class EigenBasis:
         bases = _BASES.setdefault(system, {})
         if kind not in bases:
             h = hamiltonian_matrix(system, kind)
-            sectors = (
-                parity_sectors(system.n_spins) if kind in _PARITY_KINDS
-                else [np.arange(system.dim)]
-            )
+            if kind in _MAGNETIZATION_KINDS:
+                sectors = magnetization_sectors(system.n_spins)
+            elif kind is OperatorKind.HDQ:  # changes the popcount by +-2
+                sectors = parity_sectors(system.n_spins)
+            else:
+                sectors = [np.arange(system.dim)]
             # divide and conquer: Hdq's clustered spectrum slows the default
             # driver down about 6x at D/2 = 2048
             pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]

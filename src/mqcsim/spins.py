@@ -21,7 +21,8 @@ which flips pairs of equally oriented spins and changes the coherence
 order by +-2. Both are applied matrix-free, on the state viewed as a
 tensor with one axis per spin; no 2**N x 2**N operator is materialized by
 :func:`apply_operator`. Both change the popcount by 0 or +-2, so neither
-connects the two halves of :func:`parity_sectors`.
+connects the two halves of :func:`parity_sectors`; Hzz keeps the popcount,
+so it does not connect two of the :func:`magnetization_sectors` either.
 """
 
 from __future__ import annotations
@@ -117,6 +118,12 @@ def parity_sectors(n_spins: int) -> list[np.ndarray]:
     """Basis states of even and of odd popcount, each in increasing order."""
     odd = np.bitwise_count(np.arange(1 << n_spins, dtype=np.uint64)) & 1
     return [np.flatnonzero(odd == p) for p in (0, 1)]
+
+
+def magnetization_sectors(n_spins: int) -> list[np.ndarray]:
+    """Basis states of popcount 0, 1, ..., N, each in increasing order."""
+    popcount = np.bitwise_count(np.arange(1 << n_spins, dtype=np.uint64))
+    return [np.flatnonzero(popcount == k) for k in range(n_spins + 1)]
 
 
 def coherence_order(r: int, c: int) -> int:

@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mqcsim.evolution
 from mqcsim import (
     AllToAll,
+    Axis,
+    Chain,
     DdConfig,
     DecayFit,
+    EigenBasis,
     ExplicitCouplings,
     FitFailure,
     OperatorKind,
@@ -17,6 +21,7 @@ from mqcsim import (
     fit_biexponential,
     measured_snr,
     optimal_cycles,
+    pulse_matrix,
     run_dd,
     run_dd_stepwise,
     scans_to_match_snr,
@@ -24,7 +29,7 @@ from mqcsim import (
 )
 
 import mqcsim.ddprobe
-from mqcsim.ddprobe import _CHUNK, _polish
+from mqcsim.ddprobe import _CHUNK, _flip_blocks, _floquet_basis, _polish
 from oracles import multistart_biexponential, random_couplings
 
 
@@ -108,6 +113,71 @@ class TestRunDd:
             config = DdConfig(tau=d0tau, theta=np.pi / 4, n_cycles=256)
             fits[d0tau] = fit_biexponential(run_dd(system, config))
         assert fits[0.1].a_slow > fits[0.4].a_slow
+
+
+class TestFloquetKernel:
+    """The spin-flip blocks and the real Floquet basis of the DD kernel."""
+
+    @staticmethod
+    def cycle_blocks(system, tau, theta):
+        half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(tau / 2)
+        pulse = pulse_matrix(Axis.X, theta, system.n_spins)
+        return [h @ p @ h for h, p in zip(_flip_blocks(half), _flip_blocks(pulse))]
+
+    @pytest.mark.parametrize("geometry", [AllToAll(d0=1.0), Chain(d0=1.0)],
+                             ids=["all-to-all", "chain"])
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("theta", [np.pi / 2, np.pi])
+    def test_degenerate_systems_match_stepwise(self, geometry, n, theta):
+        # uniform couplings and these angles leave exact eigenphase
+        # degeneracies, the case the cluster re-split exists for
+        system = build_system(geometry, n)
+        config = DdConfig(tau=0.2, theta=theta, n_cycles=2 * _CHUNK + 3)
+        fast = run_dd(system, config).values
+        slow = run_dd_stepwise(system, config).values
+        assert np.max(np.abs(fast - slow)) < 1e-10
+
+    @pytest.mark.parametrize("system", [
+        build_system(ExplicitCouplings(random_couplings(8, np.random.default_rng(4), -1.5, 1.5)), 8),
+        build_system(AllToAll(d0=1.0), 8),
+        build_system(Chain(d0=1.0), 7),
+    ], ids=["random-8", "all-to-all-8", "chain-7"])
+    @pytest.mark.parametrize("theta", [np.pi / 4, np.pi])
+    def test_basis_orthogonal_and_diagonalizing(self, system, theta):
+        for v in self.cycle_blocks(system, 0.3, theta):
+            o, phase = _floquet_basis(v)
+            assert np.isrealobj(o)
+            assert np.max(np.abs(o.T @ o - np.eye(o.shape[0]))) < 1e-12
+            d = o.T @ v @ o
+            assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-10
+            assert np.max(np.abs(v @ o - o * np.exp(1j * phase))) <= 1e-10
+
+    def test_sweep_grid_makes_no_schur_call(self, monkeypatch):
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+        rng = np.random.default_rng(8)
+        system = build_system(ExplicitCouplings(random_couplings(8, rng, 0.5, 1.5)), 8)
+        thetas = [np.pi / 8, np.pi / 4, 3 * np.pi / 8, np.pi / 2]
+        for tau in (0.1, 0.2):
+            for theta in thetas:
+                run_dd(system, DdConfig(tau=tau, theta=theta, n_cycles=16))
+        assert calls == []
+
+    def test_schur_fallback_matches_real_basis(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        system = build_system(ExplicitCouplings(random_couplings(6, rng, -1.5, 1.5)), 6)
+        config = DdConfig(tau=0.27, theta=1.3, n_cycles=2 * _CHUNK + 3)
+        real = run_dd(system, config).values
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur",
+                            lambda *a, **kw: calls.append(1) or schur(*a, **kw))
+        monkeypatch.setattr(mqcsim.ddprobe, "_MAX_RESIDUE", -1.0)
+        fallback = run_dd(system, config).values
+        assert len(calls) == 2  # one per flip block
+        assert np.max(np.abs(fallback - real)) < 1e-12
 
 
 class TestBiexponentialFit:

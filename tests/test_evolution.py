@@ -1,4 +1,5 @@
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from mqcsim import (
     unitarity_defect,
 )
 
-from mqcsim.spins import parity_sectors
+from mqcsim.spins import magnetization_sectors, parity_sectors
 from oracles import dense_hdq, random_couplings, random_state
 
 UP, DOWN = 1, 0
@@ -343,3 +344,34 @@ class TestParitySectors:
         assert np.max(np.abs(u[np.ix_(odd, even)])) < 1e-12
         # the block does mix within a sector, so the check above has teeth
         assert np.max(np.abs(u[np.ix_(even, even)] - np.eye(even.size))) > 1e-3
+
+
+class TestMagnetizationSectors:
+    """Hzz and Iz keep the popcount, so their eigenbases split N+1 ways."""
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_sectors_split_by_popcount(self, n):
+        sectors = magnetization_sectors(n)
+        assert [s.size for s in sectors] == [math.comb(n, k) for k in range(n + 1)]
+        assert sorted(np.concatenate(sectors)) == list(range(1 << n))
+        assert all(int(b).bit_count() == k for k, s in enumerate(sectors) for b in s)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("kind", [OperatorKind.HZZ, OperatorKind.IZ_TOTAL])
+    def test_generator_has_exact_zeros_between_sectors(self, n, kind):
+        rng = np.random.default_rng(n)
+        system = build_system(ExplicitCouplings(random_couplings(n, rng, -1.5, 1.5)), n)
+        sectors = magnetization_sectors(n)
+        h = hamiltonian_matrix(system, kind)
+        for a, rows in enumerate(sectors):
+            for b, cols in enumerate(sectors):
+                if a != b:
+                    assert not np.any(h[np.ix_(rows, cols)]), (a, b)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_eigenbasis_sectors(self, n):
+        system = build_system(Chain(d0=1.0), n)
+        assert len(EigenBasis.compute(system, OperatorKind.HZZ).sectors) == n + 1
+        assert len(EigenBasis.compute(system, OperatorKind.IZ_TOTAL).sectors) == n + 1
+        assert len(EigenBasis.compute(system, OperatorKind.HDQ).sectors) == 2
+        assert len(EigenBasis.compute(system, OperatorKind.IX_TOTAL).sectors) == 1

@@ -154,6 +154,17 @@ def test_dd_magnitude_is_abs_of_aligned(system, tau, theta):
 
 
 @PROPERTY
+@given(systems(max_spins=7), st.floats(0.01, 1.0),
+       st.floats(0.0, np.pi, exclude_min=True))
+def test_dd_spectral_matches_stepwise(system, tau, theta):
+    # the spin-flip blocks and the real Floquet basis against cycle-by-cycle
+    # propagation of the full density, which uses neither
+    config = DdConfig(tau, theta, n_cycles=24)
+    diff = run_dd(system, config).values - run_dd_stepwise(system, config).values
+    assert np.max(np.abs(diff)) < 1e-10
+
+
+@PROPERTY
 @given(
     st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12).filter(lambda w: max(w) > 0),
     st.one_of(st.none(), st.floats(1e-4, 10.0)),
