@@ -216,28 +216,30 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
 
     O(cycles * dim^3); kept as the independent cross-check of the
     spectral path (the noise model is shared). It tips with
-    :func:`collective_pulse` and reads the Ix and Iy traces itself, so
-    neither the folded tip nor the vanishing Iy component is assumed here.
+    :func:`collective_pulse`, steps the full density by the whole cycle, and
+    reads the Ix trace (and the Iy trace, for magnitude detection) itself, so
+    neither the flip blocks, the folded tip nor the vanishing Iy is assumed.
+    Each D x D matrix is built once those it replaces are gone.
     """
+    basis = EigenBasis.compute(system, OperatorKind.HZZ)  # first: the budget check
+    rho = collective_pulse(np.diag(system.magnetization), Axis.Y, np.pi / 2)
+    half = basis.propagator(config.tau / 2)
+    rho = half @ rho @ half.conj().T  # the first sample sits half a delay in
+    cycle = (half @ pulse_matrix(Axis.X, config.theta, system.n_spins)) @ half
+    del half
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
-    iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
-    iz = np.diag(system.magnetization).astype(complex)
+    iy = None
+    if config.detect == "magnitude":
+        iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
     norm = float(system.iz_norm())
-    half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
-    pulse = pulse_matrix(Axis.X, config.theta, system.n_spins)
 
-    rho = collective_pulse(iz, Axis.Y, np.pi / 2)
+    # Tr{O rho} = vdot(O, rho) for a Hermitian O, with no D x D product
     signal = np.empty(config.n_cycles)
     for j in range(config.n_cycles):
-        rho = half @ rho @ half.conj().T
-        sx = np.trace(ix @ rho).real / norm
-        if config.detect == "magnitude":
-            sy = np.trace(iy @ rho).real / norm
-            signal[j] = np.hypot(sx, sy)
-        else:
-            signal[j] = sx
-        rho = half @ rho @ half.conj().T
-        rho = pulse @ rho @ pulse.conj().T
+        signal[j] = np.vdot(ix, rho).real / norm
+        if iy is not None:
+            signal[j] = np.hypot(signal[j], np.vdot(iy, rho).real / norm)
+        rho = cycle @ rho @ cycle.conj().T
     return _series(signal, config)
 
 

@@ -53,8 +53,9 @@ from .spins import (
 )
 
 # D x D complex matrices that the heaviest dense path holds at its peak,
-# traced at N=8 and 9: 9.6 for run_dd_stepwise, 6.3 for run_dd
-_DENSE_COPIES = 10
+# traced at N=8 and 9: 6.6 for run_dd_stepwise, 6.4 for run_dd; the rest is
+# headroom for the interpreter and BLAS, which tracing does not see
+_DENSE_COPIES = 8
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
@@ -201,15 +202,6 @@ class EigenBasis:
             out[s] = _mul(v, ph[:, None] * _mul(v.conj().T, mat[s]))
         return out
 
-    def evolve_state(self, psi: np.ndarray, t: float) -> np.ndarray:
-        return self.evolve_columns(psi[:, None], t)[:, 0]
-
-    def evolve_density(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """exp(-iHt) rho exp(+iHt) as two column evolutions:
-        U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag."""
-        half = self.evolve_columns(rho, t)
-        return self.evolve_columns(half.conj().T, t).conj().T
-
 
 # every EigenBasis.compute result, per system and then per kind
 _BASES: weakref.WeakKeyDictionary[SpinSystem, dict] = weakref.WeakKeyDictionary()
@@ -291,17 +283,24 @@ def evolve(
     if is_density:
         if method == "krylov":
             raise ValueError('method="krylov" evolves state vectors only')
-        return EigenBasis.compute(system, kind).evolve_density(obj, t)
+        # U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag
+        basis = EigenBasis.compute(system, kind)
+        half = basis.evolve_columns(obj, t)
+        return basis.evolve_columns(half.conj().T, t).conj().T
     if method == "krylov" or (method == "auto" and dim > EIGEN_MAX_DIM):
         return krylov_expmv(system, kind, obj, t)
-    return EigenBasis.compute(system, kind).evolve_state(obj, t)
+    return EigenBasis.compute(system, kind).evolve_columns(obj[:, None], t)[:, 0]
 
 
 # --- collective rotations ------------------------------------------------
 
 
 def _pulse_u2(axis: Axis, angle: float) -> np.ndarray:
-    return scipy.linalg.expm(-1j * angle * _AXIS_OP[Axis(axis)])
+    """exp(-i*angle*S) for the single-spin operator S of ``axis``; S^2 = 1/4,
+    so it is cos(angle/2) - 2i sin(angle/2) S."""
+    if not np.isfinite(angle):
+        raise ValueError("pulse angle must be finite")
+    return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * _AXIS_OP[Axis(axis)]
 
 
 def _apply_left(u2: np.ndarray, mat: np.ndarray, n_spins: int) -> np.ndarray:
@@ -315,13 +314,11 @@ def _apply_left(u2: np.ndarray, mat: np.ndarray, n_spins: int) -> np.ndarray:
 
 def collective_pulse(obj: np.ndarray, axis: Axis, angle: float) -> np.ndarray:
     """Apply exp(-i*angle*I_axis) to a state vector or density matrix."""
-    if not np.isfinite(angle):
-        raise ValueError("pulse angle must be finite")
+    u2 = _pulse_u2(axis, angle)
     obj = np.asarray(obj, dtype=complex)
     n = int(obj.shape[0]).bit_length() - 1
     if obj.shape[0] != 1 << n:
         raise DimensionMismatch(f"length {obj.shape[0]} is not a power of two")
-    u2 = _pulse_u2(axis, angle)
     if obj.ndim == 1:
         return _apply_left(u2, obj[:, None], n)[:, 0]
     out = _apply_left(u2, obj, n)

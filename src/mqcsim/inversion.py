@@ -41,7 +41,6 @@ from .errors import (
 
 _COND_WARN = 1e12
 _ALPHA_RANGE = (1e-6, 1e4)
-_DISCREPANCY_SAFETY = 1.0
 
 
 @dataclass
@@ -286,7 +285,7 @@ def invert(
     smoother = _second_difference(problem.size_grid.size)
     if alpha is None:
         if sigma_bar > 0:
-            target = _DISCREPANCY_SAFETY * sigma_bar * np.sqrt(data.size)
+            target = sigma_bar * np.sqrt(data.size)
             alpha = _discrepancy_alpha(kernel_w, data_w, smoother, target)
         else:
             alpha = _lcurve_alpha(kernel_w, data_w, smoother)
@@ -364,17 +363,16 @@ def analyze(
     if total <= 0:
         raise NoPeaks("distribution carries no mass")
 
-    padded = np.concatenate([[0.0], f, [0.0]])
-    peak_idx = [i - 1 for i in _find_peaks(padded, prominence * float(np.max(f)))]
+    # virtual zero-height points one step beyond each edge let edge bins
+    # count as peaks and guarantee that every half-height crossing exists
+    fe = np.concatenate([[0.0], f, [0.0]])
+    peak_idx = [i - 1 for i in _find_peaks(fe, prominence * float(np.max(f)))]
     if not peak_idx:
         raise NoPeaks(f"no peak above prominence {prominence} * max(f)")
 
     x = np.log(s)
     dx = x[1] - x[0]
-    # virtual zero-height points one step beyond each edge guarantee that
-    # every half-height crossing exists
     xe = np.concatenate([[x[0] - dx], x, [x[-1] + dx]])
-    fe = np.concatenate([[0.0], f, [0.0]])
     peaks, widths = [], []
     for p in peak_idx:
         # sub-grid apex by a parabola through the three points around p

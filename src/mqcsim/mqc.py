@@ -64,7 +64,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ImaginaryResidueWarning, NoFeasibleSolution, NonUniformPhaseGrid
-from .evolution import EigenBasis, compile_program, dq_block
+from .evolution import EigenBasis, compile_program, dq_block, evolve
 from .spins import OperatorKind, SpinSystem, parity_sectors
 
 _RESIDUE_TOL = 1e-8
@@ -341,9 +341,8 @@ def otoc_direct(system: SpinSystem, t: float) -> float:
     Must agree with :func:`otoc_second_moment` of the same-time spectrum;
     the two routes share no code beyond the propagator.
     """
-    basis = EigenBasis.compute(system, OperatorKind.HDQ)
     iz = np.diag(system.magnetization).astype(complex)
-    izt = basis.evolve_density(iz, t)
+    izt = evolve(iz, system, OperatorKind.HDQ, t)
     comm = iz @ izt - izt @ iz
     val = -np.trace(comm @ comm) / system.iz_norm()
     return float(val.real)

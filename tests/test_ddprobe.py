@@ -88,6 +88,15 @@ class TestRunDd:
             assert fast.values.shape == (n_cycles,)
             assert np.max(np.abs(fast.values - slow.values)) < 1e-10, n_cycles
 
+    @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
+    def test_stepwise_builds_iy_for_magnitude_only(self, monkeypatch, detect):
+        kinds = []
+        build = mqcsim.ddprobe.hamiltonian_matrix
+        monkeypatch.setattr(mqcsim.ddprobe, "hamiltonian_matrix",
+                            lambda system, kind: kinds.append(kind) or build(system, kind))
+        run_dd_stepwise(zero_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=4, detect=detect))
+        assert (OperatorKind.IY_TOTAL in kinds) == (detect == "magnitude")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DdConfig(tau=-1.0, theta=1.0, n_cycles=8)

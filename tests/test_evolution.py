@@ -200,6 +200,23 @@ class TestCollectivePulse:
             u = pulse_matrix(axis, 0.93, 5)
             assert np.max(np.abs(collective_pulse(psi, axis, 0.93) - u @ psi)) < 1e-12
 
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_closed_form_matches_expm(self, axis):
+        # steps of pi/8; expm, the reference, is itself off by up to about
+        # 1e-15 at some angles, where the closed form is exact to an ulp
+        for angle in np.linspace(-4 * np.pi, 4 * np.pi, 65):
+            expected = scipy.linalg.expm(-1j * angle * mqcsim.evolution._AXIS_OP[axis])
+            assert np.max(np.abs(mqcsim.evolution._pulse_u2(axis, angle) - expected)) < 1e-15
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf])
+    def test_non_finite_angle_rejected(self, sys4, angle):
+        program = PulseProgram([Pulse(Axis.Y, angle), Delay(1e-6)])
+        for build in (lambda: pulse_matrix(Axis.X, angle, 3),
+                      lambda: collective_pulse(np.eye(8), Axis.X, angle),
+                      lambda: compile_program(program, sys4)):
+            with pytest.raises(ValueError, match="finite"):
+                build()
+
 
 class TestPrograms:
     def test_single_delay_equals_evolve(self, sys4):

@@ -349,7 +349,7 @@ class TestCli:
         cfg, out = write_config(tmp_path, system={"n_spins": 8})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert ("a dense 256x256 operator needs 10485760 bytes, "
+        assert ("a dense 256x256 operator needs 8388608 bytes, "
                 "budget 1000000 bytes") in err
         assert not (out / "manifest.json").exists()
 

@@ -121,7 +121,7 @@ def test_vector_path_within_estimate(n, kind):
 def test_box_budget_admits_n12_dense_and_refuses_n13(monkeypatch):
     monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", BOX_BYTES)
     _require_dense(1 << 12, "operator")
-    with pytest.raises(CapExceeded, match=r"dense 8192x8192 operator needs 10737418240 bytes"):
+    with pytest.raises(CapExceeded, match=r"dense 8192x8192 operator needs 8589934592 bytes"):
         _require_dense(1 << 13, "operator")
     system = _system(13)  # the vector path of 13 spins fits
     with pytest.raises(CapExceeded):
@@ -144,11 +144,14 @@ def small_budget(monkeypatch):
 @pytest.mark.parametrize("build", [
     lambda s: hamiltonian_matrix(s, OperatorKind.HZZ),
     lambda s: compile_program(dq_block(), s),
+    lambda s: run_dd(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
+    lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
     lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
-], ids=["hamiltonian_matrix", "compile_program", "SpinSystem", "build_system"])
+], ids=["hamiltonian_matrix", "compile_program", "run_dd", "run_dd_stepwise",
+        "SpinSystem", "build_system"])
 def test_refused_before_allocation(small_budget, build):
-    system = _system(10)  # its vector path (280 kB) fits; its dense paths (268 MB) do not
+    system = _system(10)  # its vector path (280 kB) fits; its dense paths (134 MB) do not
 
     def refuse():
         with pytest.raises(CapExceeded, match=f"needs [0-9]+ bytes, budget {small_budget} bytes"):
