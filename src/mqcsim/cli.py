@@ -445,6 +445,10 @@ def main(argv=None) -> int:
             if args.command == "fit-growth":
                 return cmd_fit_growth(config, args.analytics, args.tau_dq)
             parser.error(f"unknown command {args.command}")
+    except np.linalg.LinAlgError as err:
+        # a ValueError subclass, but a numerical failure, not a bad config
+        print(f"mqcsim: {err}", file=sys.stderr)
+        return 1
     except (ConfigError, FileNotFoundError, ValueError) as err:
         # ValueError: parameter validation raised by the simulation layer
         print(f"mqcsim: config error: {err}", file=sys.stderr)

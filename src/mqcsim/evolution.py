@@ -15,8 +15,9 @@ Both run in real arithmetic for a real generator (every kind but Iy). Ix
 and Iy flip one spin and keep a single sector.
 The generator is assembled through :func:`hamiltonian_matrix` from the
 bitwise kernel, real for every kind but Iy, and then cut into its sector
-blocks; :meth:`EigenBasis.sector_propagators` gives exp(-iHt) block by
-block, and the dense :meth:`EigenBasis.propagator` is assembled from it.
+blocks. :meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
+the sector blocks, and the MQC engine builds its own real blocks straight
+from the sector eigenbases.
 :meth:`EigenBasis.compute` keeps each basis for as long as its system
 lives, so every caller on one system shares one diagonalization per kind.
 
@@ -181,17 +182,12 @@ class EigenBasis:
             bases[kind] = cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
         return bases[kind]
 
-    def sector_propagators(self, t: float):
-        """(sector, block of exp(-iHt) on it) for every sector in turn."""
-        for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
-            yield s, _mul(v, np.exp(-1j * w * t)[:, None] * v.conj().T)
-
     def propagator(self, t: float) -> np.ndarray:
         """Dense exp(-iHt), zero between sectors."""
         dim = sum(s.size for s in self.sectors)
         u = np.zeros((dim, dim), dtype=complex)
-        for s, block in self.sector_propagators(t):
-            u[np.ix_(s, s)] = block
+        for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
+            u[np.ix_(s, s)] = _mul(v, np.exp(-1j * w * t)[:, None] * v.conj().T)
         return u
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:

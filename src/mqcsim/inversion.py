@@ -153,10 +153,7 @@ def problem_from_spectrum(spectrum, **grid_kwargs) -> KernelProblem:
 
 def _second_difference(n: int) -> np.ndarray:
     # grid is uniform in log s; the constant spacing is absorbed into alpha
-    l = np.zeros((n - 2, n))
-    for i in range(n - 2):
-        l[i, i : i + 3] = (1.0, -2.0, 1.0)
-    return l
+    return np.diff(np.eye(n), 2, axis=0)
 
 
 def _solve_tikhonov_nnls(

@@ -31,14 +31,17 @@ eight-pulse block change the popcount by 0 or +-2, and rho_0 = Iz is
 diagonal, so rho_n and M_n have no element between states of opposite
 parity, and the (D/2) x (D/2) blocks of the two sectors carry all of A.
 In ideal mode the blocks come straight from the sector eigenbases of Hdq,
-and no D x D propagator is formed; they are also moved into the frame of
-F = exp(i pi Iz / 4), the phase rotation at phi = pi/4, where
-exp(-i Hdq t) is real orthogonal: its entries with m_r - m_c = 0 mod 4
-come from cos(Hdq t), those with m_r - m_c = 2 mod 4 from -i sin(Hdq t),
-and F turns the latter real. rho_0 commutes with F, so rho_n and M_n are
-real there too, and neither A_{n,k} nor |(rho_n)_{rc}|^2 changes: F
-multiplies (rho_n)_{rc} by exp(i pi k / 4) and (M_n)_{cr} by its
-conjugate. Pulse-level blocks stay complex in the same loop.
+and no D x D propagator is formed. They are taken in the frame of
+F = exp(i pi Iz / 4), the phase rotation at phi = pi/4, which multiplies
+element (r, c) by exp(i pi k / 4). Hdq changes m by +-2, so in
+exp(-i Hdq t) = C - i S, with C = cos(Hdq t) and S = sin(Hdq t) real, C
+lives on k = 0 mod 4 and S on k = 2 mod 4. The rotated block is thus
+(-1)^floor(k/4) * (C + S): the real product V cas(w t) V^T (cas = cos +
+sin, Hartley's kernel) with its sign flipped where k = 4 or 6 mod 8.
+rho_0 commutes with F, so rho_n and M_n are real there too, and neither
+A_{n,k} nor |(rho_n)_{rc}|^2 changes: F multiplies (rho_n)_{rc} by
+exp(i pi k / 4) and (M_n)_{cr} by its conjugate. Pulse-level blocks
+stay complex in the same loop.
 
 Two execution modes: ``IDEAL`` evolves under the effective Hamiltonians
 exactly; ``PULSE_LEVEL`` compiles the eight-pulse block and realizes the
@@ -177,8 +180,8 @@ class OrderAmplitudes:
 
 def _sector_blocks(run: MqcRun):
     """(sector, U_f block, U_b block) for each popcount-parity sector: real
-    ideal blocks in the frame of :func:`_rotated_frame`, or complex blocks
-    cut from the compiled pulse-level cycles. The mismatch scales U_b's time.
+    ideal blocks in the frame F = exp(i pi Iz / 4), or complex blocks cut
+    from the compiled pulse-level cycles. The mismatch scales U_b's time.
     """
     system = run.system
     scale = 1.0 + run.mismatch
@@ -191,23 +194,18 @@ def _sector_blocks(run: MqcRun):
             yield s, u_f[np.ix_(s, s)], u_b[np.ix_(s, s)]
         return
     eig = EigenBasis.compute(system, OperatorKind.HDQ)
-    # reversed block: exp(+i tau Hdq') = exp(-i Hdq * (-scale * tau))
-    forward = eig.sector_propagators(run.tau_dq)
-    backward = eig.sector_propagators(-scale * run.tau_dq)
-    for (s, f), (_, b) in zip(forward, backward):
+    for s, w, v in zip(eig.sectors, eig.eigenvalues, eig.eigenvectors):
         m = system.magnetization[s]
-        # real copies, so that the complex blocks can be freed
-        f, b = _rotated_frame(f, m).real.copy(), _rotated_frame(b, m).real.copy()
-        yield s, f, b
+        # (-1)^floor(k/4) is -1 where k = m_r - m_c is 4 or 6 mod 8
+        flip = np.subtract.outer(m, m) % 8 >= 4
 
+        def block(t: float) -> np.ndarray:
+            """F exp(-i Hdq t) F^dag = (-1)^floor(k/4) * cas(Hdq t)."""
+            u = (v * (np.cos(w * t) + np.sin(w * t))) @ v.T
+            return np.negative(u, out=u, where=flip)
 
-def _rotated_frame(u: np.ndarray, mz: np.ndarray) -> np.ndarray:
-    """F u F^dag with F = exp(i pi Iz / 4): element (r, c) times
-    exp(i pi (m_r - m_c) / 4). Real for an ideal Hdq block, whose entries
-    with m_r - m_c = 0 mod 4 come from cos(Hdq t) and those with
-    m_r - m_c = 2 mod 4 from -i sin(Hdq t)."""
-    phase = np.exp(0.25j * np.pi * mz)
-    return phase[:, None] * u * phase.conj()[None, :]
+        # reversed block: exp(+i tau Hdq') = exp(-i Hdq * (-scale * tau))
+        yield s, block(run.tau_dq), block(-scale * run.tau_dq)
 
 
 def order_amplitudes(run: MqcRun) -> OrderAmplitudes:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import mqcsim.spins
 from mqcsim import cli
@@ -351,6 +352,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert ("a dense 256x256 operator needs 8388608 bytes, "
                 "budget 1000000 bytes") in err
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_eigh_exit_1(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, which would read as a config error
+        def failed_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", failed_eigh)
+        cfg, out = write_config(tmp_path)
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "eigenvalues did not converge" in err
+        assert "config error" not in err
         assert not (out / "manifest.json").exists()
 
     def test_output_lock(self, tmp_path):

@@ -17,6 +17,7 @@ import mqcsim.spins
 from mqcsim import (
     CapExceeded,
     DdConfig,
+    EigenBasis,
     ExplicitCouplings,
     Mode,
     MqcRun,
@@ -35,6 +36,7 @@ from mqcsim import (
     uniform_phase_grid,
 )
 from mqcsim.evolution import _require_dense
+from mqcsim.mqc import _sector_blocks
 from mqcsim.spins import _vector_bytes
 
 from oracles import random_couplings, random_state
@@ -106,6 +108,23 @@ def test_dense_estimate_is_tight():
     # the single factor is set by the heaviest path, not padded beyond it
     for n in TRACED_SPINS:
         assert dense_bytes(1 << n) <= 1.25 * max(dense_peaks(n).values()), n
+
+
+@pytest.mark.parametrize("n", TRACED_SPINS)
+def test_ideal_sector_blocks_are_real_products(n):
+    # each block is built in place from the cached Hdq eigenbasis: no complex
+    # block, no rotated copy; the pass holds the previous sector's two blocks
+    # while it builds the next two, with a few (D/2)^2 temporaries
+    system = _system(n)
+    EigenBasis.compute(system, OperatorKind.HDQ)
+    run = MqcRun(system, 2, 0.1, uniform_phase_grid(8), mismatch=0.1)
+
+    def one_pass():
+        for _ in _sector_blocks(run):
+            pass
+
+    half = (1 << n) // 2
+    assert traced_peak(one_pass) <= 8 * 8 * half * half
 
 
 @pytest.mark.parametrize("n", [10, 12])

@@ -25,7 +25,7 @@ from mqcsim import (
     uniform_phase_grid,
 )
 
-from mqcsim.mqc import _rotated_frame, _sector_blocks
+from mqcsim.mqc import _sector_blocks
 from oracles import brute_force_mqc_signal as brute_force_signal
 from oracles import random_couplings
 
@@ -203,14 +203,17 @@ class TestRotatedFrame:
         system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
         run = MqcRun(system, 1, 0.3, np.array([0.0]), mismatch=mismatch)
         eig = EigenBasis.compute(system, OperatorKind.HDQ)
-        forward = eig.sector_propagators(0.3)
-        backward = eig.sector_propagators(-(1.0 + mismatch) * 0.3)
-        for (s, f, b), (_, u_f), (_, u_b) in zip(_sector_blocks(run), forward, backward):
-            for u, real in ((u_f, f), (u_b, b)):
-                assert np.max(np.abs(u.imag)) > 0.01  # complex in the lab frame
-                rotated = _rotated_frame(u, system.magnetization[s])
+        # the dense lab-frame route: complex exponentials and explicit F phases
+        phase = np.exp(0.25j * np.pi * system.magnetization)
+        frame = phase[:, None] * phase.conj()[None, :]
+        lab = (eig.propagator(0.3), eig.propagator(-(1.0 + mismatch) * 0.3))
+        for s, f, b in _sector_blocks(run):
+            cut = np.ix_(s, s)
+            for u, real in zip(lab, (f, b)):
+                assert np.max(np.abs(u[cut].imag)) > 0.01  # complex in the lab frame
+                rotated = frame[cut] * u[cut]
                 assert np.max(np.abs(rotated.imag)) <= 1e-12
-                assert np.array_equal(real, rotated.real)
+                assert np.max(np.abs(real - rotated.real)) <= 1e-12
                 # F is unitary, so the real part is orthogonal
                 assert np.max(np.abs(real @ real.T - np.eye(s.size))) < 1e-12
 
