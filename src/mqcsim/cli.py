@@ -318,7 +318,7 @@ def cmd_invert(config: dict, inputs: list[str], continue_on_error: bool) -> int:
                     n_grid=sec["n_grid"],
                     noise_estimate=sec["noise_estimate"],
                 )
-                dist = invert(problem, sec["alpha"], n_blocks=n)
+                dist = invert(problem, sec["alpha"])
                 analytics = analyze(dist, prominence=sec["prominence"],
                                     front_fraction=sec["front_fraction"])
             except (MqcsimError, ValueError) as err:
@@ -425,6 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fit-growth" and not 0 < args.tau_dq < np.inf:
+        parser.error(f"argument --tau-dq: must be positive and finite, got {args.tau_dq}")
     try:
         config = resolve_config(args)
         out_dir = Path(config["output_dir"])

@@ -174,11 +174,12 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
     n = system.n_spins
-    half = EigenBasis.compute(system, OperatorKind.HZZ).propagator(config.tau / 2)
+    basis = EigenBasis.compute(system, OperatorKind.HZZ)
     # the tipped density Y(pi/2) Iz Y(pi/2)^T, in real arithmetic
     tip = pulse_matrix(Axis.Y, np.pi / 2, n).real
+    # only the flip blocks are kept: each D x D operator is freed once it is cut
     blocks = zip(
-        _flip_blocks(half),
+        _flip_blocks(basis.propagator(config.tau / 2)),
         _flip_blocks(pulse_matrix(Axis.X, config.theta, n)),
         _flip_blocks((tip * system.magnetization) @ tip.T),
         _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL)),
@@ -391,28 +392,22 @@ def fit_biexponential(
     t_hi = 1e6 * (t[-1] - t[0])
     t_lo = 1e-3 * (t[1] - t[0])
     pair0, single0 = _grid_starts(t, y, 10 * scale, t_hi)
-    single = _polish(t, y, single0, 10 * scale, t_lo, t_hi)
-    degenerate = pair0 is None
-    if not degenerate:
-        best = _polish(t, y, pair0, 10 * scale, t_lo, t_hi)
-        a_f, t_f, a_s, t_s = best[1]
+    # the polished single exponential, unless the polished pair beats it
+    ssr, (a_slow, t_slow) = _polish(t, y, single0, 10 * scale, t_lo, t_hi)
+    a_fast, t_fast = 0.0, t_slow
+    degenerate = True
+    if pair0 is not None:
+        pair_ssr, (a_f, t_f, a_s, t_s) = _polish(t, y, pair0, 10 * scale, t_lo, t_hi)
         if t_f > t_s:
             t_f, t_s, a_f, a_s = t_s, t_f, a_s, a_f
-        degenerate = abs(t_s - t_f) <= 0.05 * t_s or single[0] <= best[0] * 1.01
-
-    if degenerate:
-        ssr, (a, t_s) = single
-        fit = DecayFit(
-            a_fast=0.0, t_fast=float(t_s), a_slow=float(a), t_slow=float(t_s),
-            residual_rms=float(np.sqrt(ssr / t.size)), fit_window=window,
-            degenerate=True,
-        )
-    else:
-        fit = DecayFit(
-            a_fast=float(a_f), t_fast=float(t_f), a_slow=float(a_s),
-            t_slow=float(t_s), residual_rms=float(np.sqrt(best[0] / t.size)),
-            fit_window=window, degenerate=False,
-        )
+        if abs(t_s - t_f) > 0.05 * t_s and ssr > pair_ssr * 1.01:
+            ssr, a_fast, t_fast, a_slow, t_slow = pair_ssr, a_f, t_f, a_s, t_s
+            degenerate = False
+    fit = DecayFit(
+        a_fast=float(a_fast), t_fast=float(t_fast), a_slow=float(a_slow),
+        t_slow=float(t_slow), residual_rms=float(np.sqrt(ssr / t.size)),
+        fit_window=window, degenerate=degenerate,
+    )
 
     if fit.amplitude < min_amplitude_snr * fit.residual_rms:
         raise FitFailure(

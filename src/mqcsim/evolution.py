@@ -54,7 +54,7 @@ from .spins import (
 )
 
 # D x D complex matrices that the heaviest dense path holds at its peak,
-# traced at N=8 and 9: 6.6 for run_dd_stepwise, 6.4 for run_dd; the rest is
+# traced at N=8 and 9: 6.6 for run_dd_stepwise, 5.4 for run_dd; the rest is
 # headroom for the interpreter and BLAS, which tracing does not see
 _DENSE_COPIES = 8
 # evolve(method="auto") switches state vectors from eigendecomposition to

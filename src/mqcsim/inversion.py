@@ -25,11 +25,12 @@ factor of two (the single-Gaussian legacy convention is provided by
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit, nnls
+from scipy.optimize import brentq, curve_fit, nnls
 
 from .errors import (
     FitFailure,
@@ -68,7 +69,6 @@ class ClusterDistribution:
     f: np.ndarray
     alpha: float
     residual_norm: float
-    n_blocks: int | None = None
 
     @property
     def total_mass(self) -> float:
@@ -191,22 +191,24 @@ def _lcurve_alpha(kernel, data, smoother) -> float:
     xs[1] = (xs[3] + gs * xs[0]) / (1 + gs)
     xs[2] = xs[0] + (xs[3] - xs[1])
     ps = [point(v) for v in xs]
+
+    def drop_right():
+        # the bracket shrinks to [x0, x2]: a new interior point replaces x1
+        xs[3], ps[3] = xs[2], ps[2]
+        xs[2], ps[2] = xs[1], ps[1]
+        xs[1] = (xs[3] + gs * xs[0]) / (1 + gs)
+        ps[1] = point(xs[1])
+
     best = xs[1]
     while (xs[3] - xs[0]) > 1e-3:
         c3 = _menger_curvature(ps[1], ps[2], ps[3])
         while c3 <= 0 and (xs[3] - xs[0]) > 1e-3:
-            xs[3], ps[3] = xs[2], ps[2]
-            xs[2], ps[2] = xs[1], ps[1]
-            xs[1] = (xs[3] + gs * xs[0]) / (1 + gs)
-            ps[1] = point(xs[1])
+            drop_right()
             c3 = _menger_curvature(ps[1], ps[2], ps[3])
         c2 = _menger_curvature(ps[0], ps[1], ps[2])
         if c2 > c3:
             best = xs[1]
-            xs[3], ps[3] = xs[2], ps[2]
-            xs[2], ps[2] = xs[1], ps[1]
-            xs[1] = (xs[3] + gs * xs[0]) / (1 + gs)
-            ps[1] = point(xs[1])
+            drop_right()
         else:
             best = xs[2]
             xs[0], ps[0] = xs[1], ps[1]
@@ -217,35 +219,33 @@ def _lcurve_alpha(kernel, data, smoother) -> float:
 
 
 def _discrepancy_alpha(kernel, data, smoother, target: float) -> float:
-    """Smallest alpha (log-bisection) whose residual reaches ``target``."""
+    """Alpha whose residual equals ``target``, by Brent's method in log alpha.
+
+    The NNLS residual grows with alpha, so the ends of ``_ALPHA_RANGE``
+    bracket the crossing once neither end already settles it; the root is
+    located to 1e-4 in log10 alpha.
+    """
+    @functools.cache
+    def residual(log_a):
+        return _solve_tikhonov_nnls(kernel, data, smoother, 10.0**log_a)[1]
+
     log_lo, log_hi = np.log10(_ALPHA_RANGE[0]), np.log10(_ALPHA_RANGE[1])
-    _, res_lo, _ = _solve_tikhonov_nnls(kernel, data, smoother, 10.0**log_lo)
-    if res_lo >= target:
+    if residual(log_lo) >= target:
         # even (near-)unregularized cannot reach the noise floor
         warnings.warn(
             f"discrepancy target {target:.3e} unreachable; residual floor "
-            f"{res_lo:.3e}",
+            f"{residual(log_lo):.3e}",
             IllConditionedWarning,
         )
         return 10.0**log_lo
-    _, res_hi, _ = _solve_tikhonov_nnls(kernel, data, smoother, 10.0**log_hi)
-    if res_hi <= target:
+    if residual(log_hi) <= target:
         return 10.0**log_hi
-    for _ in range(50):
-        mid = 0.5 * (log_lo + log_hi)
-        _, res, _ = _solve_tikhonov_nnls(kernel, data, smoother, 10.0**mid)
-        if res < target:
-            log_lo = mid
-        else:
-            log_hi = mid
-        if log_hi - log_lo < 1e-4:
-            break
-    return 10.0**log_hi
+    # the cache hands brentq the two end residuals without a second solve
+    log_alpha = brentq(lambda log_a: residual(log_a) - target, log_lo, log_hi, xtol=1e-4)
+    return 10.0**log_alpha
 
 
-def invert(
-    problem: KernelProblem, alpha: float | None = None, *, n_blocks: int | None = None
-) -> ClusterDistribution:
+def invert(problem: KernelProblem, alpha: float | None = None) -> ClusterDistribution:
     """Regularized non-negative inversion of one coherence spectrum.
 
     ``alpha=None`` selects the parameter automatically: discrepancy
@@ -292,8 +292,7 @@ def invert(
     f, _, _ = _solve_tikhonov_nnls(kernel_w, data_w, smoother, alpha)
     residual = float(np.linalg.norm(problem.kernel @ f - data))
     return ClusterDistribution(
-        size_grid=problem.size_grid.copy(), f=f, alpha=float(alpha),
-        residual_norm=residual, n_blocks=n_blocks,
+        size_grid=problem.size_grid.copy(), f=f, alpha=float(alpha), residual_norm=residual
     )
 
 

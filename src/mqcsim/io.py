@@ -51,46 +51,48 @@ def _read_csv(path: Path, header: list[str]) -> list[list[str]]:
         return [row for row in reader if row]
 
 
+def _write_per_n(path: Path, header: list[str], tables: dict, fmt_x) -> None:
+    """Rows (n, fmt_x(x), value) for each n's (x, values) pair, n ascending;
+    a value is written as its real part."""
+    rows = []
+    for n in sorted(tables):
+        xs, values = tables[n]
+        for x, v in zip(xs, values):
+            rows.append((n, fmt_x(x), _fmt(np.real(v))))
+    _write_csv(path, header, rows)
+
+
+def _read_per_n(path: Path, header: list[str], parse_x, sort: bool = False) -> dict:
+    """n -> (x, values) from rows (n, x, value), each n's rows in file order,
+    or sorted by x with ``sort``."""
+    out: dict[int, list[tuple]] = {}
+    for n_s, x_s, v_s in _read_csv(path, header):
+        out.setdefault(int(n_s), []).append((parse_x(x_s), float(v_s)))
+    result = {}
+    for n, pairs in out.items():
+        if sort:
+            pairs.sort()
+        result[n] = (np.array([x for x, _ in pairs]), np.array([v for _, v in pairs]))
+    return result
+
+
 def write_spectrum_csv(path: Path, spectra: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
     """spectra maps n -> (orders, weights)."""
-    rows = []
-    for n in sorted(spectra):
-        orders, weights = spectra[n]
-        rows.extend((n, int(k), _fmt(w)) for k, w in zip(orders, weights))
-    _write_csv(path, ["n", "k", "value"], rows)
+    _write_per_n(path, ["n", "k", "value"], spectra, int)
 
 
 def read_spectrum_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    out: dict[int, list[tuple[int, float]]] = {}
-    for n_s, k_s, v_s in _read_csv(path, ["n", "k", "value"]):
-        out.setdefault(int(n_s), []).append((int(k_s), float(v_s)))
-    result = {}
-    for n, pairs in out.items():
-        pairs.sort()
-        result[n] = (
-            np.array([k for k, _ in pairs]),
-            np.array([v for _, v in pairs]),
-        )
-    return result
+    """n -> (orders, weights), each n sorted by order."""
+    return _read_per_n(path, ["n", "k", "value"], int, sort=True)
 
 
 def write_phase_csv(path: Path, signals: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
     """signals maps n -> (phi, values); the real part is persisted."""
-    rows = []
-    for n in sorted(signals):
-        phi, values = signals[n]
-        rows.extend((n, _fmt(p), _fmt(np.real(v))) for p, v in zip(phi, values))
-    _write_csv(path, ["n", "phi", "value"], rows)
+    _write_per_n(path, ["n", "phi", "value"], signals, _fmt)
 
 
 def read_phase_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    out: dict[int, list[tuple[float, float]]] = {}
-    for n_s, p_s, v_s in _read_csv(path, ["n", "phi", "value"]):
-        out.setdefault(int(n_s), []).append((float(p_s), float(v_s)))
-    return {
-        n: (np.array([p for p, _ in rows]), np.array([v for _, v in rows]))
-        for n, rows in out.items()
-    }
+    return _read_per_n(path, ["n", "phi", "value"], float)
 
 
 def write_series_csv(path: Path, values: dict[int, float]) -> None:
@@ -146,21 +148,11 @@ def read_sweep_csv(path: Path) -> list[dict[str, Any]]:
 
 def write_distribution_csv(path: Path, dists: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
     """dists maps n -> (size_grid, f)."""
-    rows = []
-    for n in sorted(dists):
-        s, f = dists[n]
-        rows.extend((n, _fmt(sv), _fmt(fv)) for sv, fv in zip(s, f))
-    _write_csv(path, ["n", "s", "f"], rows)
+    _write_per_n(path, ["n", "s", "f"], dists, _fmt)
 
 
 def read_distribution_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    out: dict[int, list[tuple[float, float]]] = {}
-    for n_s, s_s, f_s in _read_csv(path, ["n", "s", "f"]):
-        out.setdefault(int(n_s), []).append((float(s_s), float(f_s)))
-    return {
-        n: (np.array([s for s, _ in rows]), np.array([f for _, f in rows]))
-        for n, rows in out.items()
-    }
+    return _read_per_n(path, ["n", "s", "f"], float)
 
 
 def write_json(path: Path, doc: dict) -> None:

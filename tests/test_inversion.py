@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+import mqcsim.inversion
 from mqcsim import (
     IllConditionedWarning,
     NoFeasibleSolution,
@@ -13,7 +15,12 @@ from mqcsim import (
     make_kernel_problem,
     mixture_second_moment,
 )
-from mqcsim.inversion import _find_peaks, _solve_tikhonov_nnls, _second_difference
+from mqcsim.inversion import (
+    _discrepancy_alpha,
+    _find_peaks,
+    _second_difference,
+    _solve_tikhonov_nnls,
+)
 
 from fixtures import (
     BIMODAL_ORDERS,
@@ -134,6 +141,30 @@ class TestInvert:
         dist = invert(prob)
         noise_norm = SPECTRUM_NOISE * np.sqrt(data.size)
         assert 0.5 * noise_norm <= dist.residual_norm <= 1.5 * noise_norm
+
+    def test_discrepancy_alpha_is_a_root_of_the_residual(self, monkeypatch):
+        # Brent's method in log10 alpha: the residual crosses the target within
+        # 2e-4 decades of the returned alpha, and few NNLS solves find it
+        solves = []
+
+        def counting_nnls(*args):
+            solves.append(args)
+            return nnls(*args)
+
+        monkeypatch.setattr(mqcsim.inversion, "nnls", counting_nnls)
+        for seed in range(8):
+            prob = make_kernel_problem(
+                BIMODAL_ORDERS, bimodal_noisy(seed), noise_estimate=SPECTRUM_NOISE
+            )
+            data = np.clip(prob.data, 0.0, None)
+            smoother = _second_difference(prob.size_grid.size)
+            target = SPECTRUM_NOISE * np.sqrt(data.size)
+            solves.clear()
+            alpha = _discrepancy_alpha(prob.kernel, data, smoother, target)
+            assert len(solves) <= 16, seed
+            _, below, _ = _solve_tikhonov_nnls(prob.kernel, data, smoother, alpha * 10**-2e-4)
+            _, above, _ = _solve_tikhonov_nnls(prob.kernel, data, smoother, alpha * 10**2e-4)
+            assert below <= target <= above, seed
 
     def test_lcurve_fallback_without_noise_estimate(self):
         data = bimodal_noisy(11)

@@ -55,6 +55,40 @@ class TestCsvRoundTrips:
         assert np.array_equal(back[2][0], dists[2][0])
         assert np.array_equal(back[2][1], dists[2][1])
 
+    def test_per_n_table_bytes(self, tmp_path):
+        # k is written as an integer, every other number as its repr, and a
+        # phase signal as its real part
+        tables = [
+            (mio.write_spectrum_csv, {1: (np.array([-2, 0]), np.array([0.1, 1 / 3]))},
+             b"n,k,value\r\n1,-2,0.1\r\n1,0,0.3333333333333333\r\n"),
+            (mio.write_phase_csv, {1: (np.array([0.0, np.pi]), np.array([1 + 2j, -0.5j]))},
+             b"n,phi,value\r\n1,0.0,1.0\r\n1,3.141592653589793,-0.0\r\n"),
+            (mio.write_distribution_csv, {2: (np.array([1.0, 10.0]), np.array([0.0, 0.25]))},
+             b"n,s,f\r\n2,1.0,0.0\r\n2,10.0,0.25\r\n"),
+        ]
+        for write, table, expected in tables:
+            path = tmp_path / "table.csv"
+            write(path, table)
+            assert path.read_bytes() == expected, write.__name__
+
+    def test_spectrum_reader_sorts_by_order(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("n,k,value\n1,2,0.2\n1,-2,0.1\n1,0,0.7\n")
+        orders, weights = mio.read_spectrum_csv(path)[1]
+        assert orders.tolist() == [-2, 0, 2]
+        assert weights.tolist() == [0.1, 0.7, 0.2]
+
+    @pytest.mark.parametrize("header, read", [
+        ("n,phi,value", mio.read_phase_csv),
+        ("n,s,f", mio.read_distribution_csv),
+    ])
+    def test_reader_keeps_file_order(self, tmp_path, header, read):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n1,3.0,0.5\n1,1.0,0.25\n")
+        xs, values = read(path)[1]
+        assert xs.tolist() == [3.0, 1.0]
+        assert values.tolist() == [0.5, 0.25]
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -229,6 +263,20 @@ class TestCli:
         ]) == 0
         report = mio.read_json(out / "growth_report.json")
         assert report["front_97"]["exponent"] == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tau_dq", ["0", "-1", "nan", "inf"])
+    def test_fit_growth_bad_tau_dq_usage_error(self, tmp_path, capsys, tau_dq):
+        out = tmp_path / "out"
+        entries = {str(n): {"status": "ok", "front_97": float(n**3)} for n in range(1, 6)}
+        analytics = tmp_path / "a.json"
+        analytics.write_text(json.dumps({"entries": entries}))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"output_dir": str(out)}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit-growth", "--config", str(cfg), str(analytics), "--tau-dq", tau_dq])
+        assert exc.value.code == 2
+        assert "--tau-dq" in capsys.readouterr().err
+        assert not out.exists()  # refused before anything is written
 
     def test_invert_empty_args_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

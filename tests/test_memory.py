@@ -110,6 +110,14 @@ def test_dense_estimate_is_tight():
         assert dense_bytes(1 << n) <= 1.25 * max(dense_peaks(n).values()), n
 
 
+def test_run_dd_keeps_only_flip_blocks():
+    # _signal cuts each D x D operator into its two flip blocks and frees it
+    # at once, so no dense half-delay propagator lives through the block loop
+    for n in TRACED_SPINS:
+        for path in ("run_dd-aligned", "run_dd-magnitude"):
+            assert dense_peaks(n)[path] <= 5.75 * 16 * (1 << n) ** 2, (n, path)
+
+
 @pytest.mark.parametrize("n", TRACED_SPINS)
 def test_ideal_sector_blocks_are_real_products(n):
     # each block is built in place from the cached Hdq eigenbasis: no complex
