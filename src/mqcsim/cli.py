@@ -3,7 +3,9 @@
 Subcommands: simulate-mqc, simulate-dd, sweep, invert, fit-growth. Every
 run writes a manifest echoing the resolved configuration; reruns with an
 identical manifest produce bit-identical outputs. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error.
+1 runtime failure, 2 usage or configuration error. The library checks
+every value range; an :class:`InvalidParameter` it raises for a field of
+the command's config section exits 2 naming that field.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import numpy as np
 
 from . import io
 from .ddprobe import DdConfig, fit_biexponential, run_dd, sweep
-from .errors import ConfigError, FitFailure, InvalidGeometry, MqcsimError
+from .errors import ConfigError, FitFailure, InvalidGeometry, InvalidParameter, MqcsimError
 from .inversion import analyze, fit_power_law, invert, make_kernel_problem
 from .mqc import (
-    Mode,
     MqcRun,
     density_spectra,
     loschmidt_echo,
@@ -78,6 +79,17 @@ _DEFAULT_CONFIG: dict = {
         "prominence": 0.02,
         "front_fraction": 0.97,
     },
+}
+
+
+# command -> (the config section it reads, the library parameters whose
+# field has another name); any other parameter named like a field of the
+# section is that field
+_FIELDS = {
+    "simulate-mqc": ("mqc", {"n_blocks": "mqc.n_max", "m": "mqc.n_phases"}),
+    "simulate-dd": ("dd", {"rng_seed": "seed"}),
+    "sweep": ("sweep", {"tau": "sweep.tau_grid", "theta": "sweep.theta_grid"}),
+    "invert": ("inversion", {}),
 }
 
 
@@ -169,6 +181,17 @@ def _build_system(config: dict):
         raise ConfigError(f"config field system is invalid: {err}")
 
 
+def _config_field(command: str, err: Exception) -> str | None:
+    """The config field behind ``err`` if it is an InvalidParameter naming
+    a field of the command's section, else None."""
+    if command not in _FIELDS or not isinstance(err, InvalidParameter):
+        return None
+    section, renamed = _FIELDS[command]
+    if err.name in renamed:
+        return renamed[err.name]
+    return f"{section}.{err.name}" if err.name in _DEFAULT_CONFIG[section] else None
+
+
 def _prepare_out(config: dict, command: str) -> Path:
     out_dir = Path(config["output_dir"])
     io.write_manifest(out_dir, command, config)
@@ -178,17 +201,12 @@ def _prepare_out(config: dict, command: str) -> Path:
 def cmd_simulate_mqc(config: dict) -> int:
     system = _build_system(config)
     mqc = config["mqc"]
-    try:
-        mode = Mode(mqc["mode"])
-    except ValueError:
-        raise ConfigError(f"config field mqc.mode must be one of "
-                          f"{[m.value for m in Mode]}, got {mqc['mode']!r}")
     run = MqcRun(
         system=system,
         n_blocks=mqc["n_max"],
         tau_dq=mqc["tau_dq"],
         phases=uniform_phase_grid(mqc["n_phases"]),
-        mode=mode,
+        mode=mqc["mode"],
         mismatch=mqc["mismatch"],
         delta1=mqc["delta1"],
         delta2=mqc["delta2"],
@@ -322,6 +340,8 @@ def cmd_invert(config: dict, inputs: list[str], continue_on_error: bool) -> int:
                 analytics = analyze(dist, prominence=sec["prominence"],
                                     front_fraction=sec["front_fraction"])
             except (MqcsimError, ValueError) as err:
+                if _config_field("invert", err):
+                    raise  # a bad inversion.* value fails every spectrum
                 entries[str(n)] = {"status": f"error: {err}"}
                 if not continue_on_error:
                     raise MqcsimError(f"{path.name} n={n}: {err}") from err
@@ -398,10 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", help="override the output directory")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        return p
 
-    common(sub.add_parser("simulate-mqc", help="run the MQC protocol end to end"))
-    common(sub.add_parser("simulate-dd", help="run one pulse-train acquisition"))
+    # only the two simulations write their results in either format
+    for p in (common(sub.add_parser("simulate-mqc", help="run the MQC protocol end to end")),
+              common(sub.add_parser("simulate-dd", help="run one pulse-train acquisition"))):
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
     common(sub.add_parser("sweep", help="map decay fits over a (tau, theta) grid"))
 
     p_inv = sub.add_parser("invert", help="invert spectra to cluster-size distributions")
@@ -436,26 +458,27 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config field output_dir is not a usable directory: {err}")
         with io.OutputLock(out_dir):
-            if args.command == "simulate-mqc":
-                return cmd_simulate_mqc(config)
-            if args.command == "simulate-dd":
-                return cmd_simulate_dd(config)
-            if args.command == "sweep":
-                return cmd_sweep(config)
-            if args.command == "invert":
-                return cmd_invert(config, args.spectra, args.continue_on_error)
-            if args.command == "fit-growth":
-                return cmd_fit_growth(config, args.analytics, args.tau_dq)
-            parser.error(f"unknown command {args.command}")
-    except np.linalg.LinAlgError as err:
-        # a ValueError subclass, but a numerical failure, not a bad config
-        print(f"mqcsim: {err}", file=sys.stderr)
-        return 1
-    except (ConfigError, FileNotFoundError, ValueError) as err:
-        # ValueError: parameter validation raised by the simulation layer
+            try:
+                if args.command == "simulate-mqc":
+                    return cmd_simulate_mqc(config)
+                if args.command == "simulate-dd":
+                    return cmd_simulate_dd(config)
+                if args.command == "sweep":
+                    return cmd_sweep(config)
+                if args.command == "invert":
+                    return cmd_invert(config, args.spectra, args.continue_on_error)
+                if args.command == "fit-growth":
+                    return cmd_fit_growth(config, args.analytics, args.tau_dq)
+                parser.error(f"unknown command {args.command}")
+            except InvalidParameter as err:
+                field = _config_field(args.command, err)
+                if field is None:
+                    raise
+                raise ConfigError(f"config field {field} is invalid: {err}") from err
+    except (ConfigError, FileNotFoundError) as err:
         print(f"mqcsim: config error: {err}", file=sys.stderr)
         return 2
-    except (MqcsimError, RuntimeError) as err:
+    except (MqcsimError, ValueError, RuntimeError) as err:
         print(f"mqcsim: {err}", file=sys.stderr)
         return 1
     return 0

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import curve_fit
 
-from .errors import FitFailure
+from .errors import FitFailure, InvalidParameter
 from .evolution import (
     Axis,
     EigenBasis,
@@ -87,19 +87,21 @@ class DdConfig:
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
-            raise ValueError("tau must be positive and finite")
+            raise InvalidParameter("tau", "tau must be positive and finite")
         if not 0 < self.theta <= np.pi:
-            raise ValueError("theta must lie in (0, pi]")
+            raise InvalidParameter("theta", "theta must lie in (0, pi]")
         if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
+            raise InvalidParameter("n_cycles", "n_cycles must be >= 1")
         if self.transient_skip < 0:
-            raise ValueError("transient_skip must be >= 0")
+            raise InvalidParameter("transient_skip", "transient_skip must be >= 0")
         if not 0 <= self.noise_sigma < np.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+            raise InvalidParameter("noise_sigma", "noise_sigma must be finite and >= 0")
         if self.n_scans < 1:
-            raise ValueError("n_scans must be >= 1")
+            raise InvalidParameter("n_scans", "n_scans must be >= 1")
+        if self.rng_seed < 0:
+            raise InvalidParameter("rng_seed", "rng_seed must be >= 0")
         if self.detect not in ("aligned", "magnitude"):
-            raise ValueError("detect must be 'aligned' or 'magnitude'")
+            raise InvalidParameter("detect", "detect must be 'aligned' or 'magnitude'")
 
 
 @dataclass
@@ -363,8 +365,8 @@ def fit_biexponential(
     5%, collapses to the single exponential branch with ``a_fast = 0`` and
     ``degenerate=True``.
 
-    Raises ValueError for non-finite or non-increasing times, non-finite
-    values, or fewer than 8 points after the skip. Raises
+    Raises :class:`InvalidParameter` for non-finite or non-increasing
+    times, non-finite values, or fewer than 8 points after the skip. Raises
     :class:`FitFailure` when the fitted t=0 amplitude does not exceed
     ``min_amplitude_snr`` times the residual rms, i.e. the window holds no
     decay structure above its own noise (pure noise fails), and when the
@@ -379,13 +381,14 @@ def fit_biexponential(
         if transient_skip is None:
             transient_skip = 0
     if not (np.all(np.isfinite(t_all)) and np.all(np.isfinite(y_all))):
-        raise ValueError("fit needs finite times and values")
+        raise InvalidParameter("series", "fit needs finite times and values")
     if np.any(np.diff(t_all) <= 0):
-        raise ValueError("fit needs strictly increasing times")
+        raise InvalidParameter("series", "fit needs strictly increasing times")
     t = t_all[transient_skip:]
     y = y_all[transient_skip:]
     if t.size < 8:
-        raise ValueError(f"need >= 8 points after skip, got {t.size}")
+        raise InvalidParameter("transient_skip", f"need >= 8 of the {t_all.size} points "
+                                                 f"after skipping {transient_skip}")
     window = (int(transient_skip), int(t_all.size - 1))
 
     scale = float(np.max(np.abs(y))) or 1.0
@@ -449,7 +452,7 @@ def estimate_noise_sigma(values: np.ndarray) -> float:
     """
     values = np.asarray(values, float)
     if values.size < 4:
-        raise ValueError("need at least 4 samples")
+        raise InvalidParameter("values", "need at least 4 samples")
     d2 = values[2:] - 2 * values[1:-1] + values[:-2]
     return float(np.median(np.abs(d2)) / (0.6744897501960817 * np.sqrt(6.0)))
 
@@ -470,8 +473,10 @@ def scans_to_match_snr(
     Under the white-noise model SNR scales as retention * sqrt(n_scans),
     so the required scan ratio is the squared retention ratio.
     """
-    if retention_ref <= 0 or retention_other <= 0:
-        raise ValueError("retention factors must be positive")
+    for name, value in (("retention_ref", retention_ref),
+                        ("retention_other", retention_other)):
+        if value <= 0:
+            raise InvalidParameter(name, f"{name} must be positive")
     return n_scans_ref * (retention_ref / retention_other) ** 2
 
 
@@ -509,7 +514,7 @@ class SweepResult:
         come out as NaN for cells whose fit failed.
         """
         if attr == "fit":
-            raise ValueError("grid_of needs a scalar attribute")
+            raise InvalidParameter("attr", "grid_of needs a scalar attribute")
         fit_attrs = ("a_fast", "t_fast", "a_slow", "t_slow")
         out = np.full((len(self.tau_grid), len(self.theta_grid)), np.nan)
         for idx, cell in enumerate(self.cells):
@@ -537,36 +542,40 @@ def sweep(
 
     Cells are independent, seeded deterministically from ``base_seed`` and
     the cell index; per-cell fit failures are recorded in ``status`` and
-    the sweep continues.
+    the sweep continues. Every cell's config is built before the first
+    cell runs, so a grid value out of range fails the sweep at once.
     """
     tau_grid = np.asarray(list(tau_grid), float)
     theta_grid = np.asarray(list(theta_grid), float)
-    if tau_grid.size == 0 or theta_grid.size == 0:
-        raise ValueError("sweep grids must be non-empty")
+    for name, grid in (("tau_grid", tau_grid), ("theta_grid", theta_grid)):
+        if grid.size == 0:
+            raise InvalidParameter(name, f"{name} must be non-empty")
+    configs = [
+        DdConfig(
+            tau=float(tau), theta=float(theta), n_cycles=n_cycles,
+            transient_skip=transient_skip, noise_sigma=noise_sigma,
+            n_scans=n_scans, rng_seed=mix_seed(base_seed, i, j),
+        )
+        for i, tau in enumerate(tau_grid)
+        for j, theta in enumerate(theta_grid)
+    ]
+    sigma_eff = noise_sigma / np.sqrt(n_scans)
     cells = []
-    for i, tau in enumerate(tau_grid):
-        for j, theta in enumerate(theta_grid):
-            seed = mix_seed(base_seed, i, j)
-            config = DdConfig(
-                tau=float(tau), theta=float(theta), n_cycles=n_cycles,
-                transient_skip=transient_skip, noise_sigma=noise_sigma,
-                n_scans=n_scans, rng_seed=seed,
+    for config in configs:
+        series = run_dd(system, config)
+        n_star, snr = optimal_cycles(series.values, sigma_eff)
+        try:
+            fit = fit_biexponential(series)
+            status = "ok"
+            amplitude = fit.amplitude
+        except FitFailure as err:
+            fit = None
+            status = f"fit_failed: {err}"
+            amplitude = np.nan
+        cells.append(
+            SweepCell(
+                tau=config.tau, theta=config.theta, status=status, fit=fit,
+                amplitude=amplitude, n_star=n_star, snr=snr, rng_seed=config.rng_seed,
             )
-            series = run_dd(system, config)
-            sigma_eff = noise_sigma / np.sqrt(n_scans)
-            n_star, snr = optimal_cycles(series.values, sigma_eff)
-            try:
-                fit = fit_biexponential(series)
-                status = "ok"
-                amplitude = fit.amplitude
-            except FitFailure as err:
-                fit = None
-                status = f"fit_failed: {err}"
-                amplitude = np.nan
-            cells.append(
-                SweepCell(
-                    tau=float(tau), theta=float(theta), status=status, fit=fit,
-                    amplitude=amplitude, n_star=n_star, snr=snr, rng_seed=seed,
-                )
-            )
+        )
     return SweepResult(tau_grid=tau_grid, theta_grid=theta_grid, cells=cells)

@@ -1,8 +1,27 @@
-"""Exception and warning classes shared across the package."""
+"""Exception and warning classes shared across the package.
+
+Every failure the package raises on purpose is an :class:`MqcsimError`.
+Bad input is one of them: :class:`InvalidParameter` names the offending
+parameter, and is also a ``ValueError``. The command line turns an
+``InvalidParameter`` naming a field of the command's config section into
+a :class:`ConfigError` (exit 2); any other ``MqcsimError`` is a failure of
+the run itself (exit 1).
+"""
 
 
 class MqcsimError(Exception):
     """Base class for all package errors."""
+
+
+class InvalidParameter(MqcsimError, ValueError):
+    """A parameter value is out of range, non-finite or not one of its choices.
+
+    ``name`` is the parameter as the raising function or class calls it.
+    """
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
 
 
 class CapExceeded(MqcsimError):

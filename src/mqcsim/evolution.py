@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParameter
 from .spins import (
     OperatorKind,
     SpinSystem,
@@ -205,9 +205,9 @@ _BASES: weakref.WeakKeyDictionary[SpinSystem, dict] = weakref.WeakKeyDictionary(
 
 def _require_finite(obj: np.ndarray, t: float) -> None:
     if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+        raise InvalidParameter("t", f"evolution time must be finite, got {t}")
     if not np.all(np.isfinite(obj)):
-        raise ValueError("state or density to evolve must be finite")
+        raise InvalidParameter("obj", "state or density to evolve must be finite")
 
 
 def _spectral_bound(system: SpinSystem, kind: OperatorKind) -> float:
@@ -229,8 +229,8 @@ def krylov_expmv(
     coefficients fall below ``_SERIES_TOL``; each term costs one
     ``apply_operator`` call, so the cost grows linearly with ``|bt|``.
 
-    Raises DimensionMismatch unless ``v`` has shape (D,), and ValueError
-    for a non-finite ``t`` or ``v``.
+    Raises DimensionMismatch unless ``v`` has shape (D,), and
+    InvalidParameter for a non-finite ``t`` or ``v``.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (system.dim,):
@@ -265,11 +265,11 @@ def evolve(
     ``exp(-iHt) rho exp(+iHt)``. ``t < 0`` reverts the evolution.
     Densities always use the eigenbasis. For vectors ``method`` is "auto",
     "eigen" or "krylov"; auto picks eigen up to ``EIGEN_MAX_DIM`` and the
-    matrix-free path above it. Raises ValueError for an unknown method,
+    matrix-free path above it. Raises InvalidParameter for an unknown method,
     ``method="krylov"`` on a density, or a non-finite ``t`` or ``obj``.
     """
     if method not in ("auto", "eigen", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidParameter("method", f"unknown method {method!r}")
     obj = np.asarray(obj, dtype=complex)
     dim = system.dim
     is_density = obj.ndim == 2
@@ -278,7 +278,7 @@ def evolve(
     _require_finite(obj, t)
     if is_density:
         if method == "krylov":
-            raise ValueError('method="krylov" evolves state vectors only')
+            raise InvalidParameter("method", 'method="krylov" evolves state vectors only')
         # U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag
         basis = EigenBasis.compute(system, kind)
         half = basis.evolve_columns(obj, t)
@@ -295,7 +295,7 @@ def _pulse_u2(axis: Axis, angle: float) -> np.ndarray:
     """exp(-i*angle*S) for the single-spin operator S of ``axis``; S^2 = 1/4,
     so it is cos(angle/2) - 2i sin(angle/2) S."""
     if not np.isfinite(angle):
-        raise ValueError("pulse angle must be finite")
+        raise InvalidParameter("angle", "pulse angle must be finite")
     return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * _AXIS_OP[Axis(axis)]
 
 
@@ -332,7 +332,7 @@ def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
 def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
     """Dense propagator of the program (earliest step acts first)."""
     if not program.steps:
-        raise ValueError("pulse program has no steps")
+        raise InvalidParameter("program", "pulse program has no steps")
     dim = system.dim
     _require_dense(dim, "propagator")
     u = np.eye(dim, dtype=complex)
@@ -354,14 +354,15 @@ def dq_block(
     ``sign=-1`` shifts every pulse phase by pi/2 (+-Y pulses), which
     realizes -Hdq and reverses the evolution.
     """
-    if delta1 <= 0 or delta2 <= 0:
-        raise ValueError("delays must be positive")
+    for name, delay in (("delta1", delta1), ("delta2", delta2)):
+        if delay <= 0:
+            raise InvalidParameter(name, f"{name} must be positive")
     if sign == +1:
         p, pm = Axis.X, Axis.MINUS_X
     elif sign == -1:
         p, pm = Axis.Y, Axis.MINUS_Y
     else:
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidParameter("sign", "sign must be +1 or -1")
     half = np.pi / 2
     zz = OperatorKind.HZZ
     steps: list[Step] = [
@@ -399,7 +400,7 @@ def aht_error(
     Hamiltonian leaves a defect of order scale**2.
     """
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise InvalidParameter("scale", "scale must be positive")
     scaled = SpinSystem(
         n_spins=system.n_spins,
         couplings=system.couplings * scale,
@@ -439,5 +440,5 @@ def program_from_json(text: str) -> PulseProgram:
                 )
             )
         else:
-            raise ValueError(f"unknown program step {item!r}")
+            raise InvalidParameter("text", f"unknown program step {item!r}")
     return PulseProgram(steps=steps, name=doc.get("name", ""))

@@ -35,6 +35,7 @@ from scipy.optimize import brentq, curve_fit, nnls
 from .errors import (
     FitFailure,
     IllConditionedWarning,
+    InvalidParameter,
     NoFeasibleSolution,
     NonPositiveData,
     NoPeaks,
@@ -118,23 +119,26 @@ def make_kernel_problem(
     orders = np.asarray(orders, dtype=float)
     data = np.asarray(data, dtype=float)
     if orders.ndim != 1 or orders.shape != data.shape:
-        raise ValueError("orders and data must be 1-D arrays of equal length")
+        raise InvalidParameter("data", "orders and data must be 1-D arrays of equal length")
     if np.any(orders < 0):
-        raise ValueError("kernel inversion uses the half-spectrum, k >= 0")
+        raise InvalidParameter("orders", "kernel inversion uses the half-spectrum, k >= 0")
     if np.any(np.diff(orders) <= 0):
-        raise ValueError("orders must be strictly increasing")
+        raise InvalidParameter("orders", "orders must be strictly increasing")
     if n_grid < 8:
-        raise ValueError("size grid needs at least 8 points")
-    if not 0 < s_min < s_max:
-        raise ValueError("need 0 < s_min < s_max")
+        raise InvalidParameter("n_grid", "size grid needs at least 8 points")
+    if not 0 < s_min < np.inf:
+        raise InvalidParameter("s_min", "s_min must be positive and finite")
+    if not s_min < s_max < np.inf:
+        raise InvalidParameter("s_max", "need s_min < s_max < inf")
     noise = np.asarray(noise_estimate, dtype=float)
-    if not (np.all(np.isfinite(orders)) and np.all(np.isfinite(data))
-            and np.all(np.isfinite(noise))):
-        raise ValueError("orders, data and noise_estimate must be finite")
+    for name, value in (("orders", orders), ("data", data), ("noise_estimate", noise)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameter(name, f"{name} must be finite")
     if noise.ndim not in (0, 1) or (noise.ndim == 1 and noise.shape != data.shape):
-        raise ValueError("noise_estimate must be a scalar or match the data")
+        raise InvalidParameter("noise_estimate",
+                               "noise_estimate must be a scalar or match the data")
     if np.any(noise < 0):
-        raise ValueError("noise_estimate must be non-negative")
+        raise InvalidParameter("noise_estimate", "noise_estimate must be non-negative")
     size_grid = np.geomspace(s_min, s_max, n_grid)
     kernel = np.exp(-np.outer(orders**2, 1.0 / size_grid))
     return KernelProblem(
@@ -286,8 +290,8 @@ def invert(problem: KernelProblem, alpha: float | None = None) -> ClusterDistrib
             alpha = _discrepancy_alpha(kernel_w, data_w, smoother, target)
         else:
             alpha = _lcurve_alpha(kernel_w, data_w, smoother)
-    elif alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    elif not 0 <= alpha < np.inf:
+        raise InvalidParameter("alpha", "alpha must be finite and >= 0")
 
     f, _, _ = _solve_tikhonov_nnls(kernel_w, data_w, smoother, alpha)
     residual = float(np.linalg.norm(problem.kernel @ f - data))
@@ -346,13 +350,19 @@ def analyze(
 ) -> DistributionAnalytics:
     """Peaks, FWHM, per-peak populations, and the cumulative front.
 
-    Peaks are local maxima with prominence above ``prominence * max(f)``
-    (edge bins count). Widths interpolate the half-height crossings on the
-    log-size axis and are reported as Delta-s in linear units. The weights
+    Peaks are local maxima with prominence above ``prominence * max(f)``,
+    for ``prominence`` in [0, 1] (edge bins count). Widths interpolate the
+    half-height crossings on the log-size axis and are reported as Delta-s
+    in linear units. The weights
     are treated as point masses on the grid: populations are plain sums
     between the valleys separating adjacent peaks, and the front is the
-    interpolated size below which ``front_fraction`` of the mass lies.
+    interpolated size below which ``front_fraction``, in (0, 1], of the
+    mass lies.
     """
+    if not 0 <= prominence <= 1:
+        raise InvalidParameter("prominence", "prominence must lie in [0, 1]")
+    if not 0 < front_fraction <= 1:
+        raise InvalidParameter("front_fraction", "front_fraction must lie in (0, 1]")
     f = np.asarray(dist.f, dtype=float)
     s = np.asarray(dist.size_grid, dtype=float)
     total = float(np.sum(f))
@@ -400,7 +410,9 @@ def analyze(
     populations = [float(np.sum(f[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     cum = np.cumsum(f)
-    target = front_fraction * total
+    # np.sum adds pairwise and can exceed the running total cum[-1] by an
+    # ulp; capping the target there keeps the search on the grid
+    target = min(front_fraction * total, cum[-1])
     j = int(np.searchsorted(cum, target))
     if j == 0:
         front = float(s[0])
@@ -443,18 +455,20 @@ def fit_power_law(
     With ``forced_exponent`` the prefactor is fit alone as well and the
     rms log-residual of that constrained model is reported alongside the
     free fit. The points may come in any order and may repeat a time (the
-    pooled orders of several analytics files do). Raises ValueError for
-    fewer than 4 points, non-finite input or fewer than two distinct
-    times, and :class:`NonPositiveData` for a time or value <= 0.
+    pooled orders of several analytics files do). Raises
+    :class:`InvalidParameter` for fewer than 4 points, non-finite input or
+    fewer than two distinct times, and :class:`NonPositiveData` for a time
+    or value <= 0.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.size < 4:
-        raise ValueError("need at least 4 points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise ValueError("power-law fit needs finite times and values")
+        raise InvalidParameter("times", "need at least 4 points")
+    for name, value in (("times", t), ("values", y)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameter(name, f"power-law fit needs finite {name}")
     if np.unique(t).size < 2:
-        raise ValueError("power-law fit needs at least two distinct times")
+        raise InvalidParameter("times", "power-law fit needs at least two distinct times")
     if np.any(t <= 0) or np.any(y <= 0):
         raise NonPositiveData("power-law fit needs positive times and values")
     lt, ly = np.log(t), np.log(y)

@@ -66,7 +66,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ImaginaryResidueWarning, NoFeasibleSolution, NonUniformPhaseGrid
+from .errors import (
+    ImaginaryResidueWarning,
+    InvalidParameter,
+    NoFeasibleSolution,
+    NonUniformPhaseGrid,
+)
 from .evolution import EigenBasis, compile_program, dq_block, evolve
 from .spins import OperatorKind, SpinSystem, parity_sectors
 
@@ -81,7 +86,7 @@ class Mode(str, Enum):
 def uniform_phase_grid(m: int) -> np.ndarray:
     """m phases covering [0, 2*pi); resolves coherence orders |k| <= m/2 - 1."""
     if m < 2:
-        raise ValueError("need at least 2 phases")
+        raise InvalidParameter("m", "need at least 2 phases")
     return np.arange(m) * (2.0 * np.pi / m)
 
 
@@ -108,25 +113,31 @@ class MqcRun:
         self.phases = np.asarray(self.phases, dtype=float)
         for name in ("phases", "tau_dq", "mismatch", "delta1", "delta2"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+                raise InvalidParameter(name, f"{name} must be finite")
         if self.n_blocks < 0:
-            raise ValueError("n_blocks must be >= 0")
+            raise InvalidParameter("n_blocks", "n_blocks must be >= 0")
         if self.phases.size == 0:
-            raise ValueError("phases must be non-empty")
+            raise InvalidParameter("phases", "phases must be non-empty")
         if np.any(np.diff(self.phases) <= 0):
-            raise ValueError("phases must be strictly increasing")
+            raise InvalidParameter("phases", "phases must be strictly increasing")
         if self.phases[0] < 0 or self.phases[-1] >= 2 * np.pi:
-            raise ValueError("phases must lie in [0, 2*pi)")
+            raise InvalidParameter("phases", "phases must lie in [0, 2*pi)")
         if self.tau_dq <= 0:
-            raise ValueError("tau_dq must be positive")
+            raise InvalidParameter("tau_dq", "tau_dq must be positive")
         if self.mismatch <= -1:
-            raise ValueError("mismatch must be > -1")
-        self.mode = Mode(self.mode)
+            raise InvalidParameter("mismatch", "mismatch must be > -1")
+        try:
+            self.mode = Mode(self.mode)
+        except ValueError:
+            choices = [m.value for m in Mode]
+            raise InvalidParameter(
+                "mode", f"mode must be one of {choices}, got {self.mode!r}") from None
         if self.mode == Mode.PULSE_LEVEL:
             period = 4 * self.delta1 + 6 * self.delta2
             if abs(self.tau_dq - period) > 1e-12 * max(self.tau_dq, period):
-                raise ValueError(
-                    f"pulse-level tau_dq={self.tau_dq} != 4*delta1 + 6*delta2 = {period}"
+                raise InvalidParameter(
+                    "tau_dq",
+                    f"pulse-level tau_dq={self.tau_dq} != 4*delta1 + 6*delta2 = {period}",
                 )
 
     @property

@@ -36,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InvalidGeometry
+from .errors import CapExceeded, DimensionMismatch, InvalidGeometry, InvalidParameter
 
 # bytes of physical memory: the one budget every size check compares with
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -278,7 +278,7 @@ def apply_operator(
     elif kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL, OperatorKind.HDQ):
         out = np.zeros_like(state)
     else:
-        raise ValueError(f"unknown operator kind {kind!r}")
+        raise InvalidParameter("kind", f"unknown operator kind {kind!r}")
     # the axis of bit i is n - 1 - i: spin 0 is the least significant bit
     shape = (2,) * n + state.shape[1:]
     src, dst = state.reshape(shape), out.reshape(shape)

@@ -266,6 +266,29 @@ class TestAnalyze:
         step = s[1] / s[0]
         assert s[30] / step <= an.front_97 <= s[30] * step
 
+    def test_full_front_is_the_last_grid_point(self):
+        # np.sum adds pairwise and np.cumsum in sequence, so the two totals
+        # can differ by an ulp; the whole mass must still end on the grid
+        from mqcsim import ClusterDistribution
+
+        rng = np.random.default_rng(11)
+        s = np.geomspace(1.0, 1e4, 64)
+        for _ in range(200):
+            dist = ClusterDistribution(size_grid=s, f=rng.random(64), alpha=0.0,
+                                       residual_norm=0.0)
+            assert analyze(dist, front_fraction=1.0).front_97 == pytest.approx(s[-1])
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, np.nan])
+    def test_front_fraction_outside_unit_interval_rejected(self, fraction):
+        from mqcsim import ClusterDistribution, InvalidParameter
+
+        s = np.geomspace(1.0, 1e4, 16)
+        dist = ClusterDistribution(size_grid=s, f=np.ones(16), alpha=0.0,
+                                   residual_norm=0.0)
+        with pytest.raises(InvalidParameter, match="front_fraction") as exc:
+            analyze(dist, front_fraction=fraction)
+        assert exc.value.name == "front_fraction"
+
 
 class TestPeakFinder:
     @staticmethod

@@ -8,7 +8,7 @@ import scipy.linalg
 import mqcsim.spins
 from mqcsim import cli
 from mqcsim import io as mio
-from mqcsim.errors import ConfigError
+from mqcsim.errors import ConfigError, InvalidParameter
 
 
 class TestCsvRoundTrips:
@@ -378,6 +378,80 @@ class TestCli:
     def test_invalid_parameter_value_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, dd={"tau": -0.5})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("simulate-mqc", "mqc", "n_max", -1),
+        ("simulate-mqc", "mqc", "tau_dq", 0),
+        ("simulate-mqc", "mqc", "n_phases", 1),
+        ("simulate-mqc", "mqc", "mode", "x"),
+        ("simulate-mqc", "mqc", "mismatch", -1),
+        ("simulate-dd", "dd", "theta", 4.0),
+        ("simulate-dd", "dd", "n_cycles", 0),
+        ("simulate-dd", "dd", "transient_skip", 300),
+        ("simulate-dd", "dd", "noise_sigma", -1),
+        ("simulate-dd", "dd", "n_scans", 0),
+        ("simulate-dd", "dd", "detect", "x"),
+        ("sweep", "sweep", "tau_grid", []),
+        ("sweep", "sweep", "theta_grid", [4.0]),
+        ("sweep", "sweep", "n_cycles", 0),
+        ("invert", "inversion", "n_grid", 4),
+        ("invert", "inversion", "s_min", 0),
+        ("invert", "inversion", "noise_estimate", -1),
+        ("invert", "inversion", "alpha", -1),
+        ("invert", "inversion", "front_fraction", 2.0),
+        ("invert", "inversion", "prominence", 1.5),
+    ])
+    def test_out_of_range_field_exit_2(self, tmp_path, capsys, command, section, key,
+                                       value):
+        # the library checks the range; the message names the config field
+        cfg, out = write_config(tmp_path, **{section: {key: value}})
+        runs = [[command, "--config", str(cfg)]]
+        if command == "invert":
+            spec = tmp_path / "spec.csv"
+            k = np.arange(0, 12, 2)
+            mio.write_spectrum_csv(spec, {n: (k, np.exp(-(k**2) / (4.0 * n)))
+                                          for n in (1, 2)})
+            # a bad inversion.* value fails every spectrum, not just one
+            runs = [[*runs[0], str(spec)], [*runs[0], str(spec), "--continue-on-error"]]
+        for argv in runs:
+            assert cli.main(argv) == 2
+            assert f"config field {section}.{key} is invalid" in capsys.readouterr().err
+        if command != "invert":
+            assert not (out / "manifest.json").exists()
+
+    def test_negative_seed_refused_before_simulating(self, tmp_path, capsys, monkeypatch):
+        cfg, out = write_config(tmp_path, dd={"noise_sigma": 0.05})
+        calls = []
+        monkeypatch.setattr(cli, "run_dd", lambda *args: calls.append(args))
+        assert cli.main(["simulate-dd", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "config field seed is invalid" in capsys.readouterr().err
+        assert not calls
+        assert not (out / "manifest.json").exists()
+        # a sweep mixes any seed into range per cell
+        assert cli.main(["sweep", "--config", str(cfg), "--seed", "-1"]) == 0
+
+    @pytest.mark.parametrize("error", [
+        ValueError("operands could not be broadcast together"),
+        InvalidParameter("t", "evolution time must be finite, got nan"),
+    ], ids=["value-error", "not-a-config-field"])
+    def test_library_failure_exit_1(self, tmp_path, capsys, monkeypatch, error):
+        def failing(run):
+            raise error
+
+        monkeypatch.setattr(cli, "order_amplitudes", failing)
+        cfg, out = write_config(tmp_path)
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(error) in err
+        assert "config error" not in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "invert", "fit-growth"])
+    def test_format_flag_only_on_simulations(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--format", "json", "in.csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["file", "under-file"])
     def test_unusable_output_dir_exit_2(self, tmp_path, capsys, where):
