@@ -5,12 +5,15 @@ run writes a manifest echoing the resolved configuration; reruns with an
 identical manifest produce bit-identical outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error. The library checks
 every value range; an :class:`InvalidParameter` it raises for a field of
-the command's config section exits 2 naming that field.
+the command's config section exits 2 naming that field. A command on at
+most 10 spins runs with every OpenBLAS on one thread and gives back the
+previous counts on exit; the manifest records the count the run used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import sys
 from dataclasses import asdict
@@ -18,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import io
-from .ddprobe import DdConfig, fit_biexponential, run_dd, sweep
+from . import blas, io
+from .ddprobe import DdConfig, fit_biexponential, require_fit_window, run_dd, sweep
 from .errors import ConfigError, FitFailure, InvalidGeometry, InvalidParameter, MqcsimError
 from .inversion import analyze, fit_power_law, invert, make_kernel_problem
 from .mqc import (
@@ -91,6 +94,12 @@ _FIELDS = {
     "sweep": ("sweep", {"tau": "sweep.tau_grid", "theta": "sweep.theta_grid"}),
     "invert": ("inversion", {}),
 }
+
+
+# up to this many spins (D = 1024) a run pins every OpenBLAS to one thread:
+# its dense products are at most D/2 = 512 wide, and extra threads slow them
+# down and change their roundoff; larger systems keep the environment's count
+_ONE_THREAD_MAX_SPINS = 10
 
 
 def default_config() -> dict:
@@ -271,6 +280,7 @@ def cmd_simulate_mqc(config: dict) -> int:
 def cmd_simulate_dd(config: dict) -> int:
     system = _build_system(config)
     dd_config = DdConfig(**config["dd"], rng_seed=config["seed"])
+    require_fit_window(dd_config.n_cycles, dd_config.transient_skip)
     series = run_dd(system, dd_config)
     try:
         fit = fit_biexponential(series)
@@ -457,7 +467,9 @@ def main(argv=None) -> int:
         except OSError as err:
             raise ConfigError(
                 f"config field output_dir is not a usable directory: {err}")
-        with io.OutputLock(out_dir):
+        one_thread = config["system"]["n_spins"] <= _ONE_THREAD_MAX_SPINS
+        with io.OutputLock(out_dir), (
+                blas.threads(1) if one_thread else contextlib.nullcontext()):
             try:
                 if args.command == "simulate-mqc":
                     return cmd_simulate_mqc(config)

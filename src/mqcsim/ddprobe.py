@@ -349,6 +349,16 @@ def _polish(t, y, start, a_hi, t_lo, t_hi) -> tuple[float, np.ndarray]:
     return ssr, x
 
 
+def require_fit_window(n_points: int, transient_skip: int) -> None:
+    """Raise :class:`InvalidParameter` naming ``transient_skip`` unless it
+    is >= 0 and leaves at least 8 of ``n_points`` samples to fit. A config
+    is checked here, not at construction, since a series that is never
+    fitted may be shorter; callers that fit check before they simulate."""
+    if not 0 <= transient_skip <= n_points - 8:
+        raise InvalidParameter("transient_skip", f"need >= 8 of the {n_points} points "
+                                                 f"after skipping {transient_skip}")
+
+
 def fit_biexponential(
     series: DdSeries | tuple[np.ndarray, np.ndarray],
     transient_skip: int | None = None,
@@ -384,11 +394,9 @@ def fit_biexponential(
         raise InvalidParameter("series", "fit needs finite times and values")
     if np.any(np.diff(t_all) <= 0):
         raise InvalidParameter("series", "fit needs strictly increasing times")
+    require_fit_window(t_all.size, transient_skip)
     t = t_all[transient_skip:]
     y = y_all[transient_skip:]
-    if t.size < 8:
-        raise InvalidParameter("transient_skip", f"need >= 8 of the {t_all.size} points "
-                                                 f"after skipping {transient_skip}")
     window = (int(transient_skip), int(t_all.size - 1))
 
     scale = float(np.max(np.abs(y))) or 1.0
@@ -543,7 +551,8 @@ def sweep(
     Cells are independent, seeded deterministically from ``base_seed`` and
     the cell index; per-cell fit failures are recorded in ``status`` and
     the sweep continues. Every cell's config is built before the first
-    cell runs, so a grid value out of range fails the sweep at once.
+    cell runs, so a grid value out of range fails the sweep at once, as
+    does a ``transient_skip`` that leaves fewer than 8 samples to fit.
     """
     tau_grid = np.asarray(list(tau_grid), float)
     theta_grid = np.asarray(list(theta_grid), float)
@@ -559,6 +568,7 @@ def sweep(
         for i, tau in enumerate(tau_grid)
         for j, theta in enumerate(theta_grid)
     ]
+    require_fit_window(n_cycles, transient_skip)
     sigma_eff = noise_sigma / np.sqrt(n_scans)
     cells = []
     for config in configs:

@@ -5,7 +5,8 @@ Bad input is one of them: :class:`InvalidParameter` names the offending
 parameter, and is also a ``ValueError``. The command line turns an
 ``InvalidParameter`` naming a field of the command's config section into
 a :class:`ConfigError` (exit 2); any other ``MqcsimError`` is a failure of
-the run itself (exit 1).
+the run itself (exit 1). :func:`choice` converts a value to an enum member
+and reports one that is not a member the same way.
 """
 
 
@@ -22,6 +23,21 @@ class InvalidParameter(MqcsimError, ValueError):
     def __init__(self, name: str, message: str):
         super().__init__(message)
         self.name = name
+
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which hold the message alone
+        return type(self), (self.name, str(self))
+
+
+def choice(enum: type, value, name: str):
+    """``enum(value)``, or an :class:`InvalidParameter` naming ``name`` when
+    ``value`` is not one of its members."""
+    try:
+        return enum(value)
+    except ValueError:
+        members = ", ".join(repr(m.value) for m in enum)
+        raise InvalidParameter(name, f"{name} must be one of {members}, "
+                                     f"got {value!r}") from None
 
 
 class CapExceeded(MqcsimError):

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import DimensionMismatch, InvalidParameter
+from .errors import DimensionMismatch, InvalidParameter, choice
 from .spins import (
     OperatorKind,
     SpinSystem,
@@ -166,7 +166,7 @@ class EigenBasis:
         The cache holds a system only weakly, so its bases go when the
         system does; a caller must not modify the arrays it is handed.
         """
-        kind = OperatorKind(kind)
+        kind = choice(OperatorKind, kind, "kind")
         bases = _BASES.setdefault(system, {})
         if kind not in bases:
             h = hamiltonian_matrix(system, kind)
@@ -215,7 +215,7 @@ def _spectral_bound(system: SpinSystem, kind: OperatorKind) -> float:
     the collective spin operators."""
     s = 0.5 * float(np.abs(system.couplings).sum())  # sum_{i<j} |d_ij|
     bounds = {OperatorKind.HZZ: s, OperatorKind.HDQ: s / 2}
-    return bounds.get(OperatorKind(kind), system.n_spins / 2)
+    return bounds.get(choice(OperatorKind, kind, "kind"), system.n_spins / 2)
 
 
 def krylov_expmv(
@@ -296,7 +296,8 @@ def _pulse_u2(axis: Axis, angle: float) -> np.ndarray:
     so it is cos(angle/2) - 2i sin(angle/2) S."""
     if not np.isfinite(angle):
         raise InvalidParameter("angle", "pulse angle must be finite")
-    return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * _AXIS_OP[Axis(axis)]
+    op = _AXIS_OP[choice(Axis, axis, "axis")]
+    return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * op
 
 
 def _apply_left(u2: np.ndarray, mat: np.ndarray, n_spins: int) -> np.ndarray:
@@ -430,13 +431,14 @@ def program_from_json(text: str) -> PulseProgram:
     for item in doc["steps"]:
         if "pulse" in item:
             steps.append(
-                Pulse(axis=Axis(item["pulse"]["axis"]), angle=float(item["pulse"]["angle"]))
+                Pulse(axis=choice(Axis, item["pulse"]["axis"], "axis"),
+                      angle=float(item["pulse"]["angle"]))
             )
         elif "delay" in item:
             steps.append(
                 Delay(
                     duration=float(item["delay"]["t"]),
-                    hamiltonian=OperatorKind(item["delay"].get("h", "zz")),
+                    hamiltonian=choice(OperatorKind, item["delay"].get("h", "zz"), "h"),
                 )
             )
         else:

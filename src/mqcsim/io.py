@@ -25,6 +25,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from . import blas
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -171,6 +172,8 @@ def read_json(path: Path) -> dict:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict) -> Path:
+    """Write ``manifest.json``: the tool, the command, the resolved config
+    and the OpenBLAS thread count in effect (null without OpenBLAS)."""
     from . import __version__
 
     path = out_dir / "manifest.json"
@@ -181,6 +184,7 @@ def write_manifest(out_dir: Path, command: str, config: dict) -> Path:
             "tool_version": __version__,
             "command": command,
             "config": config,
+            "blas_threads": blas.thread_count(),
         },
     )
     return path

@@ -241,6 +241,12 @@ class TestBiexponentialFit:
         with pytest.raises(ValueError):
             fit_biexponential((t, np.exp(-t)), transient_skip=5)
 
+    def test_negative_skip_rejected(self):
+        # a negative skip would slice the window from the end of the series
+        t = np.linspace(0, 1, 10)
+        with pytest.raises(ValueError, match="after skipping -9"):
+            fit_biexponential((t, np.exp(-t)), transient_skip=-9)
+
     def test_non_finite_or_unordered_input_rejected(self):
         t = np.linspace(0.05, 20, 64)
         y = 0.8 * np.exp(-t / 4.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mqcsim.ddprobe
 import mqcsim.spins
 from mqcsim import cli
 from mqcsim import io as mio
@@ -429,6 +430,20 @@ class TestCli:
         assert not (out / "manifest.json").exists()
         # a sweep mixes any seed into range per cell
         assert cli.main(["sweep", "--config", str(cfg), "--seed", "-1"]) == 0
+
+    @pytest.mark.parametrize("command, section", [("simulate-dd", "dd"), ("sweep", "sweep")])
+    def test_oversized_transient_skip_refused_before_simulating(self, tmp_path, capsys,
+                                                                monkeypatch, command, section):
+        # 32 cycles less a skip of 25 leave 7 samples, one short of a fit
+        def no_run(*args):
+            raise AssertionError("run_dd called")
+
+        monkeypatch.setattr(cli, "run_dd", no_run)
+        monkeypatch.setattr(mqcsim.ddprobe, "run_dd", no_run)
+        cfg, out = write_config(tmp_path, **{section: {"transient_skip": 25}})
+        assert cli.main([command, "--config", str(cfg)]) == 2
+        assert f"config field {section}.transient_skip is invalid" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("error", [
         ValueError("operands could not be broadcast together"),
