@@ -211,10 +211,13 @@ def _require_finite(obj: np.ndarray, t: float) -> None:
 
 
 def _spectral_bound(system: SpinSystem, kind: OperatorKind) -> float:
-    """Gershgorin bound on |eigenvalue| of the operator ``kind``; N/2 for
-    the collective spin operators."""
-    s = 0.5 * float(np.abs(system.couplings).sum())  # sum_{i<j} |d_ij|
-    bounds = {OperatorKind.HZZ: s, OperatorKind.HDQ: s / 2}
+    """Weyl bound on |eigenvalue| of ``kind``; N/2 for collective spins.
+    Hzz = 2Z - X - Y and Hdq = Y - X, where Z = sum_{i<j} d_ij Iz_i Iz_j is
+    the diagonal ``_diag_zz / 2``, of spread w, and X, Y alike are rotations
+    of Z. By Weyl, Hzz lies within +-2w and Hdq within +-w for couplings of
+    any sign, never above Gershgorin's sum_{i<j} |d_ij| (Hdq: half), exact at N=2."""
+    w = 0.5 * float(np.ptp(system._diag_zz))
+    bounds = {OperatorKind.HZZ: 2 * w, OperatorKind.HDQ: w}
     return bounds.get(choice(OperatorKind, kind, "kind"), system.n_spins / 2)
 
 
@@ -224,8 +227,9 @@ def krylov_expmv(
     """Matrix-free exp(-iHt) v as a Chebyshev series in H.
 
     ``exp(-iHt) v = J_0(bt) v + 2 sum_{k>=1} (-i)^k J_k(bt) T_k(H/b) v``
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), where ``b`` bounds
-    the spectrum of H. The series is cut once ``k > |bt|`` and the Bessel
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984), where ``b`` is
+    :func:`_spectral_bound`'s Weyl bound on |eigenvalue| of H, rigorous for
+    couplings of any sign. The series is cut once ``k > |bt|`` and the Bessel
     coefficients fall below ``_SERIES_TOL``; each term costs one
     ``apply_operator`` call, so the cost grows linearly with ``|bt|``.
 

@@ -17,12 +17,13 @@ The two Hamiltonians built here are the secular dipolar interaction
 
     Hdq = -1/2 sum_{i<j} d_ij (I+_i I+_j + I-_i I-_j)
 
-which flips pairs of equally oriented spins and changes the coherence
-order by +-2. Both are applied matrix-free, on the state viewed as a
-tensor with one axis per spin; no 2**N x 2**N operator is materialized by
-:func:`apply_operator`. Both change the popcount by 0 or +-2, so neither
-connects the two halves of :func:`parity_sectors`; Hzz keeps the popcount,
-so it does not connect two of the :func:`magnetization_sectors` either.
+which flips pairs of equally oriented spins and changes the coherence order
+by +-2. :func:`apply_operator` applies both matrix-free, flipping spin i on
+the view (above i, bit i, below i) of the state and the pair i < j on the
+view (above j, bit j, between, bit i, below i); no 2**N x 2**N operator is
+materialized. Both change the popcount by 0 or +-2, so neither connects the
+two halves of :func:`parity_sectors`; Hzz keeps the popcount, so it does not
+connect two of the :func:`magnetization_sectors` either.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def require_memory(n_bytes: int, what: str) -> None:
 def _vector_bytes(n_spins: int) -> int:
     """Peak bytes of the vector path: per basis state, the int8 and float64
     spin-sign temporaries of the Hzz diagonal, three float64 tables, and
-    ten complex vectors for the Chebyshev series and its operator gathers."""
+    ten complex vectors for the Chebyshev series and its slice temporaries."""
     return (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16)
 
 
@@ -256,15 +257,17 @@ def apply_operator(
     ``state`` has shape ``(2**N,)`` or ``(2**N, k)``; the result has the
     same shape. Every kind but Iy has real matrix elements, so a real state
     gives a float64 result and a complex one a complex128 result; Iy always
-    gives complex128. The state is viewed as a tensor with one axis of
-    length 2 per spin, so a spin flip is an in-place update between two
-    strided slices; cost O(pairs * 2**N) per call, with no index arrays.
+    gives complex128. Each flip is one in-place update between two strided
+    slices of the views in the module docstring, O(pairs * 2**N) per call.
+    Raises DimensionMismatch for another shape, InvalidParameter for NaN or inf.
     """
     state = np.asarray(state)
-    if state.shape[0] != system.dim:
+    if state.ndim not in (1, 2) or state.shape[0] != system.dim:
         raise DimensionMismatch(
-            f"state length {state.shape[0]} != 2**{system.n_spins}"
+            f"state shape {state.shape} is not ({system.dim},) or ({system.dim}, k)"
         )
+    if not np.isfinite(state).all():
+        raise InvalidParameter("state", "state must be finite")
     real = kind != OperatorKind.IY_TOTAL and not np.iscomplexobj(state)
     state = np.ascontiguousarray(state, dtype=np.float64 if real else np.complex128)
     n = system.n_spins
@@ -279,32 +282,25 @@ def apply_operator(
         out = np.zeros_like(state)
     else:
         raise InvalidParameter("kind", f"unknown operator kind {kind!r}")
-    # the axis of bit i is n - 1 - i: spin 0 is the least significant bit
-    shape = (2,) * n + state.shape[1:]
-    src, dst = state.reshape(shape), out.reshape(shape)
-
-    def at(bits: dict[int, int]) -> tuple:
-        index = [slice(None)] * n
-        for i, b in bits.items():
-            index[n - 1 - int(i)] = b
-        return tuple(index)
-
+    # spin 0 is the least significant bit: 2**i states lie below bit i
     if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
+        # <x|Iy|x^e_i> = -i/2 when bit i of x is set (raising), +i/2 otherwise
+        coeffs = (0.5, 0.5) if kind == OperatorKind.IX_TOTAL else (0.5j, -0.5j)
         for i in range(n):
+            shape = (1 << (n - 1 - i), 2, 1 << i) + state.shape[1:]
+            src, dst = state.reshape(shape), out.reshape(shape)
             for b in (0, 1):
-                if kind == OperatorKind.IX_TOTAL:
-                    coeff = 0.5
-                else:
-                    # <x|Iy|x^e_i> = -i/2 when bit i of x is set (raising), +i/2 otherwise
-                    coeff = -0.5j if b else 0.5j
-                dst[at({i: b})] += coeff * src[at({i: 1 - b})]
+                dst[:, b] += coeffs[b] * src[:, 1 - b]
         return out
 
     # Hzz flips anti-aligned pairs (bits 01 and 10), Hdq aligned ones (00, 11)
     flips = ((0, 1), (1, 0)) if kind == OperatorKind.HZZ else ((0, 0), (1, 1))
-    for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
+    pairs = zip(system._pair_i.tolist(), system._pair_j.tolist(), system._pair_d)
+    for i, j, d in pairs:
+        shape = (1 << (n - 1 - j), 2, 1 << (j - i - 1), 2, 1 << i) + state.shape[1:]
+        src, dst = state.reshape(shape), out.reshape(shape)
         for a, b in flips:
-            dst[at({i: a, j: b})] += (-0.5 * d) * src[at({i: 1 - a, j: 1 - b})]
+            dst[:, b, :, a] += (-0.5 * d) * src[:, 1 - b, :, 1 - a]
     return out
 
 

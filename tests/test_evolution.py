@@ -105,13 +105,30 @@ class TestEvolve:
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_krylov_long_time(self, sys4):
-        # bt ~ 290: some 300 series terms whose Bessel coefficients must
-        # cancel to the result
+        # bt ~ 210 with the Weyl bound: some 275 series terms whose Bessel
+        # coefficients must cancel to the result
         rng = np.random.default_rng(3)
         psi = random_state(4, rng)
         out = krylov_expmv(sys4, OperatorKind.HZZ, psi, 40.0)
         ref = evolve(psi, sys4, OperatorKind.HZZ, 40.0, method="eigen")
         assert np.max(np.abs(out - ref)) < 1e-7
+
+    def test_krylov_term_count(self, monkeypatch):
+        # Hdq at N=8 to t=1.6: the Weyl bound b = 8.07 takes 40 operator
+        # applications where Gershgorin's sum_{i<j} |d_ij| / 2 = 13.0 took 52
+        rng = np.random.default_rng(8)
+        system = build_system(ExplicitCouplings(random_couplings(8, rng, 0.5, 1.5)), 8)
+        psi = random_state(8, rng)
+        calls = []
+        apply = mqcsim.evolution.apply_operator
+
+        def counted(*args):
+            calls.append(args[0])
+            return apply(*args)
+
+        monkeypatch.setattr(mqcsim.evolution, "apply_operator", counted)
+        krylov_expmv(system, OperatorKind.HDQ, psi, 1.6)
+        assert calls == [OperatorKind.HDQ] * 40
 
     def test_krylov_density(self, sys4, monkeypatch):
         # above EIGEN_MAX_DIM vectors take Krylov, densities stay on the eigenbasis

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqcsim import (
+    AllToAll,
     DdConfig,
     EigenBasis,
     ExplicitCouplings,
@@ -31,6 +32,8 @@ from mqcsim import (
     uniform_phase_grid,
     unitarity_defect,
 )
+from mqcsim.evolution import _spectral_bound
+from oracles import dense_operator
 
 # 16 phases resolve |k| <= 7, which covers every order |k| <= N of N <= 5 spins
 N_PHASES = 16
@@ -112,6 +115,53 @@ def test_chebyshev_series_matches_eigenbasis(kind, sign, system, magnitude, seed
     assert np.max(np.abs(krylov_expmv(system, kind, psi, t) - ref)) < 1e-10
     zero = np.zeros(system.dim, dtype=complex)
     assert not np.any(krylov_expmv(system, kind, zero, t))
+
+
+# couplings of both signs, some pairs dropped
+SIGNED_OR_DROPPED = st.one_of(
+    st.just(0.0), st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def sparse_systems(draw, max_spins=7):
+    n_spins = draw(st.integers(2, max_spins))
+    n_pairs = n_spins * (n_spins - 1) // 2
+    upper = draw(st.lists(SIGNED_OR_DROPPED, min_size=n_pairs, max_size=n_pairs))
+    couplings = np.zeros((n_spins, n_spins))
+    couplings[np.triu_indices(n_spins, k=1)] = upper
+    return build_system(ExplicitCouplings(couplings + couplings.T), n_spins)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@PROPERTY
+@given(sparse_systems())
+def test_spectral_bound_holds_and_beats_gershgorin(kind, system):
+    n = system.n_spins
+    bound = _spectral_bound(system, kind)
+    dense = dense_operator(kind.value, system.couplings, n)
+    radius = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    assert radius <= bound * (1 + 1e-12) + 1e-12
+    gershgorin = 0.5 * np.abs(system.couplings).sum()  # sum_{i<j} |d_ij|
+    old = {OperatorKind.HZZ: gershgorin, OperatorKind.HDQ: gershgorin / 2}
+    assert bound <= old.get(kind, n / 2) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+def test_spectral_bound_exact_for_two_spins(kind):
+    system = build_system(AllToAll(d0=1.3), 2)
+    dense = dense_operator(kind.value, system.couplings, 2)
+    radius = np.max(np.abs(np.linalg.eigvalsh(dense)))
+    assert _spectral_bound(system, kind) == pytest.approx(radius, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.HZZ, OperatorKind.HDQ])
+@pytest.mark.parametrize("n", [2, 5])
+def test_uncoupled_spins_do_not_evolve(kind, n):
+    system = build_system(ExplicitCouplings(np.zeros((n, n))), n)
+    psi = np.random.default_rng(n).normal(size=system.dim) + 0.5j
+    assert _spectral_bound(system, kind) == 0.0
+    assert np.array_equal(krylov_expmv(system, kind, psi, 3.0), psi)
 
 
 @pytest.mark.parametrize("kind", list(OperatorKind))

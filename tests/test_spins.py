@@ -11,6 +11,7 @@ from mqcsim import (
     DimensionMismatch,
     ExplicitCouplings,
     InvalidGeometry,
+    InvalidParameter,
     Lattice3D,
     OperatorKind,
     apply_operator,
@@ -150,6 +151,21 @@ class TestApplyOperator:
         system = build_system(AllToAll(d0=1.0), 3)
         with pytest.raises(DimensionMismatch):
             apply_operator(OperatorKind.IZ_TOTAL, system, np.zeros(4))
+
+    @pytest.mark.parametrize("shape", [(), (8, 2, 1)], ids=["scalar", "3d"])
+    def test_rejects_state_that_is_not_a_vector_or_block(self, shape):
+        system = build_system(AllToAll(d0=1.0), 3)
+        with pytest.raises(DimensionMismatch, match="shape"):
+            apply_operator(OperatorKind.HDQ, system, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("shape", [(8,), (8, 2)], ids=["vector", "block"])
+    def test_rejects_non_finite_state(self, bad, shape):
+        system = build_system(AllToAll(d0=1.0), 3)
+        state = np.ones(shape, dtype=complex)
+        state[5] = bad
+        with pytest.raises(InvalidParameter, match="state"):
+            apply_operator(OperatorKind.HZZ, system, state)
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     @pytest.mark.parametrize("n", [2, 4, 6])
