@@ -3,14 +3,17 @@
 numpy and scipy wheels each bundle their own OpenBLAS, and each starts
 with ``OPENBLAS_NUM_THREADS`` threads (all cores when unset). The libraries
 are found through ``/proc/self/maps`` and driven through ``ctypes``, so
-nothing beyond the standard library is needed. Where no OpenBLAS is loaded
-(another BLAS, or a platform without ``/proc``), every function here does
-nothing. Importing this module changes no setting.
+nothing beyond the standard library is needed. The list is read once per
+process, on first use; importing mqcsim has already loaded numpy's and
+scipy's libraries by then. Where no OpenBLAS is loaded (another BLAS, or a
+platform without ``/proc``), every function here does nothing. Importing
+this module changes no setting.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,8 +27,10 @@ _SYMBOLS = tuple(
 )
 
 
+@functools.cache
 def _libraries() -> dict[str, tuple]:
-    """Library file name -> (setter, getter) of every loaded OpenBLAS."""
+    """Library file name -> (setter, getter) of every loaded OpenBLAS; the
+    one cached dict, which callers must not modify."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh

@@ -10,9 +10,12 @@ reversal.
 :class:`EigenBasis` diagonalizes Hzz and Iz per magnetization sector,
 since they keep the popcount: N+1 ``eigh`` calls of at most C(N, N/2)
 states instead of one of size D. Hdq changes the popcount by +-2, so it is
-diagonalized per popcount-parity sector, two ``eigh`` calls of size D/2.
-Both run in real arithmetic for a real generator (every kind but Iy). Ix
-and Iy flip one spin and keep a single sector.
+block-diagonal over the two popcount-parity sectors, and it commutes with
+the global flip X = prod sigma_x. At odd N, X swaps the two sectors and one
+``eigh`` of size D/2 serves both; at even N, X maps each sector onto
+itself and splits it into X-even and X-odd halves, four ``eigh`` calls of
+size D/4. All run in real arithmetic for a real generator (every kind but
+Iy). Ix and Iy flip one spin and keep a single sector.
 The generator is assembled through :func:`hamiltonian_matrix` from the
 bitwise kernel, real for every kind but Iy, and then cut into its sector
 blocks. :meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
@@ -150,8 +153,11 @@ class EigenBasis:
     it has no matrix element between: the N+1 magnetization sectors for Hzz
     and Iz, the two popcount-parity sectors for Hdq, and one sector of every
     state for Ix and Iy. Block j has the eigenvalues
-    ``eigenvalues[j]`` and the eigenvectors in the columns of
-    ``eigenvectors[j]``, which are real when the generator is.
+    ``eigenvalues[j]``, ascending, and the eigenvectors in the columns of
+    ``eigenvectors[j]``, which are real when the generator is. Hdq's two
+    blocks come from the global spin flip (:func:`_flip_symmetric_eigh`):
+    at odd N sector 1 shares sector 0's eigenvalue array and takes its
+    eigenvectors with the rows reversed.
     """
 
     sectors: list[np.ndarray]
@@ -170,15 +176,15 @@ class EigenBasis:
         bases = _BASES.setdefault(system, {})
         if kind not in bases:
             h = hamiltonian_matrix(system, kind)
-            if kind in _MAGNETIZATION_KINDS:
-                sectors = magnetization_sectors(system.n_spins)
-            elif kind is OperatorKind.HDQ:  # changes the popcount by +-2
+            if kind is OperatorKind.HDQ:
                 sectors = parity_sectors(system.n_spins)
+                pairs = _flip_symmetric_eigh(h, sectors, system.n_spins)
             else:
-                sectors = [np.arange(system.dim)]
-            # divide and conquer: Hdq's clustered spectrum slows the default
-            # driver down about 6x at D/2 = 2048
-            pairs = [scipy.linalg.eigh(h[np.ix_(s, s)], driver="evd") for s in sectors]
+                if kind in _MAGNETIZATION_KINDS:
+                    sectors = magnetization_sectors(system.n_spins)
+                else:
+                    sectors = [np.arange(system.dim)]
+                pairs = [_eigh(h[np.ix_(s, s)]) for s in sectors]
             bases[kind] = cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
         return bases[kind]
 
@@ -201,6 +207,46 @@ class EigenBasis:
 
 # every EigenBasis.compute result, per system and then per kind
 _BASES: weakref.WeakKeyDictionary[SpinSystem, dict] = weakref.WeakKeyDictionary()
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # divide and conquer: Hdq's clustered spectrum slows the default driver
+    # down about 6x at D/2 = 2048
+    return scipy.linalg.eigh(h, driver="evd")
+
+
+def _flip_symmetric_eigh(
+    h: np.ndarray, sectors: list[np.ndarray], n_spins: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors) of Hdq per popcount-parity sector, through
+    the global flip X: s -> ~s, which commutes with Hdq.
+
+    Each sector lists its states in increasing order and ~ reverses that
+    order. At odd N, X swaps the two sectors, so sector 1's block is sector
+    0's with both index orders reversed, bit for bit, and sector 1 takes
+    sector 0's eigenvalues and its eigenvectors with the rows reversed. At
+    even N, X maps each sector onto itself: state i of a sector pairs with
+    state M-1-i, and the X-even and X-odd halves A + B and A - B, with
+    A = H[L, L], B = H[L, ~L] and L the first M/2 states (those below D/2),
+    unfold to (v on L, +-v on ~L)/sqrt(2), sorted by eigenvalue as eigh
+    sorts them.
+    """
+    if n_spins % 2:
+        s = sectors[0]
+        w, v = _eigh(h[np.ix_(s, s)])
+        return [(w, v), (w, np.ascontiguousarray(v[::-1]))]
+    pairs = []
+    for s in sectors:
+        half = s.size // 2
+        low, high = s[:half], s[half:][::-1]  # high[i] = ~low[i]
+        a, b = h[np.ix_(low, low)], h[np.ix_(low, high)]
+        (w_even, v_even), (w_odd, v_odd) = _eigh(a + b), _eigh(a - b)
+        w = np.concatenate([w_even, w_odd])
+        order = np.argsort(w, kind="stable")
+        top = (np.hstack([v_even, v_odd]) * np.sqrt(0.5))[:, order]
+        sign = np.repeat([1.0, -1.0], half)[order]
+        pairs.append((w[order], np.vstack([top, (top * sign)[::-1]])))
+    return pairs
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:

@@ -30,6 +30,12 @@ The pass runs once per popcount-parity sector. Hdq, Hzz and the compiled
 eight-pulse block change the popcount by 0 or +-2, and rho_0 = Iz is
 diagonal, so rho_n and M_n have no element between states of opposite
 parity, and the (D/2) x (D/2) blocks of the two sectors carry all of A.
+In ideal mode at odd N one pass does: the global flip X (s -> ~s)
+commutes with Hdq, also under a mismatch, maps Iz to -Iz and swaps the
+two sectors, so element (~r, ~c) of rho_n and of M_n is minus element
+(r, c), at order -k. Sector 1 thus adds sector 0's tables at -k. X maps
+a +-Y pulse to a -+Y pulse, so it does not commute with the pulse-level
+reversed cycle, and pulse-level runs keep both passes.
 In ideal mode the blocks come straight from the sector eigenbases of Hdq,
 and no D x D propagator is formed. They are taken in the frame of
 F = exp(i pi Iz / 4), the phase rotation at phi = pi/4, which multiplies
@@ -189,10 +195,18 @@ class OrderAmplitudes:
     density: np.ndarray
 
 
+def _mirrored(run: MqcRun) -> bool:
+    """True where sector 1's pass is sector 0's at -k: ideal mode at odd N.
+    The pulse-level reversed cycle is built of +-Y pulses, which X maps to
+    -+Y pulses, so X does not commute with it and both passes run."""
+    return run.mode == Mode.IDEAL and run.system.n_spins % 2 == 1
+
+
 def _sector_blocks(run: MqcRun):
-    """(sector, U_f block, U_b block) for each popcount-parity sector: real
-    ideal blocks in the frame F = exp(i pi Iz / 4), or complex blocks cut
-    from the compiled pulse-level cycles. The mismatch scales U_b's time.
+    """(sector, U_f block, U_b block) for each popcount-parity sector that
+    the pass runs on: real ideal blocks in the frame F = exp(i pi Iz / 4),
+    or complex blocks cut from the compiled pulse-level cycles. The
+    mismatch scales U_b's time. A mirrored run gets sector 0's blocks only.
     """
     system = run.system
     scale = 1.0 + run.mismatch
@@ -205,7 +219,8 @@ def _sector_blocks(run: MqcRun):
             yield s, u_f[np.ix_(s, s)], u_b[np.ix_(s, s)]
         return
     eig = EigenBasis.compute(system, OperatorKind.HDQ)
-    for s, w, v in zip(eig.sectors, eig.eigenvalues, eig.eigenvectors):
+    n_passes = 1 if _mirrored(run) else 2
+    for s, w, v in zip(eig.sectors[:n_passes], eig.eigenvalues, eig.eigenvectors):
         m = system.magnetization[s]
         # (-1)^floor(k/4) is -1 where k = m_r - m_c is 4 or 6 mod 8
         flip = np.subtract.outer(m, m) % 8 >= 4
@@ -224,7 +239,8 @@ def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
 
     The pass runs once per popcount-parity sector on the blocks of
     :func:`_sector_blocks`, holding them, rho_n and M_n: a fixed number of
-    (D/2) x (D/2) matrices whatever n_blocks is.
+    (D/2) x (D/2) matrices whatever n_blocks is. A mirrored run passes over
+    sector 0 alone and adds its tables at -k for sector 1.
     """
     system = run.system
     mz = system.magnetization
@@ -250,6 +266,9 @@ def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
             if np.iscomplexobj(overlap):
                 amplitudes[n] += 1j * binned(overlap.imag)
             density[n] += binned(np.abs(rho) ** 2)
+    if _mirrored(run):  # column j holds k = j - N, so [::-1] maps k to -k
+        amplitudes = amplitudes + amplitudes[:, ::-1]
+        density = density + density[:, ::-1]
     norm = system.iz_norm()
     return OrderAmplitudes(
         run=run,

@@ -1,5 +1,6 @@
 """The CLI runs small systems on one OpenBLAS thread and gives the count back."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -48,6 +49,27 @@ def test_without_openblas_nothing_is_set(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["simulate-mqc", "--config", _config(tmp_path), "--out", str(out)]) == 0
     assert mio.read_manifest(out / "manifest.json")["blas_threads"] is None
+
+
+def test_libraries_are_read_once(monkeypatch):
+    # the first call reads /proc/self/maps and loads each library; the
+    # rest, CLI runs included, reuse that list
+    loads = []
+    cdll = ctypes.CDLL
+
+    def counted(path, *args, **kwargs):
+        loads.append(path)
+        return cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(blas.ctypes, "CDLL", counted)
+    blas._libraries.cache_clear()
+    before = blas.thread_counts()
+    first = len(loads)
+    assert first > 0 or not _openblas_wheels()
+    with blas.threads(1):
+        blas.thread_count()
+    assert blas.thread_counts() == before
+    assert len(loads) == first
 
 
 @pytest.mark.parametrize("case", ["exit-0", "exit-2", "usage-error"])

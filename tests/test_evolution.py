@@ -32,7 +32,7 @@ from mqcsim import (
 )
 
 from mqcsim.spins import magnetization_sectors, parity_sectors
-from oracles import dense_hdq, random_couplings, random_state
+from oracles import dense_hdq, dense_operator, random_couplings, random_state
 
 UP, DOWN = 1, 0
 
@@ -409,3 +409,31 @@ class TestMagnetizationSectors:
         assert len(EigenBasis.compute(system, OperatorKind.IZ_TOTAL).sectors) == n + 1
         assert len(EigenBasis.compute(system, OperatorKind.HDQ).sectors) == 2
         assert len(EigenBasis.compute(system, OperatorKind.IX_TOTAL).sectors) == 1
+
+
+class TestHdqFlipBasis:
+    """Hdq's eigenbasis through the global flip X: one sector eigh at odd N,
+    where X swaps the sectors, and two X-parity halves per sector at even N."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_sector_eigenpairs(self, n, monkeypatch):
+        sizes = []
+        eigh = scipy.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        couplings = random_couplings(n, np.random.default_rng(n), -1.5, 1.5)
+        basis = EigenBasis.compute(
+            build_system(ExplicitCouplings(couplings), n), OperatorKind.HDQ)
+        half = 1 << (n - 1)
+        assert sizes == ([half] if n % 2 else [half // 2] * 4)
+        h = dense_operator("dq", couplings, n)
+        assert len(basis.sectors) == 2
+        for s, w, v in zip(basis.sectors, basis.eigenvalues, basis.eigenvectors):
+            assert v.shape == (s.size, s.size)
+            assert np.linalg.norm(h[np.ix_(s, s)] @ v - v * w) <= 1e-12
+            assert np.linalg.norm(v.T @ v - np.eye(s.size)) <= 1e-12
+            assert np.all(np.diff(w) >= 0)

@@ -83,6 +83,7 @@ def _dense_paths(system: SpinSystem) -> dict:
         "evolve-density": lambda: evolve(rho, system, OperatorKind.HDQ, 0.3),
         "compile_program": lambda: compile_program(dq_block(), system),
         "hamiltonian_matrix": lambda: hamiltonian_matrix(system, OperatorKind.HDQ),
+        "eigenbasis-hdq": lambda: EigenBasis.compute(system, OperatorKind.HDQ),
     }
 
 
@@ -119,20 +120,31 @@ def test_run_dd_keeps_only_flip_blocks():
 
 
 @pytest.mark.parametrize("n", TRACED_SPINS)
+def test_hdq_eigenbasis_peak_is_its_assembly(n):
+    # hamiltonian_matrix holds np.eye(D) and its output, 16 D^2 bytes; the
+    # sector blocks, the A +- B halves of even N and the eigenvectors add a
+    # few (D/2)^2 arrays on top
+    assert dense_peaks(n)["eigenbasis-hdq"] <= 1.5 * 16 * (1 << n) ** 2
+
+
+@pytest.mark.parametrize("n", TRACED_SPINS)
 def test_ideal_sector_blocks_are_real_products(n):
     # each block is built in place from the cached Hdq eigenbasis: no complex
     # block, no rotated copy; the pass holds the previous sector's two blocks
-    # while it builds the next two, with a few (D/2)^2 temporaries
+    # while it builds the next two, with a few (D/2)^2 temporaries. At odd N
+    # the pass is mirrored and sector 1 builds no blocks at all.
     system = _system(n)
     EigenBasis.compute(system, OperatorKind.HDQ)
     run = MqcRun(system, 2, 0.1, uniform_phase_grid(8), mismatch=0.1)
+    sectors = []
 
     def one_pass():
-        for _ in _sector_blocks(run):
-            pass
+        for s, _, _ in _sector_blocks(run):
+            sectors.append(s)
 
     half = (1 << n) // 2
-    assert traced_peak(one_pass) <= 8 * 8 * half * half
+    assert traced_peak(one_pass) <= (4 if n % 2 else 8) * 8 * half * half
+    assert len(sectors) == (1 if n % 2 else 2)
 
 
 @pytest.mark.parametrize("n", [10, 12])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mqcsim.evolution
+import mqcsim.mqc
 from mqcsim import (
     AllToAll,
     EigenBasis,
@@ -50,21 +51,24 @@ class TestRunProtocol:
         predicted = np.cos(t) ** 2 + np.sin(t) ** 2 * np.cos(2 * signal.phi)
         assert np.max(np.abs(signal.values - predicted)) < 1e-10
 
-    def test_matches_brute_force_dense(self):
+    # odd N runs one sector pass and mirrors it into the other
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_brute_force_dense(self, n):
         rng = np.random.default_rng(12)
-        system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
+        system = build_system(ExplicitCouplings(random_couplings(n, rng)), n)
         run = MqcRun(system, 2, 0.2, uniform_phase_grid(8))
         signal = phase_signals(order_amplitudes(run))[-1]
         for phi, val in zip(signal.phi, signal.values):
             ref = brute_force_signal(system.couplings, 0.4, phi)
             assert abs(val - ref) < 1e-10
 
-    def test_mismatch_matches_brute_force_dense(self):
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_mismatch_matches_brute_force_dense(self, n):
         # M_n differs from rho_n only under imperfect reversal, so this is
         # the check of the backward half of the pass
         rng = np.random.default_rng(17)
-        couplings = random_couplings(4, rng)
-        system = build_system(ExplicitCouplings(couplings), 4)
+        couplings = random_couplings(n, rng)
+        system = build_system(ExplicitCouplings(couplings), n)
         tau, mismatch = 0.2, 0.05
         run = MqcRun(system, 3, tau, uniform_phase_grid(16), mismatch=mismatch)
         perfect = phase_signals(order_amplitudes(MqcRun(system, 3, tau, run.phases)))
@@ -157,7 +161,7 @@ class TestSpectra:
         assert spec.weight_at(0) == pytest.approx(np.cos(t) ** 2, abs=1e-12)
         assert spec.weight_at(2) == pytest.approx(np.sin(t) ** 2 / 2, abs=1e-12)
 
-    @pytest.mark.parametrize("n_spins,m_phases", [(4, 16), (6, 16)])
+    @pytest.mark.parametrize("n_spins,m_phases", [(4, 16), (5, 16), (6, 16)])
     def test_oracle_equivalence(self, n_spins, m_phases):
         system = build_system(AllToAll(d0=1.0), n_spins)
         tau = 0.08
@@ -193,6 +197,31 @@ class TestSpectra:
         # at higher order in the couplings
         assert spec.weight_at(0) > 0.9
         assert np.sum(spec.weights) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFlipMirror:
+    """X = prod sigma_x commutes with Hdq, maps Iz to -Iz and, at odd N, swaps
+    the two parity sectors: sector 1's tables are sector 0's at -k."""
+
+    @pytest.mark.parametrize("n,mode,passes", [
+        (5, Mode.IDEAL, 1), (6, Mode.IDEAL, 2), (5, Mode.PULSE_LEVEL, 2)])
+    def test_sector_passes(self, n, mode, passes):
+        # X maps the reversed pulse-level cycle's +-Y pulses to -+Y pulses,
+        # so pulse-level runs keep both passes
+        system = build_system(AllToAll(d0=1000.0), n)
+        run = MqcRun(system, 1, 60e-6, np.array([0.0]), mode=mode)
+        assert len(list(_sector_blocks(run))) == passes
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("mismatch", [0.0, 0.05])
+    def test_mirror_equals_both_passes(self, n, mismatch, monkeypatch):
+        system = build_system(ExplicitCouplings(random_couplings(n, np.random.default_rng(n))), n)
+        run = MqcRun(system, 3, 0.2, uniform_phase_grid(8), mismatch=mismatch)
+        mirrored = order_amplitudes(run)
+        monkeypatch.setattr(mqcsim.mqc, "_mirrored", lambda run: False)
+        both = order_amplitudes(run)
+        assert np.max(np.abs(mirrored.amplitudes - both.amplitudes)) < 1e-12
+        assert np.max(np.abs(mirrored.density - both.density)) < 1e-12
 
 
 class TestRotatedFrame:
