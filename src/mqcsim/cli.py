@@ -23,7 +23,8 @@ import numpy as np
 
 from . import blas, io
 from .ddprobe import DdConfig, fit_biexponential, require_fit_window, run_dd, sweep
-from .errors import ConfigError, FitFailure, InvalidGeometry, InvalidParameter, MqcsimError
+from .errors import (ConfigError, FitFailure, InvalidParameter, MqcsimError,
+                     NoFeasibleSolution, is_number)
 from .inversion import analyze, fit_power_law, invert, make_kernel_problem
 from .mqc import (
     MqcRun,
@@ -119,18 +120,14 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # the type of a field's default -> (check on a configured value, what it must be)
 _FIELD_TYPES = {
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (_is_number, "a number"),
+    float: (is_number, "a number"),
     str: (lambda v: isinstance(v, str), "a string"),
-    list: (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    list: (lambda v: isinstance(v, list) and all(map(is_number, v)),
            "a list of numbers"),
-    type(None): (lambda v: v is None or _is_number(v), "a number or null"),
+    type(None): (lambda v: v is None or is_number(v), "a number or null"),
     dict: (lambda v: isinstance(v, dict), "an object"),
 }
 
@@ -138,8 +135,8 @@ _FIELD_TYPES = {
 def _check_fields(config: dict, defaults: dict, prefix: str = "") -> None:
     """Reject unknown keys and values whose type differs from the default's.
 
-    The keys inside system.geometry depend on its kind and are left to
-    ``_build_system``.
+    The keys inside system.geometry depend on its kind and are left to the
+    library's geometry reader, through ``_build_system``.
     """
     for key in config:
         if key not in defaults:
@@ -172,22 +169,14 @@ def resolve_config(args) -> dict:
 
 
 def _build_system(config: dict):
+    """The configured system; an InvalidParameter from the library exits 2
+    naming system.n_spins or the system.geometry key behind it."""
     system = config["system"]
-    for key in ("d0", "exponent", "cutoff"):
-        value = system["geometry"].get(key)
-        if value is not None and not _is_number(value):
-            raise ConfigError(f"config field system.geometry.{key} must be a number, "
-                              f"got {type(value).__name__}")
     try:
-        geometry = geometry_from_dict(system["geometry"])
-    except KeyError as err:
-        raise ConfigError(f"config field system.geometry.{err.args[0]} is missing")
-    except (TypeError, InvalidGeometry) as err:
-        raise ConfigError(f"config field system.geometry is malformed: {err}")
-    try:
-        return build_system(geometry, system["n_spins"])
-    except InvalidGeometry as err:
-        raise ConfigError(f"config field system is invalid: {err}")
+        return build_system(geometry_from_dict(system["geometry"]), system["n_spins"])
+    except InvalidParameter as err:
+        field = "n_spins" if err.name == "n_spins" else f"geometry.{err.name}"
+        raise ConfigError(f"config field system.{field} is invalid: {err}") from err
 
 
 def _config_field(command: str, err: Exception) -> str | None:
@@ -226,7 +215,7 @@ def cmd_simulate_mqc(config: dict) -> int:
     for sig in signals:
         try:
             cycled[sig.n_blocks] = spectrum_from_phases(sig)
-        except MqcsimError:
+        except NoFeasibleSolution:
             pass  # n with no recoverable weight: skip row, oracle still written
     oracle = density_spectra(amps)
     echo = loschmidt_echo(amps)
@@ -385,10 +374,16 @@ def cmd_fit_growth(config: dict, inputs: list[str], tau_dq: float) -> int:
     width_pts: list[tuple[float, float]] = []
     for path_s in inputs:
         doc = io.read_json(Path(path_s))
-        for n_s, entry in doc.get("entries", {}).items():
+        entries = doc.get("entries", {}) if isinstance(doc, dict) else None
+        if not (isinstance(entries, dict)
+                and all(isinstance(e, dict) for e in entries.values())):
+            raise ConfigError(f"{path_s}: expected an object whose 'entries' are objects")
+        for n_s, entry in entries.items():
             n = int(n_s)
             if n < 1 or entry.get("status") != "ok":
                 continue
+            if "front_97" not in entry:
+                raise ConfigError(f"{path_s}: entry {n_s} missing key 'front_97'")
             t_n = n * tau_dq
             front_pts.append((t_n, float(entry["front_97"])))
             pops = entry.get("populations", [])

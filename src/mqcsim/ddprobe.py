@@ -42,6 +42,7 @@ from .errors import FitFailure, InvalidParameter
 from .evolution import (
     Axis,
     EigenBasis,
+    _flip_blocks,
     _mul,
     collective_pulse,
     hamiltonian_matrix,
@@ -134,15 +135,6 @@ class DecayFit:
     def amplitude(self) -> float:
         """Extrapolation of the total fitted signal to t = 0."""
         return self.a_fast + self.a_slow
-
-
-def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two blocks of a matrix that commutes with the global spin flip
-    s -> ~s: on the states (|s> + |~s>)/sqrt2 and (|s> - |~s>)/sqrt2 for the
-    s whose top bit is 0, they are m[s, s'] + m[s, ~s'] and m[s, s'] - m[s, ~s']."""
-    h = m.shape[0] // 2
-    same, cross = m[:h, :h], m[:h, ::-1][:, :h]  # column k of cross is ~k
-    return same + cross, same - cross
 
 
 def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

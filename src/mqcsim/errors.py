@@ -1,13 +1,17 @@
 """Exception and warning classes shared across the package.
 
 Every failure the package raises on purpose is an :class:`MqcsimError`.
-Bad input is one of them: :class:`InvalidParameter` names the offending
-parameter, and is also a ``ValueError``. The command line turns an
-``InvalidParameter`` naming a field of the command's config section into
-a :class:`ConfigError` (exit 2); any other ``MqcsimError`` is a failure of
-the run itself (exit 1). :func:`choice` converts a value to an enum member
-and reports one that is not a member the same way.
+Bad input, out of range or of the wrong shape or type, is only ever an
+:class:`InvalidParameter`: a ``ValueError`` that names the parameter.
+:func:`choice` and :func:`number` raise it for a value that is not an enum
+member or not a number. The other classes report a run that failed:
+:class:`CapExceeded`, :class:`FitFailure`, :class:`NoFeasibleSolution` and
+:class:`NoPeaks`. The command line reports a bad config field or input
+file as a :class:`ConfigError` (exit 2), an ``InvalidParameter`` that
+names a config field too; any other ``MqcsimError`` exits 1.
 """
+
+import numbers
 
 
 class MqcsimError(Exception):
@@ -40,20 +44,24 @@ def choice(enum: type, value, name: str):
                                      f"got {value!r}") from None
 
 
+def is_number(value) -> bool:
+    """An int or float, numpy scalars included, but not a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float, or an :class:`InvalidParameter` naming ``name``
+    when it is not a number (:func:`is_number`) or lies beyond float range."""
+    if not is_number(value):
+        raise InvalidParameter(name, f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidParameter(name, f"{name} lies beyond float range") from None
+
+
 class CapExceeded(MqcsimError):
     """A path's memory estimate exceeds the physical-memory budget."""
-
-
-class InvalidGeometry(MqcsimError):
-    """Geometry parameters are inconsistent or non-positive."""
-
-
-class DimensionMismatch(MqcsimError):
-    """Vector or matrix dimensions do not match the spin system."""
-
-
-class NonUniformPhaseGrid(MqcsimError):
-    """Phase grid is not uniform over [0, 2*pi)."""
 
 
 class FitFailure(MqcsimError):
@@ -73,10 +81,6 @@ class NoFeasibleSolution(MqcsimError):
 
 class NoPeaks(MqcsimError):
     """Distribution has no peak above the prominence threshold."""
-
-
-class NonPositiveData(MqcsimError):
-    """Power-law fitting requires strictly positive times and values."""
 
 
 class ConfigError(MqcsimError):

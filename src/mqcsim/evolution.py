@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import DimensionMismatch, InvalidParameter, choice
+from .errors import InvalidParameter, choice, number
 from .spins import (
     OperatorKind,
     SpinSystem,
@@ -215,6 +215,16 @@ def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(h, driver="evd")
 
 
+def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of a matrix that commutes with the global spin flip
+    s -> ~s, on states listed in increasing order so that ~ reverses them:
+    on (|s> + |~s>)/sqrt2 and (|s> - |~s>)/sqrt2 for the s of the first
+    half, they are m[s, s'] + m[s, ~s'] and m[s, s'] - m[s, ~s']."""
+    h = m.shape[0] // 2
+    same, cross = m[:h, :h], m[:h, ::-1][:, :h]  # column k of cross is ~k
+    return same + cross, same - cross
+
+
 def _flip_symmetric_eigh(
     h: np.ndarray, sectors: list[np.ndarray], n_spins: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -238,9 +248,7 @@ def _flip_symmetric_eigh(
     pairs = []
     for s in sectors:
         half = s.size // 2
-        low, high = s[:half], s[half:][::-1]  # high[i] = ~low[i]
-        a, b = h[np.ix_(low, low)], h[np.ix_(low, high)]
-        (w_even, v_even), (w_odd, v_odd) = _eigh(a + b), _eigh(a - b)
+        (w_even, v_even), (w_odd, v_odd) = map(_eigh, _flip_blocks(h[np.ix_(s, s)]))
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
         top = (np.hstack([v_even, v_odd]) * np.sqrt(0.5))[:, order]
@@ -279,12 +287,12 @@ def krylov_expmv(
     coefficients fall below ``_SERIES_TOL``; each term costs one
     ``apply_operator`` call, so the cost grows linearly with ``|bt|``.
 
-    Raises DimensionMismatch unless ``v`` has shape (D,), and
-    InvalidParameter for a non-finite ``t`` or ``v``.
+    Raises InvalidParameter unless ``v`` has shape (D,), and for a
+    non-finite ``t`` or ``v``.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (system.dim,):
-        raise DimensionMismatch(f"state shape {v.shape} is not ({system.dim},)")
+        raise InvalidParameter("v", f"state shape {v.shape} is not ({system.dim},)")
     _require_finite(v, t)
     b = _spectral_bound(system, kind)
     x = b * t
@@ -316,7 +324,7 @@ def evolve(
     Densities always use the eigenbasis. For vectors ``method`` is "auto",
     "eigen" or "krylov"; auto picks eigen up to ``EIGEN_MAX_DIM`` and the
     matrix-free path above it. Raises InvalidParameter for an unknown method,
-    ``method="krylov"`` on a density, or a non-finite ``t`` or ``obj``.
+    ``method="krylov"`` on a density, a bad shape or a non-finite ``t``/``obj``.
     """
     if method not in ("auto", "eigen", "krylov"):
         raise InvalidParameter("method", f"unknown method {method!r}")
@@ -324,7 +332,7 @@ def evolve(
     dim = system.dim
     is_density = obj.ndim == 2
     if obj.shape != ((dim, dim) if is_density else (dim,)):
-        raise DimensionMismatch(f"object shape {obj.shape} does not match dim {dim}")
+        raise InvalidParameter("obj", f"object shape {obj.shape} does not match dim {dim}")
     _require_finite(obj, t)
     if is_density:
         if method == "krylov":
@@ -365,7 +373,7 @@ def collective_pulse(obj: np.ndarray, axis: Axis, angle: float) -> np.ndarray:
     obj = np.asarray(obj, dtype=complex)
     n = int(obj.shape[0]).bit_length() - 1
     if obj.shape[0] != 1 << n:
-        raise DimensionMismatch(f"length {obj.shape[0]} is not a power of two")
+        raise InvalidParameter("obj", f"length {obj.shape[0]} is not a power of two")
     if obj.ndim == 1:
         return _apply_left(u2, obj[:, None], n)[:, 0]
     out = _apply_left(u2, obj, n)
@@ -476,21 +484,25 @@ def program_to_json(program: PulseProgram) -> str:
 
 
 def program_from_json(text: str) -> PulseProgram:
+    """Raises InvalidParameter naming the key that is missing or mistyped."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise InvalidParameter("text", "a program document must be a JSON object")
+    if not isinstance(doc.get("steps"), list):
+        raise InvalidParameter("steps", f"steps must be a list, got {doc.get('steps')!r}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InvalidParameter("name", f"name must be a string, got {name!r}")
     steps: list[Step] = []
     for item in doc["steps"]:
-        if "pulse" in item:
-            steps.append(
-                Pulse(axis=choice(Axis, item["pulse"]["axis"], "axis"),
-                      angle=float(item["pulse"]["angle"]))
-            )
-        elif "delay" in item:
-            steps.append(
-                Delay(
-                    duration=float(item["delay"]["t"]),
-                    hamiltonian=choice(OperatorKind, item["delay"].get("h", "zz"), "h"),
-                )
-            )
+        pulse, delay = ((item.get("pulse"), item.get("delay")) if isinstance(item, dict)
+                        else (None, None))
+        if isinstance(pulse, dict):
+            steps.append(Pulse(axis=choice(Axis, pulse.get("axis"), "axis"),
+                               angle=number(pulse.get("angle"), "angle")))
+        elif isinstance(delay, dict):
+            steps.append(Delay(duration=number(delay.get("t"), "t"),
+                               hamiltonian=choice(OperatorKind, delay.get("h", "zz"), "h")))
         else:
-            raise InvalidParameter("text", f"unknown program step {item!r}")
-    return PulseProgram(steps=steps, name=doc.get("name", ""))
+            raise InvalidParameter("steps", f"unknown program step {item!r}")
+    return PulseProgram(steps=steps, name=name)

@@ -37,7 +37,6 @@ from .errors import (
     IllConditionedWarning,
     InvalidParameter,
     NoFeasibleSolution,
-    NonPositiveData,
     NoPeaks,
 )
 
@@ -456,9 +455,8 @@ def fit_power_law(
     rms log-residual of that constrained model is reported alongside the
     free fit. The points may come in any order and may repeat a time (the
     pooled orders of several analytics files do). Raises
-    :class:`InvalidParameter` for fewer than 4 points, non-finite input or
-    fewer than two distinct times, and :class:`NonPositiveData` for a time
-    or value <= 0.
+    :class:`InvalidParameter` for fewer than 4 points, a time or value that
+    is not finite and positive, or fewer than two distinct times.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -467,10 +465,10 @@ def fit_power_law(
     for name, value in (("times", t), ("values", y)):
         if not np.all(np.isfinite(value)):
             raise InvalidParameter(name, f"power-law fit needs finite {name}")
+        if np.any(value <= 0):
+            raise InvalidParameter(name, f"power-law fit needs positive {name}")
     if np.unique(t).size < 2:
         raise InvalidParameter("times", "power-law fit needs at least two distinct times")
-    if np.any(t <= 0) or np.any(y <= 0):
-        raise NonPositiveData("power-law fit needs positive times and values")
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
     model = slope * lt + intercept

@@ -72,12 +72,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ImaginaryResidueWarning,
-    InvalidParameter,
-    NoFeasibleSolution,
-    NonUniformPhaseGrid,
-)
+from .errors import ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice
 from .evolution import EigenBasis, compile_program, dq_block, evolve
 from .spins import OperatorKind, SpinSystem, parity_sectors
 
@@ -132,12 +127,7 @@ class MqcRun:
             raise InvalidParameter("tau_dq", "tau_dq must be positive")
         if self.mismatch <= -1:
             raise InvalidParameter("mismatch", "mismatch must be > -1")
-        try:
-            self.mode = Mode(self.mode)
-        except ValueError:
-            choices = [m.value for m in Mode]
-            raise InvalidParameter(
-                "mode", f"mode must be one of {choices}, got {self.mode!r}") from None
+        self.mode = choice(Mode, self.mode, "mode")
         if self.mode == Mode.PULSE_LEVEL:
             period = 4 * self.delta1 + 6 * self.delta2
             if abs(self.tau_dq - period) > 1e-12 * max(self.tau_dq, period):
@@ -309,7 +299,7 @@ def spectrum_from_phases(signal: PhaseSignal) -> CoherenceSpectrum:
     m = phi.size
     expected = uniform_phase_grid(m)
     if phi.shape != expected.shape or np.max(np.abs(phi - expected)) > 1e-9:
-        raise NonUniformPhaseGrid("phase grid is not uniform over [0, 2*pi)")
+        raise InvalidParameter("signal", "phase grid is not uniform over [0, 2*pi)")
     coeff = np.fft.ifft(signal.values)  # coeff[k] = (1/m) sum_j S_j exp(+i k phi_j)
     k_max = m // 2 - 1
     orders = np.arange(-k_max, k_max + 1)

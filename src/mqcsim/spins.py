@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,7 +39,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InvalidGeometry, InvalidParameter
+from .errors import CapExceeded, InvalidParameter, number
 
 # bytes of physical memory: the one budget every size check compares with
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -52,11 +54,12 @@ def require_memory(n_bytes: int, what: str) -> None:
         raise CapExceeded(f"{what} needs {n_bytes} bytes, budget {MEMORY_BUDGET} bytes")
 
 
-def _vector_bytes(n_spins: int) -> int:
+def _vector_bytes(n_spins: int) -> float:
     """Peak bytes of the vector path: per basis state, the int8 and float64
     spin-sign temporaries of the Hzz diagonal, three float64 tables, and
-    ten complex vectors for the Chebyshev series and its slice temporaries."""
-    return (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16)
+    ten complex vectors for the Chebyshev series and its slice temporaries;
+    inf past 64 spins, beyond any budget, rather than a huge integer."""
+    return math.inf if n_spins > 64 else (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16)
 
 
 class OperatorKind(str, Enum):
@@ -159,15 +162,17 @@ class SpinSystem:
         self.couplings = np.asarray(self.couplings, dtype=np.float64)
         n = self.n_spins
         if self.couplings.shape != (n, n):
-            raise DimensionMismatch(
-                f"coupling matrix shape {self.couplings.shape} != ({n}, {n})"
-            )
+            raise InvalidParameter("couplings", f"coupling matrix shape "
+                                                f"{self.couplings.shape} != ({n}, {n})")
         if not np.all(np.isfinite(self.couplings)):
-            raise InvalidGeometry("couplings must be finite")
-        if not np.allclose(self.couplings, self.couplings.T, atol=0.0):
-            raise InvalidGeometry("coupling matrix must be symmetric")
+            raise InvalidParameter("couplings", "couplings must be finite")
+        with np.errstate(over="ignore"):  # a difference beyond float range is asymmetry
+            symmetric = np.allclose(self.couplings, self.couplings.T, atol=0.0)
+        if not symmetric:
+            raise InvalidParameter("couplings", "coupling matrix must be symmetric")
         if np.any(np.diag(self.couplings) != 0.0):
-            raise InvalidGeometry("coupling matrix diagonal must be exactly zero")
+            raise InvalidParameter("couplings",
+                                   "coupling matrix diagonal must be exactly zero")
         require_memory(_vector_bytes(n), f"the {n}-spin vector path")
         iu, ju = np.triu_indices(n, k=1)
         keep = self.couplings[iu, ju] != 0.0
@@ -195,42 +200,43 @@ class SpinSystem:
         return self.n_spins * (1 << (self.n_spins - 2))
 
 
-def _lattice_sites(shape: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    return list(itertools.product(*(range(s) for s in shape)))
-
-
 def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     """Construct a :class:`SpinSystem` with a populated coupling matrix.
 
-    Raises :class:`InvalidGeometry` for non-positive geometry parameters
-    and :class:`CapExceeded` when the vector path of ``n_spins`` spins would
-    not fit in ``MEMORY_BUDGET``; that check runs before the N x N
-    coupling matrix is filled.
+    Raises :class:`InvalidParameter` for a bad ``n_spins`` or geometry and
+    :class:`CapExceeded` when the vector path of ``n_spins`` spins would not
+    fit in ``MEMORY_BUDGET``; that check runs before the N x N coupling
+    matrix is filled.
     """
+    if not isinstance(n_spins, numbers.Integral) or isinstance(n_spins, bool):
+        raise InvalidParameter("n_spins", f"n_spins must be an integer, got {n_spins!r}")
     if n_spins < 2:
-        raise InvalidGeometry("need at least 2 spins")
+        raise InvalidParameter("n_spins", "need at least 2 spins")
     require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
 
+    if isinstance(geometry, (AllToAll, Chain, Lattice3D)) and geometry.d0 <= 0:
+        raise InvalidParameter("d0", "d0 must be positive")
     d = np.zeros((n_spins, n_spins))
     if isinstance(geometry, AllToAll):
-        if geometry.d0 <= 0:
-            raise InvalidGeometry("d0 must be positive")
         d[:] = geometry.d0
         np.fill_diagonal(d, 0.0)
     elif isinstance(geometry, Chain):
-        if geometry.d0 <= 0:
-            raise InvalidGeometry("d0 must be positive")
-        for i in range(n_spins):
-            for j in range(i + 1, n_spins):
-                d[i, j] = d[j, i] = geometry.d0 / abs(i - j) ** geometry.exponent
+        # in float64 an extreme exponent gives 0 or inf (refused) and no error
+        with np.errstate(over="ignore", divide="ignore"):
+            for i in range(n_spins):
+                for j in range(i + 1, n_spins):
+                    r = np.float64(abs(i - j))
+                    d[i, j] = d[j, i] = geometry.d0 / r**geometry.exponent
     elif isinstance(geometry, Lattice3D):
-        if geometry.d0 <= 0 or geometry.cutoff <= 0:
-            raise InvalidGeometry("d0 and cutoff must be positive")
-        sites = _lattice_sites(geometry.shape)
-        if n_spins > len(sites):
-            raise InvalidGeometry(
-                f"n_spins={n_spins} exceeds {len(sites)} sites of shape {geometry.shape}"
-            )
+        if not geometry.cutoff > 0:  # NaN too, which would drop every pair
+            raise InvalidParameter("cutoff", "cutoff must be positive")
+        n_sites = math.prod(geometry.shape)
+        if n_spins > n_sites:
+            raise InvalidParameter("n_spins", f"n_spins={n_spins} exceeds {n_sites} "
+                                              f"sites of shape {geometry.shape}")
+        # the first n_spins sites in lexicographic order lie in a box of side n_spins
+        box = itertools.product(*(range(min(s, n_spins)) for s in geometry.shape))
+        sites = list(itertools.islice(box, n_spins))
         for a in range(n_spins):
             for b in range(a + 1, n_spins):
                 r = sum(abs(x - y) for x, y in zip(sites[a], sites[b]))
@@ -239,12 +245,11 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     elif isinstance(geometry, ExplicitCouplings):
         mat = np.asarray(geometry.couplings, dtype=np.float64)
         if mat.shape != (n_spins, n_spins):
-            raise InvalidGeometry(
-                f"explicit coupling matrix shape {mat.shape} != ({n_spins}, {n_spins})"
-            )
+            raise InvalidParameter("couplings", f"explicit coupling matrix shape "
+                                                f"{mat.shape} != ({n_spins}, {n_spins})")
         d = mat.copy()
     else:
-        raise InvalidGeometry(f"unknown geometry {geometry!r}")
+        raise InvalidParameter("geometry", f"unknown geometry {geometry!r}")
 
     return SpinSystem(n_spins=n_spins, couplings=d, geometry=geometry)
 
@@ -259,13 +264,12 @@ def apply_operator(
     gives a float64 result and a complex one a complex128 result; Iy always
     gives complex128. Each flip is one in-place update between two strided
     slices of the views in the module docstring, O(pairs * 2**N) per call.
-    Raises DimensionMismatch for another shape, InvalidParameter for NaN or inf.
+    Raises InvalidParameter for another shape or for NaN or inf.
     """
     state = np.asarray(state)
     if state.ndim not in (1, 2) or state.shape[0] != system.dim:
-        raise DimensionMismatch(
-            f"state shape {state.shape} is not ({system.dim},) or ({system.dim}, k)"
-        )
+        raise InvalidParameter("state", f"state shape {state.shape} is not "
+                                        f"({system.dim},) or ({system.dim}, k)")
     if not np.isfinite(state).all():
         raise InvalidParameter("state", "state must be finite")
     real = kind != OperatorKind.IY_TOTAL and not np.iscomplexobj(state)
@@ -321,31 +325,36 @@ def geometry_to_dict(geometry: Geometry) -> dict:
         }
     if isinstance(geometry, ExplicitCouplings):
         return {"kind": "explicit"}
-    raise InvalidGeometry(f"unknown geometry {geometry!r}")
+    raise InvalidParameter("geometry", f"unknown geometry {geometry!r}")
 
 
 def geometry_from_dict(doc: dict) -> Geometry:
+    """Raises InvalidParameter naming the key that is missing or mistyped."""
+    if not isinstance(doc, dict):
+        raise InvalidParameter("geometry", f"geometry must be an object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "all_to_all":
-        return AllToAll(d0=float(doc["d0"]))
+        return AllToAll(d0=number(doc.get("d0"), "d0"))
     if kind == "chain":
-        return Chain(d0=float(doc["d0"]), exponent=float(doc.get("exponent", 3.0)))
+        return Chain(d0=number(doc.get("d0"), "d0"),
+                     exponent=number(doc.get("exponent", 3.0), "exponent"))
     if kind == "lattice3d":
         shape = doc.get("shape", [2, 2, 2])
-        if not (
-            isinstance(shape, (list, tuple))
-            and len(shape) == 3
-            and all(type(s) is int and s > 0 for s in shape)
-        ):
-            raise InvalidGeometry(
-                f"lattice3d shape must be three positive integers, got {shape!r}"
-            )
-        return Lattice3D(
-            d0=float(doc["d0"]), cutoff=float(doc["cutoff"]), shape=tuple(shape)
-        )
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 3
+                and all(type(s) is int and s > 0 for s in shape)):
+            raise InvalidParameter(
+                "shape", f"lattice3d shape must be three positive integers, got {shape!r}")
+        return Lattice3D(d0=number(doc.get("d0"), "d0"),
+                         cutoff=number(doc.get("cutoff"), "cutoff"), shape=tuple(shape))
     if kind == "explicit":
-        return ExplicitCouplings(couplings=np.asarray(doc["couplings"], dtype=float))
-    raise InvalidGeometry(f"unknown geometry kind {kind!r}")
+        rows = doc.get("couplings")
+        if not (isinstance(rows, list)
+                and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+            raise InvalidParameter(
+                "couplings", f"couplings must be a square matrix, got {rows!r}")
+        return ExplicitCouplings(
+            couplings=np.array([[number(x, "couplings") for x in r] for r in rows]))
+    raise InvalidParameter("kind", f"unknown geometry kind {kind!r}")
 
 
 def system_to_json(system: SpinSystem) -> str:
@@ -362,9 +371,11 @@ def system_to_json(system: SpinSystem) -> str:
 
 
 def system_from_json(text: str) -> SpinSystem:
+    """Raises InvalidParameter naming the key that is missing or invalid."""
     doc = json.loads(text)
-    n_spins = int(doc["n_spins"])
-    geo = dict(doc.get("geometry", {}))
-    if "couplings" in doc:
-        geo["couplings"] = doc["couplings"]
-    return build_system(geometry_from_dict(geo), n_spins)
+    if not isinstance(doc, dict):
+        raise InvalidParameter("text", "a system document must be a JSON object")
+    geo = doc.get("geometry", {})
+    if "couplings" in doc and isinstance(geo, dict):
+        geo = {**geo, "couplings": doc["couplings"]}
+    return build_system(geometry_from_dict(geo), doc.get("n_spins"))

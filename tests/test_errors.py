@@ -1,29 +1,41 @@
 """Bad input is reported through one typed error, InvalidParameter."""
 
 import ast
+import json
 import pickle
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mqcsim
 from mqcsim import AllToAll, DdConfig, InvalidParameter, MqcRun, MqcsimError, build_system
 from mqcsim.evolution import EigenBasis, _spectral_bound, program_from_json
+from mqcsim.spins import geometry_from_dict, system_from_json
 
 _SYSTEM = build_system(AllToAll(d0=1.0), 2)
 
 
+_BUILTIN_BAD_INPUT = ("ValueError", "TypeError", "KeyError", "IndexError",
+                      "AttributeError", "LookupError")
+
+
 def test_no_bare_value_or_type_error_raised():
     # an InvalidParameter names the parameter, which lets the CLI name the
-    # config field behind it; a bare ValueError names nothing
+    # config field behind it; a bare ValueError or KeyError names nothing
     found = []
     for path in sorted(Path(mqcsim.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+                if isinstance(exc, ast.Name) and exc.id in _BUILTIN_BAD_INPUT:
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raise InvalidParameter(name, ...) at {found}"
+
+
+def _system_doc(geometry, n_spins=2, **extra):
+    return json.dumps({"n_spins": n_spins, "geometry": geometry, **extra})
 
 
 @pytest.mark.parametrize("make, name", [
@@ -34,7 +46,28 @@ def test_no_bare_value_or_type_error_raised():
      "axis"),
     (lambda: EigenBasis.compute(_SYSTEM, "q"), "kind"),
     (lambda: _spectral_bound(_SYSTEM, "q"), "kind"),
-], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind"])
+    # the JSON readers check their own keys and types
+    (lambda: system_from_json(_system_doc({"kind": "all_to_all", "d0": "abc"})), "d0"),
+    (lambda: system_from_json(_system_doc({"kind": "explicit"},
+                                          couplings=[[0, "1"], [1, 0]])), "couplings"),
+    (lambda: system_from_json(_system_doc({"kind": "chain"})), "d0"),
+    (lambda: system_from_json(_system_doc({"kind": "all_to_all", "d0": True})), "d0"),
+    (lambda: system_from_json(_system_doc({"kind": "all_to_all", "d0": 10**400})), "d0"),
+    (lambda: system_from_json(_system_doc({"kind": "all_to_all", "d0": 1.0}, 2.5)),
+     "n_spins"),
+    (lambda: system_from_json('{"geometry": {"kind": "all_to_all", "d0": 1.0}}'),
+     "n_spins"),
+    (lambda: build_system(AllToAll(1.0), 2.5), "n_spins"),
+    (lambda: build_system(AllToAll(1.0), True), "n_spins"),
+    (lambda: program_from_json("{}"), "steps"),
+    (lambda: program_from_json('{"steps": [{"pulse": {"axis": "X"}}]}'), "angle"),
+    (lambda: program_from_json('{"steps": [{"pulse": {"axis": "X", "angle": "a"}}]}'),
+     "angle"),
+    (lambda: program_from_json('{"steps": 3}'), "steps"),
+], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
+        "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
+        "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
+        "empty-program", "no-angle", "string-angle", "steps-not-a-list"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()
@@ -49,3 +82,48 @@ def test_invalid_parameter_survives_pickling():
     assert type(err) is InvalidParameter
     assert err.name == "t"
     assert str(err) == "evolution time must be finite"
+
+
+_WORDS = ["all_to_all", "chain", "lattice3d", "explicit", "X", "-Y", "zz", "dq", ""]
+# up to 8 spins a valid document builds a small system; from 64 on the
+# memory estimate refuses it; the spin counts between build large systems,
+# which is slow, not wrong
+_INTEGERS = st.integers(max_value=8) | st.integers(min_value=64)
+_LEAF = st.none() | st.booleans() | _INTEGERS | st.floats() | st.sampled_from(_WORDS)
+_JSON = st.recursive(
+    _LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["kind", "d0", "steps", "pulse"]) | st.text(max_size=3), inner,
+        max_size=4),
+    max_leaves=12,
+)
+
+
+def _object(**keys):
+    """JSON objects holding any subset of ``keys``, or any other JSON value."""
+    return st.fixed_dictionaries({}, optional=keys) | _JSON
+
+
+_MATRIX = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(_LEAF, min_size=n, max_size=n), min_size=n, max_size=n))
+_GEOMETRY_DOC = _object(kind=st.sampled_from(_WORDS) | _JSON, d0=_LEAF, exponent=_LEAF,
+                        cutoff=_LEAF, shape=st.lists(_INTEGERS, max_size=4) | _JSON,
+                        couplings=_MATRIX | _JSON)
+_SYSTEM_DOC = _object(n_spins=_LEAF, geometry=_GEOMETRY_DOC, couplings=_MATRIX | _JSON)
+_STEP_DOC = _object(pulse=_object(axis=st.sampled_from(_WORDS) | _JSON, angle=_LEAF),
+                    delay=_object(t=_LEAF, h=st.sampled_from(_WORDS) | _JSON))
+_PROGRAM_DOC = _object(steps=st.lists(_STEP_DOC, max_size=3) | _JSON, name=_JSON)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(geometry=_GEOMETRY_DOC, system=_SYSTEM_DOC, program=_PROGRAM_DOC)
+def test_readers_raise_only_mqcsim_errors(geometry, system, program):
+    # whatever JSON document a reader is given, a bad one is refused with a
+    # typed error, never with a KeyError, TypeError or bare ValueError
+    for read in (lambda: geometry_from_dict(geometry),
+                 lambda: system_from_json(json.dumps(system)),
+                 lambda: program_from_json(json.dumps(program))):
+        try:
+            read()
+        except MqcsimError:
+            pass

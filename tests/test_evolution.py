@@ -11,9 +11,9 @@ from mqcsim import (
     Axis,
     Chain,
     Delay,
-    DimensionMismatch,
     EigenBasis,
     ExplicitCouplings,
+    InvalidParameter,
     OperatorKind,
     Pulse,
     PulseProgram,
@@ -181,8 +181,9 @@ class TestEvolve:
             pytest.fail("operator applied before the shape was checked")
 
         monkeypatch.setattr(mqcsim.evolution, "apply_operator", no_work)
-        with pytest.raises(DimensionMismatch, match="shape"):
+        with pytest.raises(InvalidParameter, match="shape") as exc:
             krylov_expmv(sys4, OperatorKind.HDQ, np.ones(shape, dtype=complex), 0.5)
+        assert exc.value.name == "v"
 
 
 class TestCollectivePulse:

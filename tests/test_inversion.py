@@ -5,8 +5,8 @@ from scipy.optimize import nnls
 import mqcsim.inversion
 from mqcsim import (
     IllConditionedWarning,
+    InvalidParameter,
     NoFeasibleSolution,
-    NonPositiveData,
     NoPeaks,
     analyze,
     fit_power_law,
@@ -358,8 +358,12 @@ class TestPowerLaw:
 
     def test_nonpositive_rejected(self):
         t = np.linspace(1.0, 5.0, 8)
-        with pytest.raises(NonPositiveData):
+        with pytest.raises(InvalidParameter, match="positive values") as exc:
             fit_power_law(t, t**2 - 5.0)
+        assert exc.value.name == "values"
+        with pytest.raises(InvalidParameter, match="positive times") as exc:
+            fit_power_law(t - 2.0, t**2)
+        assert exc.value.name == "times"
         with pytest.raises(ValueError):
             fit_power_law(t[:3], t[:3] ** 2)
 

@@ -279,6 +279,31 @@ class TestCli:
         assert "--tau-dq" in capsys.readouterr().err
         assert not out.exists()  # refused before anything is written
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"entries": {str(n): {"status": "ok"} for n in range(1, 6)}},
+         "entry 1 missing key 'front_97'"),
+        ([{"status": "ok", "front_97": 1.0}], "expected an object whose 'entries'"),
+        ({"entries": [1, 2]}, "expected an object whose 'entries' are objects"),
+    ], ids=["no-front", "top-level-list", "entries-list"])
+    def test_fit_growth_malformed_analytics_exit_2(self, tmp_path, capsys, doc, message):
+        analytics = tmp_path / "a.json"
+        analytics.write_text(json.dumps(doc))
+        cfg, out = write_config(tmp_path)
+        assert cli.main(["fit-growth", "--config", str(cfg), str(analytics)]) == 2
+        assert f"mqcsim: config error: {analytics}: {message}" in capsys.readouterr().err
+        assert not (out / "growth_report.json").exists()
+
+    def test_fit_growth_non_positive_fronts_exit_1(self, tmp_path, capsys):
+        # the fit's InvalidParameter names no config field: the run failed
+        entries = {str(n): {"status": "ok", "front_97": 2.0 - n} for n in range(1, 6)}
+        analytics = tmp_path / "a.json"
+        analytics.write_text(json.dumps({"entries": entries}))
+        cfg, _ = write_config(tmp_path)
+        assert cli.main(["fit-growth", "--config", str(cfg), str(analytics)]) == 1
+        err = capsys.readouterr().err
+        assert "power-law fit needs positive values" in err
+        assert "config error" not in err
+
     def test_invert_empty_args_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["invert"])
@@ -345,9 +370,9 @@ class TestCli:
         assert manifest["config"]["system"]["geometry"] == geometry
 
     @pytest.mark.parametrize("geometry, message", [
-        ({"kind": "chain"}, "system.geometry.d0 is missing"),
-        ({"d0": 2.0}, "system.geometry is malformed: unknown geometry kind None"),
-    ])
+        ({"kind": "chain"}, "system.geometry.d0 is invalid: d0 must be a number, got None"),
+        ({"d0": 2.0}, "system.geometry.kind is invalid: unknown geometry kind None"),
+    ], ids=["missing-d0", "missing-kind"])
     def test_geometry_missing_field_exit_2(self, tmp_path, capsys, geometry, message):
         # a geometry inherits no key from the default all_to_all geometry
         cfg, _ = write_config(tmp_path, system={"geometry": geometry})
@@ -356,21 +381,34 @@ class TestCli:
 
     @pytest.mark.parametrize("geometry, message", [
         ({"kind": "explicit", "couplings": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
-         "system is invalid: explicit coupling matrix shape (3, 3) != (2, 2)"),
-        ({"kind": "all_to_all", "d0": -1.0}, "system is invalid: d0 must be positive"),
+         "system.geometry.couplings is invalid: explicit coupling matrix shape (3, 3) "
+         "!= (2, 2)"),
+        ({"kind": "explicit", "couplings": [[0, 1], [1, "x"]]},
+         "system.geometry.couplings is invalid: couplings must be a number, got 'x'"),
+        ({"kind": "all_to_all", "d0": -1.0},
+         "system.geometry.d0 is invalid: d0 must be positive"),
+        ({"kind": "lattice3d", "d0": 1.0, "cutoff": -1.0},
+         "system.geometry.cutoff is invalid: cutoff must be positive"),
         ({"kind": "lattice3d", "d0": 1.0, "cutoff": 2.0, "shape": [2.5, 2, 2]},
-         "system.geometry is malformed: lattice3d shape must be three positive"),
-        ({"kind": "chain", "d0": "abc"}, "system.geometry.d0 must be a number"),
+         "system.geometry.shape is invalid: lattice3d shape must be three positive"),
+        ({"kind": "chain", "d0": "abc"},
+         "system.geometry.d0 is invalid: d0 must be a number, got 'abc'"),
         ({"kind": "chain", "d0": 1.0, "exponent": "x"},
-         "system.geometry.exponent must be a number"),
+         "system.geometry.exponent is invalid: exponent must be a number, got 'x'"),
         ({"kind": "lattice3d", "d0": 1.0, "cutoff": [2.0]},
-         "system.geometry.cutoff must be a number"),
-    ], ids=["explicit-shape", "negative-d0", "fractional-shape", "string-d0",
-            "string-exponent", "list-cutoff"])
+         "system.geometry.cutoff is invalid: cutoff must be a number, got [2.0]"),
+    ], ids=["explicit-shape", "string-coupling", "negative-d0", "negative-cutoff",
+            "fractional-shape", "string-d0", "string-exponent", "list-cutoff"])
     def test_invalid_geometry_exit_2(self, tmp_path, capsys, geometry, message):
         cfg, _ = write_config(tmp_path, system={"geometry": geometry})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
         assert f"config field {message}" in capsys.readouterr().err
+
+    def test_too_few_spins_exit_2(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, system={"n_spins": 1})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert ("config field system.n_spins is invalid: need at least 2 spins"
+                in capsys.readouterr().err)
 
     def test_malformed_section_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, system=5)

@@ -7,9 +7,9 @@ from mqcsim import (
     AllToAll,
     EigenBasis,
     ExplicitCouplings,
+    InvalidParameter,
     Mode,
     MqcRun,
-    NonUniformPhaseGrid,
     OperatorKind,
     PhaseSignal,
     build_system,
@@ -146,8 +146,9 @@ class TestSpectra:
     def test_nonuniform_grid_rejected(self):
         phi = np.array([0.0, 0.5, 1.5, 4.0])
         signal = PhaseSignal(phi=phi, values=np.ones(4, dtype=complex), n_blocks=0)
-        with pytest.raises(NonUniformPhaseGrid):
+        with pytest.raises(InvalidParameter, match="not uniform") as exc:
             spectrum_from_phases(signal)
+        assert exc.value.name == "signal"
 
     def test_density_spectrum_n0(self, sys2):
         spec = spectrum_from_density(sys2, 0, 0.1)

@@ -8,9 +8,7 @@ from mqcsim import (
     AllToAll,
     CapExceeded,
     Chain,
-    DimensionMismatch,
     ExplicitCouplings,
-    InvalidGeometry,
     InvalidParameter,
     Lattice3D,
     OperatorKind,
@@ -75,14 +73,41 @@ class TestBuildSystem:
         with pytest.raises(CapExceeded, match="the 15-spin vector path needs"):
             build_system(AllToAll(d0=1.0), 15)
 
+    def test_huge_spin_count_refused_without_a_huge_integer(self):
+        # 1 << n for n = 2**62 would exhaust memory before the budget check
+        with pytest.raises(CapExceeded, match="needs inf bytes"):
+            build_system(AllToAll(d0=1.0), 2**62)
+
+    def test_huge_lattice_shape_lists_only_the_sites_it_uses(self):
+        small = build_system(Lattice3D(d0=1.0, cutoff=2.0, shape=(2, 2, 2)), 4)
+        huge = build_system(Lattice3D(d0=1.0, cutoff=2.0, shape=(10**12, 2, 2)), 4)
+        assert np.array_equal(huge.couplings, small.couplings)
+
+    def test_extreme_chain_exponent(self):
+        # the power under- or overflows in float64; an infinite coupling is refused
+        system = build_system(Chain(d0=1.0, exponent=1e308), 3)
+        assert np.array_equal(system.couplings, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        with pytest.raises(InvalidParameter, match="finite") as exc:
+            build_system(Chain(d0=1.0, exponent=-1e308), 3)
+        assert exc.value.name == "couplings"
+
+    def test_asymmetry_beyond_float_range_rejected(self):
+        bad = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(InvalidParameter, match="symmetric") as exc:
+            build_system(ExplicitCouplings(bad), 2)
+        assert exc.value.name == "couplings"
+
     @pytest.mark.parametrize(
         "geometry",
         [AllToAll(d0=0.0), AllToAll(d0=-1.0), Chain(d0=-2.0),
-         Lattice3D(d0=1.0, cutoff=0.0)],
+         Lattice3D(d0=1.0, cutoff=0.0), Lattice3D(d0=-1.0, cutoff=2.0),
+         Lattice3D(d0=1.0, cutoff=np.nan)],
     )
     def test_invalid_geometry(self, geometry):
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidParameter, match="must be positive") as exc:
             build_system(geometry, 4)
+        # each geometry has one parameter out of range
+        assert exc.value.name == ("d0" if geometry.d0 <= 0 else "cutoff")
 
     @pytest.mark.parametrize(
         "geometry",
@@ -90,18 +115,21 @@ class TestBuildSystem:
          ExplicitCouplings(np.array([[0.0, np.nan], [np.nan, 0.0]]))],
     )
     def test_non_finite_couplings_rejected(self, geometry):
-        with pytest.raises(InvalidGeometry, match="couplings must be finite"):
+        with pytest.raises(InvalidParameter, match="couplings must be finite") as exc:
             build_system(geometry, 2)
+        assert exc.value.name == "couplings"
 
     def test_explicit_asymmetric_rejected(self):
         bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidParameter, match="symmetric") as exc:
             build_system(ExplicitCouplings(bad), 2)
+        assert exc.value.name == "couplings"
 
     def test_explicit_nonzero_diagonal_rejected(self):
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(InvalidGeometry):
+        with pytest.raises(InvalidParameter, match="diagonal") as exc:
             build_system(ExplicitCouplings(bad), 2)
+        assert exc.value.name == "couplings"
 
 
 class TestBasis:
@@ -149,14 +177,16 @@ class TestApplyOperator:
 
     def test_dimension_mismatch(self):
         system = build_system(AllToAll(d0=1.0), 3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParameter, match="shape") as exc:
             apply_operator(OperatorKind.IZ_TOTAL, system, np.zeros(4))
+        assert exc.value.name == "state"
 
     @pytest.mark.parametrize("shape", [(), (8, 2, 1)], ids=["scalar", "3d"])
     def test_rejects_state_that_is_not_a_vector_or_block(self, shape):
         system = build_system(AllToAll(d0=1.0), 3)
-        with pytest.raises(DimensionMismatch, match="shape"):
+        with pytest.raises(InvalidParameter, match="shape") as exc:
             apply_operator(OperatorKind.HDQ, system, np.ones(shape))
+        assert exc.value.name == "state"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     @pytest.mark.parametrize("shape", [(8,), (8, 2)], ids=["vector", "block"])
