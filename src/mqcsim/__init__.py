@@ -11,9 +11,7 @@ from .ddprobe import (
     SweepCell,
     SweepResult,
     cumulative_snr,
-    estimate_noise_sigma,
     fit_biexponential,
-    measured_snr,
     optimal_cycles,
     run_dd,
     run_dd_stepwise,
@@ -61,7 +59,6 @@ from .inversion import (
     invert,
     make_kernel_problem,
     mixture_second_moment,
-    problem_from_spectrum,
 )
 from .mqc import (
     CoherenceSpectrum,
@@ -72,10 +69,8 @@ from .mqc import (
     density_spectra,
     loschmidt_echo,
     order_amplitudes,
-    otoc_direct,
     otoc_second_moment,
     phase_signals,
-    spectrum_from_density,
     spectrum_from_phases,
     uniform_phase_grid,
 )
@@ -88,7 +83,6 @@ from .spins import (
     SpinSystem,
     apply_operator,
     build_system,
-    coherence_order,
     magnetization_values,
     system_from_json,
     system_to_json,

@@ -379,16 +379,26 @@ def cmd_fit_growth(config: dict, inputs: list[str], tau_dq: float) -> int:
                 and all(isinstance(e, dict) for e in entries.values())):
             raise ConfigError(f"{path_s}: expected an object whose 'entries' are objects")
         for n_s, entry in entries.items():
-            n = int(n_s)
+            try:
+                n = int(n_s)
+            except ValueError:
+                raise ConfigError(f"{path_s}: entry key {n_s!r} is not an integer") from None
             if n < 1 or entry.get("status") != "ok":
                 continue
             if "front_97" not in entry:
                 raise ConfigError(f"{path_s}: entry {n_s} missing key 'front_97'")
+            if not is_number(entry["front_97"]):
+                raise ConfigError(f"{path_s}: entry {n_s} 'front_97' must be a number, "
+                                  f"got {entry['front_97']!r}")
             t_n = n * tau_dq
             front_pts.append((t_n, float(entry["front_97"])))
             pops = entry.get("populations", [])
             fwhm = entry.get("fwhm", [])
-            if pops and fwhm:
+            if not (isinstance(pops, list) and isinstance(fwhm, list)
+                    and len(pops) == len(fwhm) and all(map(is_number, pops + fwhm))):
+                raise ConfigError(f"{path_s}: entry {n_s} 'populations' and 'fwhm' "
+                                  f"must be lists of numbers of equal length")
+            if pops:
                 width_pts.append((t_n, float(fwhm[int(np.argmax(pops))])))
 
     report: dict = {}

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import curve_fit
 
-from .errors import FitFailure, InvalidParameter
+from .errors import FitFailure, InvalidParameter, integer
 from .evolution import (
     Axis,
     EigenBasis,
@@ -91,6 +91,8 @@ class DdConfig:
             raise InvalidParameter("tau", "tau must be positive and finite")
         if not 0 < self.theta <= np.pi:
             raise InvalidParameter("theta", "theta must lie in (0, pi]")
+        for name in ("n_cycles", "transient_skip", "n_scans", "rng_seed"):
+            integer(getattr(self, name), name)
         if self.n_cycles < 1:
             raise InvalidParameter("n_cycles", "n_cycles must be >= 1")
         if self.transient_skip < 0:
@@ -346,7 +348,7 @@ def require_fit_window(n_points: int, transient_skip: int) -> None:
     is >= 0 and leaves at least 8 of ``n_points`` samples to fit. A config
     is checked here, not at construction, since a series that is never
     fitted may be shorter; callers that fit check before they simulate."""
-    if not 0 <= transient_skip <= n_points - 8:
+    if not 0 <= integer(transient_skip, "transient_skip") <= n_points - 8:
         raise InvalidParameter("transient_skip", f"need >= 8 of the {n_points} points "
                                                  f"after skipping {transient_skip}")
 
@@ -367,8 +369,9 @@ def fit_biexponential(
     5%, collapses to the single exponential branch with ``a_fast = 0`` and
     ``degenerate=True``.
 
-    Raises :class:`InvalidParameter` for non-finite or non-increasing
-    times, non-finite values, or fewer than 8 points after the skip. Raises
+    Raises :class:`InvalidParameter` for times and values of unequal
+    length, non-finite or non-increasing times, non-finite values, or fewer
+    than 8 points after the skip. Raises
     :class:`FitFailure` when the fitted t=0 amplitude does not exceed
     ``min_amplitude_snr`` times the residual rms, i.e. the window holds no
     decay structure above its own noise (pure noise fails), and when the
@@ -382,6 +385,8 @@ def fit_biexponential(
         t_all, y_all = np.asarray(series[0], float), np.asarray(series[1], float)
         if transient_skip is None:
             transient_skip = 0
+    if t_all.ndim != 1 or t_all.shape != y_all.shape:
+        raise InvalidParameter("series", "fit needs 1-D times and values of equal length")
     if not (np.all(np.isfinite(t_all)) and np.all(np.isfinite(y_all))):
         raise InvalidParameter("series", "fit needs finite times and values")
     if np.any(np.diff(t_all) <= 0):
@@ -441,28 +446,6 @@ def optimal_cycles(values: np.ndarray, sigma_eff: float) -> tuple[int, float]:
     snr = cumulative_snr(values, sigma_eff)
     i = int(np.argmax(snr))
     return i + 1, float(snr[i])
-
-
-def estimate_noise_sigma(values: np.ndarray) -> float:
-    """Per-sample noise scale from second differences (trend-insensitive).
-
-    Uses the median absolute second difference, so slow signal structure
-    and isolated glitches barely bias it; exact white noise of std sigma
-    gives sigma back in expectation.
-    """
-    values = np.asarray(values, float)
-    if values.size < 4:
-        raise InvalidParameter("values", "need at least 4 samples")
-    d2 = values[2:] - 2 * values[1:-1] + values[:-2]
-    return float(np.median(np.abs(d2)) / (0.6744897501960817 * np.sqrt(6.0)))
-
-
-def measured_snr(series: DdSeries | np.ndarray) -> float:
-    """Cumulative SNR over the full record with the noise scale estimated
-    from the data itself (second differences)."""
-    values = series.values if isinstance(series, DdSeries) else np.asarray(series)
-    sigma = estimate_noise_sigma(values)
-    return float(cumulative_snr(values, sigma)[-1])
 
 
 def scans_to_match_snr(
@@ -551,6 +534,7 @@ def sweep(
     for name, grid in (("tau_grid", tau_grid), ("theta_grid", theta_grid)):
         if grid.size == 0:
             raise InvalidParameter(name, f"{name} must be non-empty")
+    integer(base_seed, "base_seed")
     configs = [
         DdConfig(
             tau=float(tau), theta=float(theta), n_cycles=n_cycles,

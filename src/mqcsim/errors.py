@@ -3,12 +3,13 @@
 Every failure the package raises on purpose is an :class:`MqcsimError`.
 Bad input, out of range or of the wrong shape or type, is only ever an
 :class:`InvalidParameter`: a ``ValueError`` that names the parameter.
-:func:`choice` and :func:`number` raise it for a value that is not an enum
-member or not a number. The other classes report a run that failed:
-:class:`CapExceeded`, :class:`FitFailure`, :class:`NoFeasibleSolution` and
-:class:`NoPeaks`. The command line reports a bad config field or input
-file as a :class:`ConfigError` (exit 2), an ``InvalidParameter`` that
-names a config field too; any other ``MqcsimError`` exits 1.
+:func:`choice`, :func:`number` and :func:`integer` raise it for a value
+that is not an enum member, not a number or not an integer. The other
+classes report a run that failed: :class:`CapExceeded`,
+:class:`FitFailure`, :class:`NoFeasibleSolution` and :class:`NoPeaks`.
+The command line reports a bad config field or input file as a
+:class:`ConfigError` (exit 2), an ``InvalidParameter`` that names a
+config field too; any other ``MqcsimError`` exits 1.
 """
 
 import numbers
@@ -58,6 +59,14 @@ def number(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise InvalidParameter(name, f"{name} lies beyond float range") from None
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int, or an :class:`InvalidParameter` naming ``name``
+    when it is not an integer (numpy integers count; a bool does not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InvalidParameter(name, f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class CapExceeded(MqcsimError):

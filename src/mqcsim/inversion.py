@@ -146,14 +146,6 @@ def make_kernel_problem(
     )
 
 
-def problem_from_spectrum(spectrum, **grid_kwargs) -> KernelProblem:
-    """Half-spectrum problem from a CoherenceSpectrum (even k >= 0 only)."""
-    keep = (spectrum.orders >= 0) & (spectrum.orders % 2 == 0)
-    return make_kernel_problem(
-        spectrum.orders[keep].astype(float), spectrum.weights[keep], **grid_kwargs
-    )
-
-
 def _second_difference(n: int) -> np.ndarray:
     # grid is uniform in log s; the constant spacing is absorbed into alpha
     return np.diff(np.eye(n), 2, axis=0)

@@ -43,13 +43,27 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
         writer.writerows(rows)
 
 
-def _read_csv(path: Path, header: list[str]) -> list[list[str]]:
+def _read_csv(path: Path, header: list[str], parse) -> list:
+    """``parse(row)`` of each non-empty row below ``header``; a bad header,
+    a row of the wrong width or a field ``parse`` cannot read is a
+    :class:`ConfigError` naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != header:
             raise ConfigError(f"{path}: expected header {header}, got {got}")
-        return [row for row in reader if row]
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigError(f"{path}: line {reader.line_num}: expected "
+                                  f"{len(header)} fields, got {len(row)}")
+            try:
+                out.append(parse(row))
+            except ValueError as err:
+                raise ConfigError(f"{path}: line {reader.line_num}: {err}") from None
+        return out
 
 
 def _write_per_n(path: Path, header: list[str], tables: dict, fmt_x) -> None:
@@ -67,8 +81,9 @@ def _read_per_n(path: Path, header: list[str], parse_x, sort: bool = False) -> d
     """n -> (x, values) from rows (n, x, value), each n's rows in file order,
     or sorted by x with ``sort``."""
     out: dict[int, list[tuple]] = {}
-    for n_s, x_s, v_s in _read_csv(path, header):
-        out.setdefault(int(n_s), []).append((parse_x(x_s), float(v_s)))
+    rows = _read_csv(path, header, lambda r: (int(r[0]), parse_x(r[1]), float(r[2])))
+    for n, x, v in rows:
+        out.setdefault(n, []).append((x, v))
     result = {}
     for n, pairs in out.items():
         if sort:
@@ -101,7 +116,7 @@ def write_series_csv(path: Path, values: dict[int, float]) -> None:
 
 
 def read_series_csv(path: Path) -> dict[int, float]:
-    return {int(n): float(v) for n, v in _read_csv(path, ["n", "value"])}
+    return dict(_read_csv(path, ["n", "value"], lambda r: (int(r[0]), float(r[1]))))
 
 
 def write_dd_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
@@ -110,8 +125,8 @@ def write_dd_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def read_dd_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_csv(path, ["cycle", "t", "value"])
-    return (np.array([float(r[1]) for r in rows]), np.array([float(r[2]) for r in rows]))
+    rows = _read_csv(path, ["cycle", "t", "value"], lambda r: (float(r[1]), float(r[2])))
+    return (np.array([t for t, _ in rows]), np.array([v for _, v in rows]))
 
 
 _SWEEP_HEADER = ["tau", "theta", "a_fast", "t_fast", "a_slow", "t_slow",
@@ -135,16 +150,16 @@ def write_sweep_csv(path: Path, result) -> None:
 
 
 def read_sweep_csv(path: Path) -> list[dict[str, Any]]:
-    out = []
-    for row in _read_csv(path, _SWEEP_HEADER):
+    def parse(row: list[str]) -> dict[str, Any]:
         rec: dict[str, Any] = dict(zip(_SWEEP_HEADER, row))
         for key in ("tau", "theta", "snr"):
             rec[key] = float(rec[key])
         for key in ("a_fast", "t_fast", "a_slow", "t_slow"):
             rec[key] = float(rec[key]) if rec[key] else None
         rec["n_star"] = int(rec["n_star"])
-        out.append(rec)
-    return out
+        return rec
+
+    return _read_csv(path, _SWEEP_HEADER, parse)
 
 
 def write_distribution_csv(path: Path, dists: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:

@@ -72,8 +72,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice
-from .evolution import EigenBasis, compile_program, dq_block, evolve
+from .errors import (ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice,
+                     integer)
+from .evolution import EigenBasis, compile_program, dq_block
 from .spins import OperatorKind, SpinSystem, parity_sectors
 
 _RESIDUE_TOL = 1e-8
@@ -115,7 +116,7 @@ class MqcRun:
         for name in ("phases", "tau_dq", "mismatch", "delta1", "delta2"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InvalidParameter(name, f"{name} must be finite")
-        if self.n_blocks < 0:
+        if integer(self.n_blocks, "n_blocks") < 0:
             raise InvalidParameter("n_blocks", "n_blocks must be >= 0")
         if self.phases.size == 0:
             raise InvalidParameter("phases", "phases must be non-empty")
@@ -328,21 +329,6 @@ def density_spectra(amps: OrderAmplitudes) -> list[CoherenceSpectrum]:
     ]
 
 
-def spectrum_from_density(
-    system: SpinSystem,
-    n_blocks: int,
-    tau_dq: float,
-    mode: Mode = Mode.IDEAL,
-    *,
-    delta1: float = 3e-6,
-    delta2: float = 8e-6,
-) -> CoherenceSpectrum:
-    """Order-resolved |rho_{rc}(t_n)|^2 from the forward evolution alone."""
-    run = MqcRun(system, n_blocks, tau_dq, np.array([0.0]), mode,
-                 delta1=delta1, delta2=delta2)
-    return density_spectra(order_amplitudes(run))[n_blocks]
-
-
 def loschmidt_echo(amps: OrderAmplitudes) -> np.ndarray:
     """S_n(0) = sum_k A_{n,k} for n = 0 .. n_blocks; unity under perfect reversal."""
     return amps.amplitudes.sum(axis=1).real
@@ -351,16 +337,3 @@ def loschmidt_echo(amps: OrderAmplitudes) -> np.ndarray:
 def otoc_second_moment(spectrum: CoherenceSpectrum) -> float:
     """Second moment sum_k k^2 S_k of the normalized coherence distribution."""
     return float(np.sum(spectrum.orders.astype(float) ** 2 * spectrum.weights))
-
-
-def otoc_direct(system: SpinSystem, t: float) -> float:
-    """-Tr{[Iz, Iz(t)]^2} / Tr{Iz^2} by explicit commutator.
-
-    Must agree with :func:`otoc_second_moment` of the same-time spectrum;
-    the two routes share no code beyond the propagator.
-    """
-    iz = np.diag(system.magnetization).astype(complex)
-    izt = evolve(iz, system, OperatorKind.HDQ, t)
-    comm = iz @ izt - izt @ iz
-    val = -np.trace(comm @ comm) / system.iz_norm()
-    return float(val.real)

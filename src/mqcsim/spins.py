@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidParameter, number
+from .errors import CapExceeded, InvalidParameter, integer, number
 
 # bytes of physical memory: the one budget every size check compares with
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -130,11 +129,6 @@ def magnetization_sectors(n_spins: int) -> list[np.ndarray]:
     return [np.flatnonzero(popcount == k) for k in range(n_spins + 1)]
 
 
-def coherence_order(r: int, c: int) -> int:
-    """Coherence order m(r) - m(c) of the density-matrix element (r, c)."""
-    return int(r).bit_count() - int(c).bit_count()
-
-
 @dataclass(eq=False)
 class SpinSystem:
     """N coupled spins 1/2; read-only after construction.
@@ -185,6 +179,9 @@ class SpinSystem:
         bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
         s = 2.0 * bits - 1.0
         self._diag_zz = 0.5 * np.einsum("ai,ij,aj->a", s, self.couplings, s) / 2.0
+        # finite couplings can still sum past float range, and einsum sets no flag
+        if not np.all(np.isfinite(self._diag_zz)):
+            raise InvalidParameter("couplings", "couplings overflow the Hzz diagonal")
 
     @property
     def dim(self) -> int:
@@ -208,9 +205,7 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     fit in ``MEMORY_BUDGET``; that check runs before the N x N coupling
     matrix is filled.
     """
-    if not isinstance(n_spins, numbers.Integral) or isinstance(n_spins, bool):
-        raise InvalidParameter("n_spins", f"n_spins must be an integer, got {n_spins!r}")
-    if n_spins < 2:
+    if integer(n_spins, "n_spins") < 2:
         raise InvalidParameter("n_spins", "need at least 2 spins")
     require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
 

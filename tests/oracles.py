@@ -158,3 +158,19 @@ def multistart_biexponential(t, y):
     if single is not None and (abs(t_s - t_f) <= 0.05 * t_s or single[0] <= pair[0] * 1.01):
         return single[0], True
     return pair[0], False
+
+
+def otoc_direct(couplings, t):
+    """-Tr{[Iz, Iz(t)]^2} / Tr{Iz^2} by explicit commutator.
+
+    Iz(t) = U Iz U^dag with U = expm(-i t Hdq) of the kron-built Hdq, so
+    this side of the OTOC identity shares no propagator with the package's
+    spectral second moment.
+    """
+    import scipy.linalg
+
+    iz = total_op(IZ, couplings.shape[0])
+    u = scipy.linalg.expm(-1j * t * dense_hdq(couplings))
+    izt = u @ iz @ u.conj().T
+    comm = iz @ izt - izt @ iz
+    return float((-np.trace(comm @ comm) / np.trace(iz @ iz)).real)

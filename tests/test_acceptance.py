@@ -29,15 +29,11 @@ from mqcsim import (
     invert,
     loschmidt_echo,
     make_kernel_problem,
-    measured_snr,
     order_amplitudes,
-    otoc_direct,
     otoc_second_moment,
     phase_signals,
-    problem_from_spectrum,
     run_dd,
     scans_to_match_snr,
-    spectrum_from_density,
     spectrum_from_phases,
     sweep,
     uniform_phase_grid,
@@ -50,7 +46,8 @@ from fixtures import (
     SPECTRUM_NOISE,
     bimodal_noisy,
 )
-from oracles import brute_force_mqc_signal, random_couplings
+from oracles import brute_force_mqc_signal, otoc_direct, random_couplings
+from snr import measured_snr
 
 warnings.simplefilter("ignore", IllConditionedWarning)
 
@@ -119,7 +116,7 @@ def test_c04_otoc_identity():
     """Commutator OTOC equals the spectral second moment to 1e-8."""
     sys2 = build_system(AllToAll(d0=1.0), 2)
     for t in (0.2, 0.9):
-        assert abs(otoc_direct(sys2, t) - 4 * np.sin(t) ** 2) < 1e-8
+        assert abs(otoc_direct(sys2.couplings, t) - 4 * np.sin(t) ** 2) < 1e-8
 
     rng = np.random.default_rng(123)
     fixtures = [
@@ -127,8 +124,9 @@ def test_c04_otoc_identity():
         (build_system(AllToAll(d0=1.0), 8), 0.2),
     ]
     for system, t in fixtures:
-        spec = spectrum_from_density(system, 1, t)
-        assert abs(otoc_direct(system, t) - otoc_second_moment(spec)) < 1e-8
+        run = MqcRun(system, 1, t, np.array([0.0]))
+        spec = density_spectra(order_amplitudes(run))[1]
+        assert abs(otoc_direct(system.couplings, t) - otoc_second_moment(spec)) < 1e-8
 
 
 def test_c05_aht_zeroth_order():
@@ -209,7 +207,10 @@ def test_c09_scrambling_trend_pipeline():
     for spec in specs[1:]:
         # in-silico spectra carry model misfit, not measurement noise:
         # alpha comes from the L-curve corner
-        prob = problem_from_spectrum(spec, s_min=1.0, s_max=1e3, n_grid=64)
+        # the half-spectrum, even k >= 0, as `invert` builds it
+        keep = (spec.orders >= 0) & (spec.orders % 2 == 0)
+        prob = make_kernel_problem(spec.orders[keep].astype(float), spec.weights[keep],
+                                   s_min=1.0, s_max=1e3, n_grid=64)
         fronts.append(analyze(invert(prob)).front_97)
     assert np.all(np.diff(fronts) >= 0.0)
 

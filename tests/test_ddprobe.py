@@ -17,9 +17,7 @@ from mqcsim import (
     OperatorKind,
     build_system,
     cumulative_snr,
-    estimate_noise_sigma,
     fit_biexponential,
-    measured_snr,
     optimal_cycles,
     pulse_matrix,
     run_dd,
@@ -31,6 +29,7 @@ from mqcsim import (
 import mqcsim.ddprobe
 from mqcsim.ddprobe import _CHUNK, _flip_blocks, _floquet_basis, _polish
 from oracles import multistart_biexponential, random_couplings
+from snr import estimate_noise_sigma, measured_snr
 
 
 def zero_system(n):

@@ -5,12 +5,14 @@ import json
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqcsim
-from mqcsim import AllToAll, DdConfig, InvalidParameter, MqcRun, MqcsimError, build_system
+from mqcsim import (AllToAll, DdConfig, InvalidParameter, MqcRun, MqcsimError, build_system,
+                    fit_biexponential, sweep)
 from mqcsim.evolution import EigenBasis, _spectral_bound, program_from_json
 from mqcsim.spins import geometry_from_dict, system_from_json
 
@@ -64,10 +66,24 @@ def _system_doc(geometry, n_spins=2, **extra):
     (lambda: program_from_json('{"steps": [{"pulse": {"axis": "X", "angle": "a"}}]}'),
      "angle"),
     (lambda: program_from_json('{"steps": 3}'), "steps"),
+    # three pairs at 1e308 sum past float range in the Hzz diagonal
+    (lambda: system_from_json(_system_doc({"kind": "all_to_all", "d0": 1e308}, 3)),
+     "couplings"),
+    (lambda: MqcRun(_SYSTEM, 2.5, 0.1, [0.0]), "n_blocks"),
+    (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=20.5), "n_cycles"),
+    (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=20, transient_skip=2.5), "transient_skip"),
+    (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=20, n_scans=True), "n_scans"),
+    (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=20, rng_seed=1.5), "rng_seed"),
+    (lambda: sweep(_SYSTEM, [0.2], [1.0], 32, base_seed=2.5), "base_seed"),
+    (lambda: fit_biexponential((np.arange(10.0), np.ones(9))), "series"),
+    (lambda: fit_biexponential((np.arange(10.0), np.ones(10)), 2.5), "transient_skip"),
 ], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
         "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
         "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
-        "empty-program", "no-angle", "string-angle", "steps-not-a-list"])
+        "empty-program", "no-angle", "string-angle", "steps-not-a-list",
+        "overflowing-hzz-diagonal", "fractional-n-blocks", "fractional-n-cycles",
+        "fractional-transient-skip", "bool-n-scans", "fractional-seed",
+        "sweep-fractional-seed", "fit-length-mismatch", "fit-fractional-skip"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()

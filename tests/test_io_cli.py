@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,17 @@ class TestCsvRoundTrips:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ConfigError):
+            mio.read_spectrum_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,0,1.0", "line 3: invalid literal for int()"),
+        ("1,0", "line 3: expected 3 fields, got 2"),
+        ("1,0.5,1.0", "line 3: invalid literal for int()"),
+    ], ids=["string-n", "short-row", "fractional-k"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"n,k,value\n1,0,0.5\n{row}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
             mio.read_spectrum_csv(path)
 
 
@@ -284,7 +296,15 @@ class TestCli:
          "entry 1 missing key 'front_97'"),
         ([{"status": "ok", "front_97": 1.0}], "expected an object whose 'entries'"),
         ({"entries": [1, 2]}, "expected an object whose 'entries' are objects"),
-    ], ids=["no-front", "top-level-list", "entries-list"])
+        ({"entries": {"x": {"status": "ok", "front_97": 1.0}}},
+         "entry key 'x' is not an integer"),
+        ({"entries": {"1": {"status": "ok", "front_97": "big"}}},
+         "entry 1 'front_97' must be a number, got 'big'"),
+        ({"entries": {"1": {"status": "ok", "front_97": 1.0, "populations": [1, 2],
+                            "fwhm": [1.0]}}},
+         "entry 1 'populations' and 'fwhm' must be lists of numbers of equal length"),
+    ], ids=["no-front", "top-level-list", "entries-list", "string-key", "string-front",
+            "short-fwhm"])
     def test_fit_growth_malformed_analytics_exit_2(self, tmp_path, capsys, doc, message):
         analytics = tmp_path / "a.json"
         analytics.write_text(json.dumps(doc))
@@ -303,6 +323,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "power-law fit needs positive values" in err
         assert "config error" not in err
+
+    def test_invert_malformed_spectrum_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.csv"
+        spec.write_text("n,k,value\n1,0,1.0\nx,0,1.0\n")
+        cfg, out = write_config(tmp_path)
+        assert cli.main(["invert", "--config", str(cfg), str(spec)]) == 2
+        assert (f"mqcsim: config error: {spec}: line 3: invalid literal for int()"
+                in capsys.readouterr().err)
+        assert not list(out.glob("spec_*"))
 
     def test_invert_empty_args_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -403,6 +432,14 @@ class TestCli:
         cfg, _ = write_config(tmp_path, system={"geometry": geometry})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
         assert f"config field {message}" in capsys.readouterr().err
+
+    def test_overflowing_couplings_exit_2(self, tmp_path, capsys):
+        # every d0 is finite, but three pairs at 1e308 overflow the Hzz diagonal
+        cfg, _ = write_config(tmp_path, system={
+            "n_spins": 3, "geometry": {"kind": "all_to_all", "d0": 1e308}})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert ("config field system.geometry.couplings is invalid: couplings overflow "
+                "the Hzz diagonal" in capsys.readouterr().err)
 
     def test_too_few_spins_exit_2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, system={"n_spins": 1})

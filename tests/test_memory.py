@@ -30,7 +30,6 @@ from mqcsim import (
     hamiltonian_matrix,
     krylov_expmv,
     order_amplitudes,
-    otoc_direct,
     run_dd,
     run_dd_stepwise,
     uniform_phase_grid,
@@ -79,7 +78,6 @@ def _dense_paths(system: SpinSystem) -> dict:
             MqcRun(system, 2, 0.1, phases, mismatch=0.1)),
         "order_amplitudes-pulse": lambda: order_amplitudes(
             MqcRun(system, 2, dq_period, phases, mode=Mode.PULSE_LEVEL)),
-        "otoc_direct": lambda: otoc_direct(system, 0.3),
         "evolve-density": lambda: evolve(rho, system, OperatorKind.HDQ, 0.3),
         "compile_program": lambda: compile_program(dq_block(), system),
         "hamiltonian_matrix": lambda: hamiltonian_matrix(system, OperatorKind.HDQ),

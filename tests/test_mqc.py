@@ -18,17 +18,21 @@ from mqcsim import (
     dq_block,
     loschmidt_echo,
     order_amplitudes,
-    otoc_direct,
     otoc_second_moment,
     phase_signals,
-    spectrum_from_density,
     spectrum_from_phases,
     uniform_phase_grid,
 )
 
 from mqcsim.mqc import _sector_blocks
 from oracles import brute_force_mqc_signal as brute_force_signal
-from oracles import random_couplings
+from oracles import otoc_direct, random_couplings
+
+
+def density_spectrum(system, n_blocks, tau_dq, mode=Mode.IDEAL):
+    """The density-matrix oracle spectrum after n_blocks blocks."""
+    run = MqcRun(system, n_blocks, tau_dq, np.array([0.0]), mode)
+    return density_spectra(order_amplitudes(run))[n_blocks]
 
 
 @pytest.fixture(scope="module")
@@ -151,13 +155,13 @@ class TestSpectra:
         assert exc.value.name == "signal"
 
     def test_density_spectrum_n0(self, sys2):
-        spec = spectrum_from_density(sys2, 0, 0.1)
+        spec = density_spectrum(sys2, 0, 0.1)
         assert spec.weight_at(0) == pytest.approx(1.0)
         assert spec.normalization == pytest.approx(1.0)
 
     def test_density_matches_two_spin(self, sys2):
         tau, n = 0.29, 2
-        spec = spectrum_from_density(sys2, n, tau)
+        spec = density_spectrum(sys2, n, tau)
         t = n * tau
         assert spec.weight_at(0) == pytest.approx(np.cos(t) ** 2, abs=1e-12)
         assert spec.weight_at(2) == pytest.approx(np.sin(t) ** 2 / 2, abs=1e-12)
@@ -166,10 +170,9 @@ class TestSpectra:
     def test_oracle_equivalence(self, n_spins, m_phases):
         system = build_system(AllToAll(d0=1.0), n_spins)
         tau = 0.08
-        run = MqcRun(system, 3, tau, uniform_phase_grid(m_phases))
-        for signal in phase_signals(order_amplitudes(run))[1:]:
+        amps = order_amplitudes(MqcRun(system, 3, tau, uniform_phase_grid(m_phases)))
+        for signal, from_density in zip(phase_signals(amps)[1:], density_spectra(amps)[1:]):
             from_phases = spectrum_from_phases(signal)
-            from_density = spectrum_from_density(system, signal.n_blocks, tau)
             for k in from_density.orders:
                 assert from_phases.weight_at(int(k)) == pytest.approx(
                     from_density.weight_at(int(k)), abs=1e-8
@@ -180,20 +183,20 @@ class TestSpectra:
 
     def test_even_order_selection(self):
         system = build_system(AllToAll(d0=1.0), 5)
-        spec = spectrum_from_density(system, 2, 0.2)
+        spec = density_spectrum(system, 2, 0.2)
         odd = spec.orders % 2 != 0
         assert np.sum(spec.raw_weights()[odd]) < 1e-10
 
     def test_symmetry(self):
         rng = np.random.default_rng(21)
         system = build_system(ExplicitCouplings(random_couplings(6, rng)), 6)
-        spec = spectrum_from_density(system, 2, 0.15)
+        spec = density_spectrum(system, 2, 0.15)
         for k in range(1, 7):
             assert spec.weight_at(k) == pytest.approx(spec.weight_at(-k), abs=1e-9)
 
     def test_pulse_level_mode_runs(self):
         system = build_system(AllToAll(d0=900.0), 4)
-        spec = spectrum_from_density(system, 2, 60e-6, Mode.PULSE_LEVEL)
+        spec = density_spectrum(system, 2, 60e-6, Mode.PULSE_LEVEL)
         # pulse-level DQ block leaks a little weight into odd orders only
         # at higher order in the couplings
         assert spec.weight_at(0) > 0.9
@@ -348,14 +351,14 @@ class TestLoschmidtEcho:
 
 class TestOtoc:
     def test_zero_time(self, sys2):
-        assert otoc_direct(sys2, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert otoc_direct(sys2.couplings, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_spin_analytic(self, sys2):
         for t in (0.2, 0.7, 1.3):
-            assert otoc_direct(sys2, t) == pytest.approx(
+            assert otoc_direct(sys2.couplings, t) == pytest.approx(
                 4 * np.sin(t) ** 2, abs=1e-10
             )
-            spec = spectrum_from_density(sys2, 1, t)
+            spec = density_spectrum(sys2, 1, t)
             assert otoc_second_moment(spec) == pytest.approx(
                 4 * np.sin(t) ** 2, abs=1e-10
             )
@@ -364,8 +367,8 @@ class TestOtoc:
         rng = np.random.default_rng(31)
         system = build_system(ExplicitCouplings(random_couplings(6, rng)), 6)
         t = 0.3
-        spec = spectrum_from_density(system, 1, t)
-        assert otoc_direct(system, t) == pytest.approx(
+        spec = density_spectrum(system, 1, t)
+        assert otoc_direct(system.couplings, t) == pytest.approx(
             otoc_second_moment(spec), abs=1e-8
         )
 

@@ -14,7 +14,6 @@ from mqcsim import (
     OperatorKind,
     apply_operator,
     build_system,
-    coherence_order,
     magnetization_values,
     system_from_json,
     system_to_json,
@@ -138,17 +137,6 @@ class TestBasis:
         assert mz[bits(UP, UP, DOWN)] == pytest.approx(0.5)
         assert mz[0] == pytest.approx(-1.5)
         assert mz[7] == pytest.approx(1.5)
-
-    def test_coherence_order_examples(self):
-        assert coherence_order(bits(UP, UP), bits(DOWN, DOWN)) == 2
-        assert coherence_order(5, 5) == 0
-        assert coherence_order(0b1110, 0b0001) == 2
-
-    def test_coherence_order_antisymmetry(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            r, c = rng.integers(0, 2**10, size=2)
-            assert coherence_order(r, c) == -coherence_order(c, r)
 
 
 class TestApplyOperator:
