@@ -36,7 +36,7 @@ from .mqc import (
     spectrum_from_phases,
     uniform_phase_grid,
 )
-from .spins import build_system, geometry_from_dict
+from .spins import AllToAll, Chain, Lattice3D, build_system, geometry_from_dict
 
 _DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -170,12 +170,23 @@ def resolve_config(args) -> dict:
 
 def _build_system(config: dict):
     """The configured system; an InvalidParameter from the library exits 2
-    naming system.n_spins or the system.geometry key behind it."""
+    naming system.n_spins or the system.geometry key behind it.
+
+    Only the explicit kind has a ``couplings`` key. Couplings that another
+    kind builds and ``SpinSystem`` refuses name the key that scales them:
+    a chain's exponent when it is negative, so that couplings grow with
+    distance, and d0 otherwise.
+    """
     system = config["system"]
+    geometry = None
     try:
-        return build_system(geometry_from_dict(system["geometry"]), system["n_spins"])
+        geometry = geometry_from_dict(system["geometry"])
+        return build_system(geometry, system["n_spins"])
     except InvalidParameter as err:
-        field = "n_spins" if err.name == "n_spins" else f"geometry.{err.name}"
+        name = err.name
+        if name == "couplings" and isinstance(geometry, (AllToAll, Chain, Lattice3D)):
+            name = "exponent" if isinstance(geometry, Chain) and geometry.exponent < 0 else "d0"
+        field = "n_spins" if name == "n_spins" else f"geometry.{name}"
         raise ConfigError(f"config field system.{field} is invalid: {err}") from err
 
 

@@ -44,6 +44,7 @@ from .evolution import (
     EigenBasis,
     _flip_blocks,
     _mul,
+    _require_dense,
     collective_pulse,
     hamiltonian_matrix,
     pulse_matrix,
@@ -170,6 +171,7 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
     n = system.n_spins
+    _require_dense(system.dim, "run_dd")
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
     # the tipped density Y(pi/2) Iz Y(pi/2)^T, in real arithmetic
     tip = pulse_matrix(Axis.Y, np.pi / 2, n).real
@@ -218,7 +220,8 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     neither the flip blocks, the folded tip nor the vanishing Iy is assumed.
     Each D x D matrix is built once those it replaces are gone.
     """
-    basis = EigenBasis.compute(system, OperatorKind.HZZ)  # first: the budget check
+    _require_dense(system.dim, "run_dd_stepwise")
+    basis = EigenBasis.compute(system, OperatorKind.HZZ)
     rho = collective_pulse(np.diag(system.magnetization), Axis.Y, np.pi / 2)
     half = basis.propagator(config.tau / 2)
     rho = half @ rho @ half.conj().T  # the first sample sits half a delay in

@@ -16,9 +16,10 @@ the global flip X = prod sigma_x. At odd N, X swaps the two sectors and one
 itself and splits it into X-even and X-odd halves, four ``eigh`` calls of
 size D/4. All run in real arithmetic for a real generator (every kind but
 Iy). Ix and Iy flip one spin and keep a single sector.
-The generator is assembled through :func:`hamiltonian_matrix` from the
-bitwise kernel, real for every kind but Iy, and then cut into its sector
-blocks. :meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
+Each sector block is assembled on its own through :func:`hamiltonian_matrix`
+from the bitwise kernel, real for every kind but Iy, so no D x D generator
+or identity is formed for a generator with more than one sector.
+:meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
 the sector blocks, and the MQC engine builds its own real blocks straight
 from the sector eigenbases.
 :meth:`EigenBasis.compute` keeps each basis for as long as its system
@@ -37,6 +38,7 @@ published phase table. Shifting every pulse phase by ``pi/2`` (the
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -50,16 +52,35 @@ from .errors import InvalidParameter, choice, number
 from .spins import (
     OperatorKind,
     SpinSystem,
+    all_finite,
     apply_operator,
     magnetization_sectors,
     parity_sectors,
     require_memory,
 )
 
-# D x D complex matrices that the heaviest dense path holds at its peak,
-# traced at N=8 and 9: 6.6 for run_dd_stepwise, 5.4 for run_dd; the rest is
-# headroom for the interpreter and BLAS, which tracing does not see
-_DENSE_COPIES = 8
+# peak bytes of each dense path in D x D complex matrices (16 D^2 bytes):
+# the largest peak that tracemalloc sees at N = 8, 9 and 10, rounded up to
+# within 1.25x of each (tests/test_memory.py). Hdq's eigenbasis keeps sector
+# 0's eigenvectors while it assembles sector 1 at even N only, so it has a
+# factor per parity. The Hzz and Iz bases assemble one magnetization sector
+# at a time; the largest is a share of D that falls as N grows, so their
+# factors, set at N=8, grow looser above it. The interpreter, the imports and
+# BLAS's own buffers are outside every factor.
+_DENSE_FACTORS = {
+    "order_amplitudes-ideal": 1.3,
+    "order_amplitudes-pulse": 5.5,
+    "run_dd": 5.5,
+    "run_dd_stepwise": 7.0,
+    "evolve-density": 4.5,
+    "compile_program": 4.5,
+    "eigenbasis-dq-even": 0.85,
+    "eigenbasis-dq-odd": 0.7,
+    "eigenbasis-zz": 0.45,
+    "eigenbasis-iz": 0.4,
+    "eigenbasis-ix": 2.1,
+    "eigenbasis-iy": 4.1,
+}
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
@@ -124,17 +145,47 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def _require_dense(dim: int, what: str) -> None:
-    """Budget check for the heaviest dense path; every dense path builds its
-    first D x D operator in :func:`hamiltonian_matrix` or :func:`compile_program`."""
-    require_memory(_DENSE_COPIES * 16 * dim * dim, f"a dense {dim}x{dim} {what}")
+def _require_dense(dim: int, path: str) -> None:
+    """Budget check of one dense path, named by its key in ``_DENSE_FACTORS``;
+    each path makes it before its first large allocation."""
+    require_memory(math.ceil(_DENSE_FACTORS[path] * 16 * dim * dim),
+                   f"the dense {path} path at D={dim}")
 
 
-def hamiltonian_matrix(system: SpinSystem, kind: OperatorKind) -> np.ndarray:
+def hamiltonian_matrix(
+    system: SpinSystem, kind: OperatorKind, states: np.ndarray | None = None
+) -> np.ndarray:
     """Dense operator matrix, assembled column-wise from the bitwise kernel:
-    float64 for every kind but Iy, complex128 for Iy."""
-    _require_dense(system.dim, "operator")
-    return apply_operator(kind, system, np.eye(system.dim))
+    float64 for every kind but Iy, complex128 for Iy.
+
+    With ``states``, increasing basis-state indices, only the block on those
+    states: the kernel acts on the D x |states| slice of the identity and the
+    rows ``states`` of its output are kept. The kernel treats each column on
+    its own, so the block equals that block of the full matrix bit for bit.
+    Its budget check counts the arrays it makes rather than using a traced
+    factor. Raises InvalidParameter for ``states`` that are not increasing
+    indices below D.
+    """
+    kind = choice(OperatorKind, kind, "kind")
+    dim = system.dim
+    cols = np.arange(dim) if states is None else np.asarray(states)
+    if not (cols.ndim == 1 and np.issubdtype(cols.dtype, np.integer)
+            and np.all(np.diff(cols) > 0)
+            and (cols.size == 0 or 0 <= cols[0] and cols[-1] < dim)):
+        raise InvalidParameter("states", "states must be increasing basis-state indices below D")
+    # per entry of the D x |states| slice: the float64 slice, the kernel's
+    # output and its temporary of at most half the output, for Iy complex
+    # and with the kernel's complex copy of the slice; then the cut block and
+    # numpy's iteration buffers for the kernel's strided updates
+    iy = kind is OperatorKind.IY_TOTAL
+    cut = (16 if iy else 8) * cols.size**2 if cols.size < dim else 0
+    require_memory((48 if iy else 20) * dim * cols.size + cut + 48 * np.getbufsize(),
+                   f"a dense {cols.size}x{cols.size} operator block")
+    basis = np.zeros((dim, cols.size))
+    basis[cols, np.arange(cols.size)] = 1.0
+    out = apply_operator(kind, system, basis)
+    del basis  # gone before the cut
+    return out if cols.size == dim else out[cols]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -154,10 +205,13 @@ class EigenBasis:
     and Iz, the two popcount-parity sectors for Hdq, and one sector of every
     state for Ix and Iy. Block j has the eigenvalues
     ``eigenvalues[j]``, ascending, and the eigenvectors in the columns of
-    ``eigenvectors[j]``, which are real when the generator is. Hdq's two
-    blocks come from the global spin flip (:func:`_flip_symmetric_eigh`):
-    at odd N sector 1 shares sector 0's eigenvalue array and takes its
-    eigenvectors with the rows reversed.
+    ``eigenvectors[j]``, which are real when the generator is. Each block is
+    assembled on its own by ``hamiltonian_matrix(system, kind, sector)``, so
+    no D x D generator or identity exists for a kind with more than one
+    sector. Hdq's two blocks come from the global spin flip
+    (:func:`_flip_symmetric_eigh`): at odd N only sector 0 is assembled, and
+    sector 1 shares its eigenvalue array and takes its eigenvectors with the
+    rows reversed.
     """
 
     sectors: list[np.ndarray]
@@ -175,16 +229,16 @@ class EigenBasis:
         kind = choice(OperatorKind, kind, "kind")
         bases = _BASES.setdefault(system, {})
         if kind not in bases:
-            h = hamiltonian_matrix(system, kind)
+            _require_dense(system.dim, _eigenbasis_path(system, kind))
             if kind is OperatorKind.HDQ:
                 sectors = parity_sectors(system.n_spins)
-                pairs = _flip_symmetric_eigh(h, sectors, system.n_spins)
+                pairs = _flip_symmetric_eigh(system, sectors)
             else:
                 if kind in _MAGNETIZATION_KINDS:
                     sectors = magnetization_sectors(system.n_spins)
                 else:
                     sectors = [np.arange(system.dim)]
-                pairs = [_eigh(h[np.ix_(s, s)]) for s in sectors]
+                pairs = [_eigh(hamiltonian_matrix(system, kind, s)) for s in sectors]
             bases[kind] = cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
         return bases[kind]
 
@@ -203,6 +257,13 @@ class EigenBasis:
             ph = np.exp(-1j * w * t)
             out[s] = _mul(v, ph[:, None] * _mul(v.conj().T, mat[s]))
         return out
+
+
+def _eigenbasis_path(system: SpinSystem, kind: OperatorKind) -> str:
+    """The ``_DENSE_FACTORS`` key of the eigenbasis of ``kind``."""
+    if kind is OperatorKind.HDQ:
+        return "eigenbasis-dq-" + ("odd" if system.n_spins % 2 else "even")
+    return f"eigenbasis-{kind.value}"
 
 
 # every EigenBasis.compute result, per system and then per kind
@@ -226,41 +287,45 @@ def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flip_symmetric_eigh(
-    h: np.ndarray, sectors: list[np.ndarray], n_spins: int
+    system: SpinSystem, sectors: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(eigenvalues, eigenvectors) of Hdq per popcount-parity sector, through
     the global flip X: s -> ~s, which commutes with Hdq.
 
     Each sector lists its states in increasing order and ~ reverses that
     order. At odd N, X swaps the two sectors, so sector 1's block is sector
-    0's with both index orders reversed, bit for bit, and sector 1 takes
-    sector 0's eigenvalues and its eigenvectors with the rows reversed. At
-    even N, X maps each sector onto itself: state i of a sector pairs with
-    state M-1-i, and the X-even and X-odd halves A + B and A - B, with
-    A = H[L, L], B = H[L, ~L] and L the first M/2 states (those below D/2),
-    unfold to (v on L, +-v on ~L)/sqrt(2), sorted by eigenvalue as eigh
-    sorts them.
+    0's with both index orders reversed, bit for bit: only sector 0's block
+    is assembled, and sector 1 takes its eigenvalues and its eigenvectors
+    with the rows reversed. At even N, X maps each sector onto itself:
+    state i of a sector pairs with state M-1-i, and the X-even and X-odd
+    halves A + B and A - B, with A = H[L, L], B = H[L, ~L] and L the first
+    M/2 states (those below D/2), unfold to (v on L, +-v on ~L)/sqrt(2),
+    sorted by eigenvalue as eigh sorts them.
     """
-    if n_spins % 2:
-        s = sectors[0]
-        w, v = _eigh(h[np.ix_(s, s)])
-        return [(w, v), (w, np.ascontiguousarray(v[::-1]))]
-    pairs = []
-    for s in sectors:
+    def block(s: np.ndarray) -> np.ndarray:
+        return hamiltonian_matrix(system, OperatorKind.HDQ, s)
+
+    def flip_halves(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # a function of its own, so its temporaries are gone before the
+        # next sector is assembled
         half = s.size // 2
-        (w_even, v_even), (w_odd, v_odd) = map(_eigh, _flip_blocks(h[np.ix_(s, s)]))
+        (w_even, v_even), (w_odd, v_odd) = map(_eigh, _flip_blocks(block(s)))
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
         top = (np.hstack([v_even, v_odd]) * np.sqrt(0.5))[:, order]
         sign = np.repeat([1.0, -1.0], half)[order]
-        pairs.append((w[order], np.vstack([top, (top * sign)[::-1]])))
-    return pairs
+        return w[order], np.vstack([top, (top * sign)[::-1]])
+
+    if system.n_spins % 2:
+        w, v = _eigh(block(sectors[0]))
+        return [(w, v), (w, np.ascontiguousarray(v[::-1]))]
+    return [flip_halves(s) for s in sectors]
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:
     if not np.isfinite(t):
         raise InvalidParameter("t", f"evolution time must be finite, got {t}")
-    if not np.all(np.isfinite(obj)):
+    if not all_finite(obj):
         raise InvalidParameter("obj", "state or density to evolve must be finite")
 
 
@@ -328,7 +393,7 @@ def evolve(
     """
     if method not in ("auto", "eigen", "krylov"):
         raise InvalidParameter("method", f"unknown method {method!r}")
-    obj = np.asarray(obj, dtype=complex)
+    obj = np.asarray(obj)
     dim = system.dim
     is_density = obj.ndim == 2
     if obj.shape != ((dim, dim) if is_density else (dim,)):
@@ -337,13 +402,15 @@ def evolve(
     if is_density:
         if method == "krylov":
             raise InvalidParameter("method", 'method="krylov" evolves state vectors only')
+        _require_dense(dim, "evolve-density")
         # U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag
         basis = EigenBasis.compute(system, kind)
-        half = basis.evolve_columns(obj, t)
+        half = basis.evolve_columns(obj.astype(complex, copy=False), t)
         return basis.evolve_columns(half.conj().T, t).conj().T
+    psi = obj.astype(complex, copy=False)
     if method == "krylov" or (method == "auto" and dim > EIGEN_MAX_DIM):
-        return krylov_expmv(system, kind, obj, t)
-    return EigenBasis.compute(system, kind).evolve_columns(obj[:, None], t)[:, 0]
+        return krylov_expmv(system, kind, psi, t)
+    return EigenBasis.compute(system, kind).evolve_columns(psi[:, None], t)[:, 0]
 
 
 # --- collective rotations ------------------------------------------------
@@ -393,7 +460,7 @@ def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
     if not program.steps:
         raise InvalidParameter("program", "pulse program has no steps")
     dim = system.dim
-    _require_dense(dim, "propagator")
+    _require_dense(dim, "compile_program")
     u = np.eye(dim, dtype=complex)
     for step in program.steps:
         if isinstance(step, Pulse):

@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import (ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice,
                      integer)
-from .evolution import EigenBasis, compile_program, dq_block
+from .evolution import EigenBasis, _require_dense, compile_program, dq_block
 from .spins import OperatorKind, SpinSystem, parity_sectors
 
 _RESIDUE_TOL = 1e-8
@@ -225,38 +225,58 @@ def _sector_blocks(run: MqcRun):
         yield s, block(run.tau_dq), block(-scale * run.tau_dq)
 
 
+def _conjugate(a: np.ndarray, x: np.ndarray, a_dag: np.ndarray,
+               tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ x @ a_dag, written to ``out`` through ``tmp``."""
+    np.matmul(a, x, out=tmp)
+    return np.matmul(tmp, a_dag, out=out)
+
+
+def _sector_pass(f: np.ndarray, b: np.ndarray, m: np.ndarray, n_spins: int,
+                 amplitudes: np.ndarray, density: np.ndarray) -> None:
+    """Add one sector's share of both tables, for n = 0 .. len(density) - 1,
+    with forward block ``f``, reversed block ``b`` and magnetizations ``m``."""
+    n_orders = density.shape[1]
+    f_dag, b_dag = f.conj().T, b.conj().T
+    k_index = (np.rint(m[:, None] - m[None, :]).astype(int) + n_spins).ravel()
+
+    def binned(weights: np.ndarray) -> np.ndarray:
+        return np.bincount(k_index, weights=weights.ravel(), minlength=n_orders)
+
+    real = not np.iscomplexobj(f)
+    rho = np.diag(m).astype(f.dtype)
+    readout, tmp, spare = rho.copy(), np.empty_like(rho), np.empty_like(rho)
+    for n in range(len(density)):
+        if n > 0:
+            rho, spare = _conjugate(f, rho, f_dag, tmp, spare), rho
+            readout, spare = _conjugate(b_dag, readout, b, tmp, spare), readout
+        overlap = np.multiply(readout.T, rho, out=tmp)  # (r, c): (M_n)_{cr} (rho_n)_{rc}
+        amplitudes[n] += binned(overlap.real)
+        if not real:
+            amplitudes[n] += 1j * binned(overlap.imag)
+        # |rho_n|^2; a real pass writes it to spare, unused until the next products
+        squares = np.abs(rho, out=spare if real else None)
+        density[n] += binned(np.square(squares, out=squares))
+
+
 def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
     """Both per-order tables for n = 0 .. run.n_blocks from one pass.
 
     The pass runs once per popcount-parity sector on the blocks of
-    :func:`_sector_blocks`, holding them, rho_n and M_n: a fixed number of
-    (D/2) x (D/2) matrices whatever n_blocks is. A mirrored run passes over
-    sector 0 alone and adds its tables at -k for sector 1.
+    :func:`_sector_blocks`, holding them, rho_n, M_n and two product
+    buffers that every block reuses: a fixed number of (D/2) x (D/2)
+    matrices whatever n_blocks is. A mirrored run passes over sector 0
+    alone and adds its tables at -k for sector 1.
     """
     system = run.system
+    _require_dense(system.dim, f"order_amplitudes-{run.mode.value}")
     mz = system.magnetization
     n_orders = 2 * system.n_spins + 1
     amplitudes = np.zeros((run.n_blocks + 1, n_orders), dtype=complex)
     density = np.zeros((run.n_blocks + 1, n_orders))
     for sector, f, b in _sector_blocks(run):
-        m = mz[sector]
-        f_dag, b_dag = f.conj().T, b.conj().T
-        k_index = (np.rint(m[:, None] - m[None, :]).astype(int) + system.n_spins).ravel()
-
-        def binned(weights: np.ndarray) -> np.ndarray:
-            return np.bincount(k_index, weights=weights.ravel(), minlength=n_orders)
-
-        rho = np.diag(m).astype(f.dtype)
-        readout = rho.copy()
-        for n in range(run.n_blocks + 1):
-            if n > 0:
-                rho = f @ rho @ f_dag
-                readout = b_dag @ readout @ b
-            overlap = readout.T * rho  # element (r, c) is (M_n)_{cr} (rho_n)_{rc}
-            amplitudes[n] += binned(overlap.real)
-            if np.iscomplexobj(overlap):
-                amplitudes[n] += 1j * binned(overlap.imag)
-            density[n] += binned(np.abs(rho) ** 2)
+        _sector_pass(f, b, mz[sector], system.n_spins, amplitudes, density)
+        del f, b  # freed before the next sector's blocks are built
     if _mirrored(run):  # column j holds k = j - N, so [::-1] maps k to -k
         amplitudes = amplitudes + amplitudes[:, ::-1]
         density = density + density[:, ::-1]

@@ -249,6 +249,19 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     return SpinSystem(n_spins=n_spins, couplings=d, geometry=geometry)
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """True unless ``a`` holds a NaN or an inf, found without a boolean
+    temporary of its size. A NaN or an inf makes the sum NaN or infinite,
+    so a finite sum settles it in one pass; a sum that overflows is settled
+    by min and max reductions over the real and imaginary parts, through
+    which NaN propagates."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(a.sum()):
+            return True
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts)
+
+
 def apply_operator(
     kind: OperatorKind, system: SpinSystem, state: np.ndarray
 ) -> np.ndarray:
@@ -265,7 +278,7 @@ def apply_operator(
     if state.ndim not in (1, 2) or state.shape[0] != system.dim:
         raise InvalidParameter("state", f"state shape {state.shape} is not "
                                         f"({system.dim},) or ({system.dim}, k)")
-    if not np.isfinite(state).all():
+    if not all_finite(state):
         raise InvalidParameter("state", "state must be finite")
     real = kind != OperatorKind.IY_TOTAL and not np.iscomplexobj(state)
     state = np.ascontiguousarray(state, dtype=np.float64 if real else np.complex128)

@@ -454,14 +454,15 @@ class TestSweep:
         kinds = []
         build = mqcsim.evolution.hamiltonian_matrix
 
-        def counted(system, kind):
+        def counted(system, kind, states=None):
             kinds.append(kind)
-            return build(system, kind)
+            return build(system, kind, states)
 
         monkeypatch.setattr(mqcsim.evolution, "hamiltonian_matrix", counted)
         system = build_system(AllToAll(d0=1.0), 4)
         sweep(system, [0.1, 0.2], [np.pi / 4, np.pi / 2], 32)
-        assert kinds.count(OperatorKind.HZZ) == 1
+        # one Hzz eigenbasis: one block per magnetization sector of 4 spins
+        assert kinds.count(OperatorKind.HZZ) == 5
 
     def test_empty_grid_rejected(self):
         system = build_system(AllToAll(d0=1.0), 4)

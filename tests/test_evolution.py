@@ -438,3 +438,53 @@ class TestHdqFlipBasis:
             assert np.linalg.norm(h[np.ix_(s, s)] @ v - v * w) <= 1e-12
             assert np.linalg.norm(v.T @ v - np.eye(s.size)) <= 1e-12
             assert np.all(np.diff(w) >= 0)
+
+
+class TestSectorBlocks:
+    """hamiltonian_matrix on a list of states, the route every eigenbasis
+    assembles through, against the kron-built oracle and the full matrix."""
+
+    FAMILIES = {
+        "all": lambda n: [np.arange(1 << n)],
+        "parity": parity_sectors,
+        "magnetization": magnetization_sectors,
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_block_is_the_cut_of_the_full_matrix(self, n, family, kind):
+        couplings = random_couplings(n, np.random.default_rng(7 * n), -1.5, 1.5)
+        system = build_system(ExplicitCouplings(couplings), n)
+        dense = dense_operator(kind.value, couplings, n)
+        full = hamiltonian_matrix(system, kind)
+        for s in self.FAMILIES[family](n):
+            block = hamiltonian_matrix(system, kind, s)
+            assert block.dtype == full.dtype
+            assert np.max(np.abs(block - dense[np.ix_(s, s)])) <= 1e-14
+            assert np.array_equal(block, full[np.ix_(s, s)])
+
+    @pytest.mark.parametrize("states", [
+        np.array([1, 0]), np.array([0, 0]), np.array([-1, 2]), np.array([3, 16]),
+        np.array([0.0, 1.0]), np.array([[0, 1]]),
+    ], ids=["decreasing", "repeated", "negative", "beyond-D", "float", "2d"])
+    def test_rejects_states_that_are_not_increasing_indices(self, sys4, states):
+        with pytest.raises(InvalidParameter) as exc:
+            hamiltonian_matrix(sys4, OperatorKind.HDQ, states)
+        assert exc.value.name == "states"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_every_eigenbasis_assembles_through_the_hooked_kernel(self, monkeypatch, n, kind):
+        # a benchmark check scales mqcsim.evolution.apply_operator to catch a
+        # wrong kernel: every basis must see that name, so its eigenvalues
+        # scale with it
+        couplings = random_couplings(n, np.random.default_rng(n), -1.5, 1.5)
+        plain = EigenBasis.compute(build_system(ExplicitCouplings(couplings), n), kind)
+        kernel = mqcsim.evolution.apply_operator
+        monkeypatch.setattr(mqcsim.evolution, "apply_operator",
+                            lambda *args: 1.001 * kernel(*args))
+        scaled = EigenBasis.compute(build_system(ExplicitCouplings(couplings), n), kind)
+        for w, w_scaled in zip(plain.eigenvalues, scaled.eigenvalues, strict=True):
+            assert np.max(np.abs(w_scaled - 1.001 * w)) <= 1e-12
+        assert max(np.max(np.abs(w)) for w in plain.eigenvalues) > 0.1

@@ -434,12 +434,25 @@ class TestCli:
         assert f"config field {message}" in capsys.readouterr().err
 
     def test_overflowing_couplings_exit_2(self, tmp_path, capsys):
-        # every d0 is finite, but three pairs at 1e308 overflow the Hzz diagonal
+        # every d0 is finite, but three pairs at 1e308 overflow the Hzz diagonal;
+        # all_to_all has no couplings key, so the message names d0
         cfg, _ = write_config(tmp_path, system={
             "n_spins": 3, "geometry": {"kind": "all_to_all", "d0": 1e308}})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
-        assert ("config field system.geometry.couplings is invalid: couplings overflow "
+        assert ("config field system.geometry.d0 is invalid: couplings overflow "
                 "the Hzz diagonal" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("geometry, field, reason", [
+        # d0 / 2**-1e308 is inf for the spins two sites apart
+        ({"kind": "chain", "d0": 1.0, "exponent": -1e308}, "exponent",
+         "couplings must be finite"),
+        ({"kind": "chain", "d0": 1e308}, "d0", "couplings overflow the Hzz diagonal"),
+    ], ids=["exponent", "d0"])
+    def test_overflowing_chain_couplings_exit_2(self, tmp_path, capsys, geometry, field, reason):
+        cfg, _ = write_config(tmp_path, system={"n_spins": 3, "geometry": geometry})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+        assert (f"config field system.geometry.{field} is invalid: {reason}"
+                in capsys.readouterr().err)
 
     def test_too_few_spins_exit_2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, system={"n_spins": 1})
@@ -562,7 +575,7 @@ class TestCli:
         cfg, out = write_config(tmp_path, system={"n_spins": 8})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert ("a dense 256x256 operator needs 8388608 bytes, "
+        assert ("the dense order_amplitudes-ideal path at D=256 needs 1363149 bytes, "
                 "budget 1000000 bytes") in err
         assert not (out / "manifest.json").exists()
 

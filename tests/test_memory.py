@@ -1,9 +1,11 @@
 """Memory estimates checked against traced peaks, and the budget they gate.
 
 Every size check compares one path's byte estimate with
-``mqcsim.spins.MEMORY_BUDGET``. These tests trace allocations with
-tracemalloc at small N and patch the budget instead of provoking an
-out-of-memory failure; nothing here runs a dense path at N >= 13.
+``mqcsim.spins.MEMORY_BUDGET``. Each dense path has its own factor in
+``mqcsim.evolution._DENSE_FACTORS``; ``hamiltonian_matrix`` counts its
+arrays instead. These tests trace allocations with tracemalloc at small N
+and patch the budget instead of provoking an out-of-memory failure; nothing
+here runs a dense path at N >= 13.
 """
 
 import functools
@@ -34,13 +36,13 @@ from mqcsim import (
     run_dd_stepwise,
     uniform_phase_grid,
 )
-from mqcsim.evolution import _require_dense
+from mqcsim.evolution import _DENSE_FACTORS, _eigenbasis_path, _require_dense
 from mqcsim.mqc import _sector_blocks
-from mqcsim.spins import _vector_bytes
+from mqcsim.spins import _vector_bytes, magnetization_sectors, parity_sectors
 
 from oracles import random_couplings, random_state
 
-BOX_BYTES = int(7.84e9)
+BOX_BYTES = int(7.84 * 2**30)
 
 
 def traced_peak(fn) -> int:
@@ -53,8 +55,8 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def dense_bytes(dim: int) -> int:
-    return mqcsim.evolution._DENSE_COPIES * 16 * dim * dim
+def dense_bytes(key: str, dim: int) -> float:
+    return _DENSE_FACTORS[key] * 16 * dim * dim
 
 
 def _system(n: int, seed: int = 3) -> SpinSystem:
@@ -62,51 +64,85 @@ def _system(n: int, seed: int = 3) -> SpinSystem:
 
 
 def _dense_paths(system: SpinSystem) -> dict:
+    """Traced call -> (its path's ``_DENSE_FACTORS`` key, the call)."""
     dq_period = 4 * 3e-6 + 6 * 8e-6
     phases = uniform_phase_grid(8)
     rho = np.diag(system.magnetization).astype(complex)
-    return {
-        "run_dd-magnitude": lambda: run_dd(
-            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048, detect="magnitude")),
-        "run_dd-aligned": lambda: run_dd(
-            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048)),
-        "run_dd_stepwise": lambda: run_dd_stepwise(
-            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2, detect="magnitude")),
-        "order_amplitudes-ideal": lambda: order_amplitudes(
-            MqcRun(system, 2, 0.1, phases)),
-        "order_amplitudes-mismatch": lambda: order_amplitudes(
-            MqcRun(system, 2, 0.1, phases, mismatch=0.1)),
-        "order_amplitudes-pulse": lambda: order_amplitudes(
-            MqcRun(system, 2, dq_period, phases, mode=Mode.PULSE_LEVEL)),
-        "evolve-density": lambda: evolve(rho, system, OperatorKind.HDQ, 0.3),
-        "compile_program": lambda: compile_program(dq_block(), system),
-        "hamiltonian_matrix": lambda: hamiltonian_matrix(system, OperatorKind.HDQ),
-        "eigenbasis-hdq": lambda: EigenBasis.compute(system, OperatorKind.HDQ),
+    paths = {
+        "run_dd-magnitude": ("run_dd", lambda: run_dd(
+            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048, detect="magnitude"))),
+        "run_dd-aligned": ("run_dd", lambda: run_dd(
+            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048))),
+        "run_dd_stepwise": ("run_dd_stepwise", lambda: run_dd_stepwise(
+            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2, detect="magnitude"))),
+        "order_amplitudes-ideal": ("order_amplitudes-ideal", lambda: order_amplitudes(
+            MqcRun(system, 2, 0.1, phases))),
+        "order_amplitudes-mismatch": ("order_amplitudes-ideal", lambda: order_amplitudes(
+            MqcRun(system, 2, 0.1, phases, mismatch=0.1))),
+        "order_amplitudes-pulse": ("order_amplitudes-pulse", lambda: order_amplitudes(
+            MqcRun(system, 2, dq_period, phases, mode=Mode.PULSE_LEVEL))),
+        "evolve-density": ("evolve-density", lambda: evolve(rho, system, OperatorKind.HDQ, 0.3)),
+        "compile_program": ("compile_program", lambda: compile_program(dq_block(), system)),
     }
+    for kind in OperatorKind:
+        paths[f"eigenbasis-{kind.name.lower()}"] = (
+            _eigenbasis_path(system, kind), lambda kind=kind: EigenBasis.compute(system, kind))
+    return paths
 
 
 DENSE_PATHS = list(_dense_paths(_system(2)))
-# the sizes whose traced peaks set the single dense factor
-TRACED_SPINS = (8, 9)
+# the sizes whose traced peaks set each factor, both parities: the Hdq
+# paths differ between odd and even N
+TRACED_SPINS = (8, 9, 10)
+# the largest magnetization sector's share of D falls as N grows, so these
+# factors are upper bounds that loosen with N, not 1.25x-tight at every N
+LOOSENING = ("eigenbasis-zz", "eigenbasis-iz")
 
 
 @functools.cache
 def dense_peaks(n: int) -> dict:
+    """Traced call -> (factor key, traced peak) at N = n."""
     # each path on its own fresh system: on a shared one, the eigenbases that
     # earlier paths computed would hide a later path's eigh
-    return {name: traced_peak(_dense_paths(_system(n))[name]) for name in DENSE_PATHS}
+    out = {}
+    for name in DENSE_PATHS:
+        key, call = _dense_paths(_system(n))[name]
+        out[name] = key, traced_peak(call)
+    return out
 
 
 @pytest.mark.parametrize("path", DENSE_PATHS)
 def test_dense_path_within_estimate(path):
     for n in TRACED_SPINS:
-        assert dense_peaks(n)[path] <= dense_bytes(1 << n), n
+        key, peak = dense_peaks(n)[path]
+        assert peak <= dense_bytes(key, 1 << n), n
 
 
 def test_dense_estimate_is_tight():
-    # the single factor is set by the heaviest path, not padded beyond it
+    # each factor is set by its own path's peak, not padded beyond it
     for n in TRACED_SPINS:
-        assert dense_bytes(1 << n) <= 1.25 * max(dense_peaks(n).values()), n
+        for path, (key, peak) in dense_peaks(n).items():
+            if key not in LOOSENING:
+                assert dense_bytes(key, 1 << n) <= 1.25 * peak, (n, path)
+
+
+def test_every_factor_is_traced():
+    keys = {key for n in TRACED_SPINS for key, _ in dense_peaks(n).values()}
+    assert keys == set(_DENSE_FACTORS)
+
+
+@pytest.mark.parametrize("kind", list(OperatorKind))
+@pytest.mark.parametrize("family", ["all", "parity", "magnetization"])
+def test_operator_block_within_its_count(monkeypatch, kind, family):
+    # hamiltonian_matrix counts its arrays instead of using a traced factor
+    asked = []
+    monkeypatch.setattr(mqcsim.evolution, "require_memory", lambda n, what: asked.append(n))
+    for n in TRACED_SPINS:
+        states = {"all": None, "parity": parity_sectors(n)[0],
+                  "magnetization": magnetization_sectors(n)[n // 2]}[family]
+        system = _system(n)
+        peak = traced_peak(lambda: hamiltonian_matrix(system, kind, states))
+        assert peak <= asked.pop(), n
 
 
 def test_run_dd_keeps_only_flip_blocks():
@@ -114,15 +150,17 @@ def test_run_dd_keeps_only_flip_blocks():
     # at once, so no dense half-delay propagator lives through the block loop
     for n in TRACED_SPINS:
         for path in ("run_dd-aligned", "run_dd-magnitude"):
-            assert dense_peaks(n)[path] <= 5.75 * 16 * (1 << n) ** 2, (n, path)
+            assert dense_peaks(n)[path][1] <= 5.75 * 16 * (1 << n) ** 2, (n, path)
 
 
 @pytest.mark.parametrize("n", TRACED_SPINS)
 def test_hdq_eigenbasis_peak_is_its_assembly(n):
-    # hamiltonian_matrix holds np.eye(D) and its output, 16 D^2 bytes; the
-    # sector blocks, the A +- B halves of even N and the eigenvectors add a
-    # few (D/2)^2 arrays on top
-    assert dense_peaks(n)["eigenbasis-hdq"] <= 1.5 * 16 * (1 << n) ** 2
+    # no eye(D) and no D x D Hdq: the peak is one sector's D x D/2 identity
+    # slice and its image under the kernel, 16 D^2 / 2 bytes, plus a quarter
+    # of that for the kernel's temporary; at even N sector 0's eigenvectors,
+    # 16 D^2 / 8 bytes, are kept while sector 1 is assembled
+    _, peak = dense_peaks(n)["eigenbasis-hdq"]
+    assert peak <= (0.7 if n % 2 else 0.85) * 16 * (1 << n) ** 2
 
 
 @pytest.mark.parametrize("n", TRACED_SPINS)
@@ -155,14 +193,33 @@ def test_vector_path_within_estimate(n, kind):
     assert peak <= _vector_bytes(n)
 
 
-def test_box_budget_admits_n12_dense_and_refuses_n13(monkeypatch):
+@pytest.mark.parametrize("key, admitted, refused", [
+    ("order_amplitudes-ideal", 14, 15),
+    ("order_amplitudes-pulse", 13, 14),
+    ("run_dd", 13, 14),
+    ("run_dd_stepwise", 13, 14),
+    ("evolve-density", 13, 14),
+    ("compile_program", 13, 14),
+    ("eigenbasis-dq-even", 14, 16),
+    ("eigenbasis-dq-odd", 13, 15),
+    ("eigenbasis-zz", 15, 16),
+    ("eigenbasis-iz", 15, 16),
+    ("eigenbasis-ix", 13, 14),
+    ("eigenbasis-iy", 13, 14),
+])
+def test_box_budget_boundary_per_path(monkeypatch, key, admitted, refused):
+    # the largest N each dense path runs at on a 7.84 GiB machine
     monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", BOX_BYTES)
-    _require_dense(1 << 12, "operator")
-    with pytest.raises(CapExceeded, match=r"dense 8192x8192 operator needs 8589934592 bytes"):
-        _require_dense(1 << 13, "operator")
-    system = _system(13)  # the vector path of 13 spins fits
-    with pytest.raises(CapExceeded):
-        hamiltonian_matrix(system, OperatorKind.HDQ)
+    _require_dense(1 << admitted, key)
+    with pytest.raises(CapExceeded, match=f"the dense {key} path at D={1 << refused} needs"):
+        _require_dense(1 << refused, key)
+
+
+def test_box_budget_refuses_ideal_mqc_at_n15(monkeypatch):
+    monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", BOX_BYTES)
+    system = _system(15)  # the vector path of 15 spins fits
+    with pytest.raises(CapExceeded, match="order_amplitudes-ideal path at D=32768"):
+        order_amplitudes(MqcRun(system, 8, 0.05, uniform_phase_grid(32)))
 
 
 @pytest.fixture
@@ -180,13 +237,20 @@ def small_budget(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda s: hamiltonian_matrix(s, OperatorKind.HZZ),
+    lambda s: hamiltonian_matrix(s, OperatorKind.HDQ, parity_sectors(s.n_spins)[0]),
+    lambda s: EigenBasis.compute(s, OperatorKind.HDQ),
+    lambda s: evolve(np.broadcast_to(0.0, (s.dim, s.dim)), s, OperatorKind.HDQ, 0.3),
     lambda s: compile_program(dq_block(), s),
+    lambda s: order_amplitudes(MqcRun(s, 2, 0.1, uniform_phase_grid(8))),
+    lambda s: order_amplitudes(
+        MqcRun(s, 2, 4 * 3e-6 + 6 * 8e-6, uniform_phase_grid(8), mode=Mode.PULSE_LEVEL)),
     lambda s: run_dd(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
     lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
-], ids=["hamiltonian_matrix", "compile_program", "run_dd", "run_dd_stepwise",
-        "SpinSystem", "build_system"])
+], ids=["hamiltonian_matrix", "hamiltonian_matrix-sector", "eigenbasis", "evolve-density",
+        "compile_program", "order_amplitudes-ideal", "order_amplitudes-pulse", "run_dd",
+        "run_dd_stepwise", "SpinSystem", "build_system"])
 def test_refused_before_allocation(small_budget, build):
     system = _system(10)  # its vector path (280 kB) fits; its dense paths (134 MB) do not
 

@@ -313,15 +313,16 @@ class TestMismatchAsTimeScale:
         kinds = []
         build = mqcsim.evolution.hamiltonian_matrix
 
-        def counted(system, kind):
+        def counted(system, kind, states=None):
             kinds.append(kind)
-            return build(system, kind)
+            return build(system, kind, states)
 
         monkeypatch.setattr(mqcsim.evolution, "hamiltonian_matrix", counted)
         system = build_system(AllToAll(d0=1000.0), 4)
         order_amplitudes(MqcRun(system, 2, 60e-6, np.array([0.0]),
                                 mode=Mode.PULSE_LEVEL, mismatch=0.05))
-        assert kinds == [OperatorKind.HZZ]
+        # one Hzz eigenbasis: one block per magnetization sector of 4 spins
+        assert kinds == [OperatorKind.HZZ] * 5
 
 
 class TestLoschmidtEcho:

@@ -177,13 +177,28 @@ class TestApplyOperator:
         assert exc.value.name == "state"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
-    @pytest.mark.parametrize("shape", [(8,), (8, 2)], ids=["vector", "block"])
-    def test_rejects_non_finite_state(self, bad, shape):
+    @pytest.mark.parametrize("shape, order", [((8,), "C"), ((8, 2), "C"), ((8, 3), "F")],
+                             ids=["vector", "block", "fortran-block"])
+    def test_rejects_non_finite_state(self, bad, shape, order):
         system = build_system(AllToAll(d0=1.0), 3)
-        state = np.ones(shape, dtype=complex)
+        state = np.ones(shape, dtype=complex, order=order)
         state[5] = bad
         with pytest.raises(InvalidParameter, match="state"):
             apply_operator(OperatorKind.HZZ, system, state)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_accepts_finite_state_whose_sum_overflows(self, dtype):
+        # the finiteness check sums the state first; an overflow is not a NaN
+        system = build_system(AllToAll(d0=1.0), 3)
+        state = np.full((8, 2), 1e308, dtype=dtype)
+        out = apply_operator(OperatorKind.IZ_TOTAL, system, state)
+        assert np.array_equal(out, system.magnetization[:, None] * state)
+
+    @pytest.mark.parametrize("kind", list(OperatorKind))
+    def test_empty_block(self, kind):
+        # the finiteness check reduces over the block, which has no elements
+        system = build_system(AllToAll(d0=1.0), 3)
+        assert apply_operator(kind, system, np.zeros((8, 0))).shape == (8, 0)
 
     @pytest.mark.parametrize("kind", list(OperatorKind))
     @pytest.mark.parametrize("n", [2, 4, 6])
