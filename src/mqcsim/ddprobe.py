@@ -11,15 +11,16 @@ at every sample and the magnitude is the absolute value of the aligned
 signal.
 
 The cycle propagator V = half . X(theta) . half is diagonalized once per
-cell, and never as one D x D matrix. V, Ix and the tipped density commute
+cell, and never as one D x D matrix. V and Ix, the tipped density, commute
 with the spin flip, so each splits into two (D/2) x (D/2) blocks on the
 flip-symmetric and flip-antisymmetric states, and the signal is the sum of
 the two blocks' signals. Each block of V is a symmetric unitary, so it has
 a real orthogonal eigenbasis, which real ``eigh`` calls find; the complex
 Schur form is only the fallback for a basis that leaves an off-diagonal
 residue. A cell then costs two real eigendecompositions plus one
-(chunk x D/2) @ (D/2 x D/2) GEMM per block and chunk of cycles. The tip is
-folded into the change to the Floquet basis, and the Hzz eigenbasis is
+(chunk x D/2) @ (D/2 x D/2) GEMM per block and chunk of cycles. The tip
+makes Iz into Ix exactly, so the spectral route takes Ix as the density
+and builds none; the stepwise reference tips Iz. The Hzz eigenbasis is
 computed once per system (:meth:`EigenBasis.compute` keeps it), so every
 cell of a sweep shares it without further setup. The decay fit
 is a grid scan over time constants, with the amplitudes solved in closed
@@ -169,28 +170,24 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
-    """Noiseless signal s_j, j = 0..n_cycles-1, from the cycle's spectrum."""
-    n = system.n_spins
+    """Noiseless signal s_j, j < n_cycles, from the cycle's spectrum; Ix is the tipped density."""
     _require_dense(system.dim, "run_dd")
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
-    # the tipped density Y(pi/2) Iz Y(pi/2)^T, in real arithmetic
-    tip = pulse_matrix(Axis.Y, np.pi / 2, n).real
     # only the flip blocks are kept: each D x D operator is freed once it is cut
     blocks = zip(
         _flip_blocks(basis.propagator(config.tau / 2)),
-        _flip_blocks(pulse_matrix(Axis.X, config.theta, n)),
-        _flip_blocks((tip * system.magnetization) @ tip.T),
+        _flip_blocks(pulse_matrix(Axis.X, config.theta, system.n_spins)),
         _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL)),
     )
     signal = np.zeros(config.n_cycles)
     # the spin flip keeps every operator block-diagonal: the signal is the
     # sum of the two blocks' signals
-    for half_b, pulse_b, rho_b, ix_b in blocks:
+    for half_b, pulse_b, ix_b in blocks:
         w, phase = _floquet_basis(half_b @ pulse_b @ half_b)
-        # first sample in the Floquet basis: rho_s = g rho g^dag with
-        # g = w^dag half; g rho = (rho^T g^T)^T keeps the real factor left
+        # first sample in the Floquet basis: rho_s = g Ix g^dag with
+        # g = w^dag half; g Ix = (Ix g^T)^T keeps the real, symmetric Ix left
         g = _mul(w.conj().T, half_b)
-        rho_s = _mul(rho_b.T, g.T).T @ g.conj().T
+        rho_s = _mul(ix_b, g.T).T @ g.conj().T
         # Tr{Ix V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j
         # with W = rho_s * (w^dag Ix w)^T
         weights = rho_s * _mul(w.conj().T, _mul(ix_b, w)).T
@@ -214,15 +211,16 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Cycle-by-cycle reference implementation of :func:`run_dd`.
 
     O(cycles * dim^3); kept as the independent cross-check of the
-    spectral path (the noise model is shared). It tips with
+    spectral path (the noise model is shared). It tips the kernel's Iz with
     :func:`collective_pulse`, steps the full density by the whole cycle, and
     reads the Ix trace (and the Iy trace, for magnitude detection) itself, so
-    neither the flip blocks, the folded tip nor the vanishing Iy is assumed.
+    neither the flip blocks, Ix as the tipped density nor a zero Iy is assumed.
     Each D x D matrix is built once those it replaces are gone.
     """
     _require_dense(system.dim, "run_dd_stepwise")
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
-    rho = collective_pulse(np.diag(system.magnetization), Axis.Y, np.pi / 2)
+    rho = collective_pulse(
+        hamiltonian_matrix(system, OperatorKind.IZ_TOTAL), Axis.Y, np.pi / 2)
     half = basis.propagator(config.tau / 2)
     rho = half @ rho @ half.conj().T  # the first sample sits half a delay in
     cycle = (half @ pulse_matrix(Axis.X, config.theta, system.n_spins)) @ half

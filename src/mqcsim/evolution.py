@@ -69,8 +69,8 @@ from .spins import (
 # BLAS's own buffers are outside every factor.
 _DENSE_FACTORS = {
     "order_amplitudes-ideal": 1.3,
-    "order_amplitudes-pulse": 5.5,
-    "run_dd": 5.5,
+    "order_amplitudes-pulse": 4.7,
+    "run_dd": 4.3,
     "run_dd_stepwise": 7.0,
     "evolve-density": 4.5,
     "compile_program": 4.5,

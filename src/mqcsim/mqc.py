@@ -75,7 +75,7 @@ import numpy as np
 from .errors import (ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice,
                      integer)
 from .evolution import EigenBasis, _require_dense, compile_program, dq_block
-from .spins import OperatorKind, SpinSystem, parity_sectors
+from .spins import OperatorKind, SpinSystem, parity_sectors, require_memory
 
 _RESIDUE_TOL = 1e-8
 
@@ -202,12 +202,15 @@ def _sector_blocks(run: MqcRun):
     system = run.system
     scale = 1.0 + run.mismatch
     if run.mode == Mode.PULSE_LEVEL:
+        sectors = parity_sectors(system.n_spins)
         u_f = compile_program(dq_block(run.delta1, run.delta2, sign=+1), system)
+        f_blocks = [u_f[np.ix_(s, s)] for s in sectors]
+        del u_f  # freed before the reversed cycle is compiled
         u_b = compile_program(
             dq_block(scale * run.delta1, scale * run.delta2, sign=-1), system
         )
-        for s in parity_sectors(system.n_spins):
-            yield s, u_f[np.ix_(s, s)], u_b[np.ix_(s, s)]
+        for s, f in zip(sectors, f_blocks):
+            yield s, f, u_b[np.ix_(s, s)]
         return
     eig = EigenBasis.compute(system, OperatorKind.HDQ)
     n_passes = 1 if _mirrored(run) else 2
@@ -266,12 +269,17 @@ def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
     :func:`_sector_blocks`, holding them, rho_n, M_n and two product
     buffers that every block reuses: a fixed number of (D/2) x (D/2)
     matrices whatever n_blocks is. A mirrored run passes over sector 0
-    alone and adds its tables at -k for sector 1.
+    alone and adds its tables at -k for sector 1. The dense pass and the
+    per-n tables are each checked against the memory budget first.
     """
     system = run.system
     _require_dense(system.dim, f"order_amplitudes-{run.mode.value}")
     mz = system.magnetization
     n_orders = 2 * system.n_spins + 1
+    # per n: the complex and the real table, then the phase signals that
+    # phase_signals makes of them
+    require_memory((run.n_blocks + 1) * (24 * n_orders + 16 * run.phases.size),
+                   f"the order table of n_blocks={run.n_blocks}")
     amplitudes = np.zeros((run.n_blocks + 1, n_orders), dtype=complex)
     density = np.zeros((run.n_blocks + 1, n_orders))
     for sector, f, b in _sector_blocks(run):

@@ -129,11 +129,21 @@ def magnetization_sectors(n_spins: int) -> list[np.ndarray]:
     return [np.flatnonzero(popcount == k) for k in range(n_spins + 1)]
 
 
+def _spin_count(n_spins) -> int:
+    """``n_spins`` as an int, or an :class:`InvalidParameter` naming it
+    unless it is an integer of at least 2."""
+    n_spins = integer(n_spins, "n_spins")
+    if n_spins < 2:
+        raise InvalidParameter("n_spins", "need at least 2 spins")
+    return n_spins
+
+
 @dataclass(eq=False)
 class SpinSystem:
     """N coupled spins 1/2; read-only after construction.
 
-    ``couplings`` must be symmetric with an exactly zero diagonal. Derived
+    ``n_spins`` must be an integer of at least 2, and ``couplings`` an
+    N x N symmetric matrix with an exactly zero diagonal. Derived
     lookup tables (magnetization per state, pair list, Hzz diagonal) are
     prepared once here and shared by all operator applications, which are
     pure reads and safe for concurrent use. Equality and hash are by
@@ -153,8 +163,8 @@ class SpinSystem:
     _diag_zz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.n_spins = _spin_count(self.n_spins)
         self.couplings = np.asarray(self.couplings, dtype=np.float64)
-        n = self.n_spins
         if self.couplings.shape != (n, n):
             raise InvalidParameter("couplings", f"coupling matrix shape "
                                                 f"{self.couplings.shape} != ({n}, {n})")
@@ -205,8 +215,7 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     fit in ``MEMORY_BUDGET``; that check runs before the N x N coupling
     matrix is filled.
     """
-    if integer(n_spins, "n_spins") < 2:
-        raise InvalidParameter("n_spins", "need at least 2 spins")
+    n_spins = _spin_count(n_spins)
     require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
 
     if isinstance(geometry, (AllToAll, Chain, Lattice3D)) and geometry.d0 <= 0:

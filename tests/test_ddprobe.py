@@ -96,6 +96,18 @@ class TestRunDd:
         run_dd_stepwise(zero_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=4, detect=detect))
         assert (OperatorKind.IY_TOTAL in kinds) == (detect == "magnitude")
 
+    def test_spectral_route_reads_ix_as_the_tipped_density(self, monkeypatch):
+        # no Y(pi/2) tip is built: the one Ix of a cell is density and readout
+        axes, kinds = [], []
+        pulse, build = mqcsim.ddprobe.pulse_matrix, mqcsim.ddprobe.hamiltonian_matrix
+        monkeypatch.setattr(mqcsim.ddprobe, "pulse_matrix",
+                            lambda axis, angle, n: axes.append(axis) or pulse(axis, angle, n))
+        monkeypatch.setattr(mqcsim.ddprobe, "hamiltonian_matrix",
+                            lambda system, kind: kinds.append(kind) or build(system, kind))
+        run_dd(zero_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=4))
+        assert axes == [Axis.X]
+        assert kinds == [OperatorKind.IX_TOTAL]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DdConfig(tau=-1.0, theta=1.0, n_cycles=8)

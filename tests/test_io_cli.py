@@ -579,6 +579,14 @@ class TestCli:
                 "budget 1000000 bytes") in err
         assert not (out / "manifest.json").exists()
 
+    def test_huge_n_max_refused_exit_1(self, tmp_path, capsys):
+        # the per-n tables are counted before they are allocated
+        cfg, out = write_config(tmp_path, system={"n_spins": 3}, mqc={"n_max": 10**12})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "the order table of n_blocks=1000000000000 needs 296000000000296 bytes" in err
+        assert not (out / "manifest.json").exists()
+
     def test_failed_eigh_exit_1(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, which would read as a config error
         def failed_eigh(*args, **kwargs):

@@ -147,10 +147,11 @@ def test_operator_block_within_its_count(monkeypatch, kind, family):
 
 def test_run_dd_keeps_only_flip_blocks():
     # _signal cuts each D x D operator into its two flip blocks and frees it
-    # at once, so no dense half-delay propagator lives through the block loop
+    # at once, so no dense half-delay propagator lives through the block loop,
+    # and builds no tipped density beside Ix
     for n in TRACED_SPINS:
         for path in ("run_dd-aligned", "run_dd-magnitude"):
-            assert dense_peaks(n)[path][1] <= 5.75 * 16 * (1 << n) ** 2, (n, path)
+            assert dense_peaks(n)[path][1] <= 4.5 * 16 * (1 << n) ** 2, (n, path)
 
 
 @pytest.mark.parametrize("n", TRACED_SPINS)
@@ -244,12 +245,14 @@ def small_budget(monkeypatch):
     lambda s: order_amplitudes(MqcRun(s, 2, 0.1, uniform_phase_grid(8))),
     lambda s: order_amplitudes(
         MqcRun(s, 2, 4 * 3e-6 + 6 * 8e-6, uniform_phase_grid(8), mode=Mode.PULSE_LEVEL)),
+    lambda s: order_amplitudes(MqcRun(_system(3), 10**12, 0.1, uniform_phase_grid(8))),
     lambda s: run_dd(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
     lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
 ], ids=["hamiltonian_matrix", "hamiltonian_matrix-sector", "eigenbasis", "evolve-density",
-        "compile_program", "order_amplitudes-ideal", "order_amplitudes-pulse", "run_dd",
+        "compile_program", "order_amplitudes-ideal", "order_amplitudes-pulse",
+        "order_amplitudes-tables", "run_dd",
         "run_dd_stepwise", "SpinSystem", "build_system"])
 def test_refused_before_allocation(small_budget, build):
     system = _system(10)  # its vector path (280 kB) fits; its dense paths (134 MB) do not

@@ -12,6 +12,7 @@ from mqcsim import (
     InvalidParameter,
     Lattice3D,
     OperatorKind,
+    SpinSystem,
     apply_operator,
     build_system,
     magnetization_values,
@@ -123,6 +124,13 @@ class TestBuildSystem:
         with pytest.raises(InvalidParameter, match="symmetric") as exc:
             build_system(ExplicitCouplings(bad), 2)
         assert exc.value.name == "couplings"
+
+    @pytest.mark.parametrize("n_spins", [1, 0, -1, True, 2.0])
+    def test_spin_count_rejected(self, n_spins):
+        # the system itself refuses fewer than 2 spins, as build_system does
+        with pytest.raises(InvalidParameter) as exc:
+            SpinSystem(n_spins=n_spins, couplings=np.zeros((1, 1)))
+        assert exc.value.name == "n_spins"
 
     def test_explicit_nonzero_diagonal_rejected(self):
         bad = np.array([[1.0, 1.0], [1.0, 0.0]])
