@@ -50,7 +50,7 @@ from .evolution import (
     hamiltonian_matrix,
     pulse_matrix,
 )
-from .spins import OperatorKind, SpinSystem
+from .spins import OperatorKind, SpinSystem, require_memory
 
 _SEED_MIX_A = 0x9E3779B97F4A7C15
 _SEED_MIX_B = 0xC2B2AE3D27D4EB4F
@@ -202,8 +202,16 @@ def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     return signal if config.detect == "aligned" else np.abs(signal)
 
 
+def _require_series(config: DdConfig) -> None:
+    """Budget check of the arrays sized by ``n_cycles``: the signal, the
+    noise draw, the noisy sum, the sample times and their index range, one
+    float64 each per cycle. Made before the first of them is allocated."""
+    require_memory(5 * 8 * config.n_cycles, f"a series of {config.n_cycles} cycles")
+
+
 def run_dd(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Simulate the pulse-train acquisition; see the module docstring."""
+    _require_series(config)
     return _series(_signal(system, config), config)
 
 
@@ -217,6 +225,7 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     neither the flip blocks, Ix as the tipped density nor a zero Iy is assumed.
     Each D x D matrix is built once those it replaces are gone.
     """
+    _require_series(config)
     _require_dense(system.dim, "run_dd_stepwise")
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
     rho = collective_pulse(
@@ -284,6 +293,9 @@ def _grid_starts(
     # from the sample spacing up: a shorter time constant fits one sample
     dt = t[1] - t[0]
     taus = np.geomspace(dt, t_hi, int(_GRID_PER_DECADE * np.log10(t_hi / dt)) + 2)
+    # the grid, its squares and its unit columns, one float64 each per cell
+    require_memory(3 * 8 * t.size * taus.size,
+                   f"the fit grid of {t.size} samples x {taus.size} time constants")
     basis = np.exp(-t[:, None] / taus)
     sq = np.sum(basis**2, axis=0)
     keep = sq >= np.finfo(float).tiny  # columns that underflowed carry nothing

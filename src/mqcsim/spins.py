@@ -18,11 +18,21 @@ The two Hamiltonians built here are the secular dipolar interaction
     Hdq = -1/2 sum_{i<j} d_ij (I+_i I+_j + I-_i I-_j)
 
 which flips pairs of equally oriented spins and changes the coherence order
-by +-2. :func:`apply_operator` applies both matrix-free, flipping spin i on
-the view (above i, bit i, below i) of the state and the pair i < j on the
-view (above j, bit j, between, bit i, below i); no 2**N x 2**N operator is
-materialized. Both change the popcount by 0 or +-2, so neither connects the
-two halves of :func:`parity_sectors`; Hzz keeps the popcount, so it does not
+by +-2. :func:`apply_operator` applies the collective spins matrix-free,
+flipping spin i on the view (above i, bit i, below i) of the state. The
+pair sums of Hzz and Hdq go through a Kronecker split instead of one
+update per pair: the low L = N // 2 spins form the low index and the rest
+the high index, so a state is the matrix psi[high, low]. The pairs among
+the high spins are one sparse product on the high index, the pairs among
+the low spins one on the low index, and the pairs of a low spin with high
+spin j are two products on the low index, one per direction in which they
+flip bit j of the high index. The factors are small real CSR matrices,
+built on first use per system and kind: 8960 entries (110 kB) at N = 14,
+against 745 472 for the pair sum as one matrix. A call costs
+O(pairs * 2**N) multiply-adds plus one (low, high) transpose of the state;
+one complex Hdq vector at N = 14 takes 2-3 ms on 2 vCPUs. Both
+operators change the popcount by 0 or +-2, so neither connects the two
+halves of :func:`parity_sectors`; Hzz keeps the popcount, so it does not
 connect two of the :func:`magnetization_sectors` either.
 """
 
@@ -37,9 +47,13 @@ from enum import Enum
 from typing import Union
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CapExceeded, InvalidParameter, integer, number
 
+# columns of a (D, k) block per pass of the pair kernel, so that its
+# temporaries are a few D x _PAIR_CHUNK arrays whatever k is
+_PAIR_CHUNK = 12
 # bytes of physical memory: the one budget every size check compares with
 MEMORY_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
@@ -53,12 +67,31 @@ def require_memory(n_bytes: int, what: str) -> None:
         raise CapExceeded(f"{what} needs {n_bytes} bytes, budget {MEMORY_BUDGET} bytes")
 
 
+def _pair_entries(n_spins: int) -> int:
+    """Entries of one kind's pair-kernel factors when every pair is coupled:
+    each pair term flips half the states of the index it acts on."""
+    low = n_spins // 2
+    high = n_spins - low
+    return ((low * (low - 1) << low) + (high * (high - 1) << high)) // 4 + (high * low << low)
+
+
+def _pair_bytes(n_spins: int, columns: int) -> int:
+    """Peak bytes the pair kernel allocates beyond its input and output on
+    ``columns`` float64 columns: at most six 2**N x _PAIR_CHUNK temporaries,
+    and, on first use, 48 bytes per factor entry while the factors are built
+    (12 of them are kept)."""
+    return 48 * ((1 << n_spins) * min(columns, _PAIR_CHUNK) + _pair_entries(n_spins))
+
+
 def _vector_bytes(n_spins: int) -> float:
     """Peak bytes of the vector path: per basis state, the int8 and float64
     spin-sign temporaries of the Hzz diagonal, three float64 tables, and
-    ten complex vectors for the Chebyshev series and its slice temporaries;
-    inf past 64 spins, beyond any budget, rather than a huge integer."""
-    return math.inf if n_spins > 64 else (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16)
+    ten complex vectors for the Chebyshev series and the kernel's
+    temporaries; then the construction of the pair factors; inf past 64
+    spins, beyond any budget, rather than a huge integer."""
+    if n_spins > 64:
+        return math.inf
+    return (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16) + _pair_bytes(n_spins, 0)
 
 
 class OperatorKind(str, Enum):
@@ -144,11 +177,12 @@ class SpinSystem:
 
     ``n_spins`` must be an integer of at least 2, and ``couplings`` an
     N x N symmetric matrix with an exactly zero diagonal. Derived
-    lookup tables (magnetization per state, pair list, Hzz diagonal) are
-    prepared once here and shared by all operator applications, which are
-    pure reads and safe for concurrent use. Equality and hash are by
-    identity: two systems built from the same geometry are different keys
-    of any cache that holds results per system.
+    lookup tables (magnetization per state, Hzz diagonal) are prepared once
+    here, and the pair kernel's factors of Hzz and Hdq on first use; the
+    operator applications that share them are safe for concurrent use, and
+    concurrent first uses at worst build the same factors twice. Equality
+    and hash are by identity: two systems built from the same geometry are
+    different keys of any cache that holds results per system.
     """
 
     n_spins: int
@@ -156,11 +190,10 @@ class SpinSystem:
     geometry: Geometry | None = None
 
     # derived, filled in __post_init__
-    _pair_i: np.ndarray = field(init=False, repr=False)
-    _pair_j: np.ndarray = field(init=False, repr=False)
-    _pair_d: np.ndarray = field(init=False, repr=False)
     _mz: np.ndarray = field(init=False, repr=False)
     _diag_zz: np.ndarray = field(init=False, repr=False)
+    # kind -> _PairFactors, filled on first use
+    _pair_factors: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_spins = _spin_count(self.n_spins)
@@ -178,12 +211,8 @@ class SpinSystem:
             raise InvalidParameter("couplings",
                                    "coupling matrix diagonal must be exactly zero")
         require_memory(_vector_bytes(n), f"the {n}-spin vector path")
-        iu, ju = np.triu_indices(n, k=1)
-        keep = self.couplings[iu, ju] != 0.0
-        self._pair_i = iu[keep]
-        self._pair_j = ju[keep]
-        self._pair_d = self.couplings[iu, ju][keep]
         self._mz = magnetization_values(n)
+        self._pair_factors = {}
         # diagonal of Hzz: (1/2) sum_{i<j} d_ij s_i s_j with s = +-1
         idx = np.arange(self.dim)
         bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
@@ -279,9 +308,12 @@ def apply_operator(
     ``state`` has shape ``(2**N,)`` or ``(2**N, k)``; the result has the
     same shape. Every kind but Iy has real matrix elements, so a real state
     gives a float64 result and a complex one a complex128 result; Iy always
-    gives complex128. Each flip is one in-place update between two strided
-    slices of the views in the module docstring, O(pairs * 2**N) per call.
-    Raises InvalidParameter for another shape or for NaN or inf.
+    gives complex128. Ix and Iy flip one spin at a time, through one scratch
+    array of half the state, O(N * 2**N) per call. The pair terms of Hzz and
+    Hdq are a few sparse products of the split in the module docstring,
+    O(pairs * 2**N) multiply-adds with temporaries of a few
+    ``2**N x _PAIR_CHUNK`` arrays. Raises InvalidParameter for another shape
+    or for NaN or inf.
     """
     state = np.asarray(state)
     if state.ndim not in (1, 2) or state.shape[0] != system.dim:
@@ -296,33 +328,127 @@ def apply_operator(
 
     if kind == OperatorKind.IZ_TOTAL:
         return system._mz[col] * state
-
-    if kind == OperatorKind.HZZ:
-        out = system._diag_zz[col] * state
-    elif kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL, OperatorKind.HDQ):
-        out = np.zeros_like(state)
-    else:
-        raise InvalidParameter("kind", f"unknown operator kind {kind!r}")
-    # spin 0 is the least significant bit: 2**i states lie below bit i
     if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
+        out = np.zeros_like(state)
+        scratch = np.empty(state.size // 2, dtype=state.dtype)
         # <x|Iy|x^e_i> = -i/2 when bit i of x is set (raising), +i/2 otherwise
         coeffs = (0.5, 0.5) if kind == OperatorKind.IX_TOTAL else (0.5j, -0.5j)
+        # spin 0 is the least significant bit: 2**i states lie below bit i
         for i in range(n):
             shape = (1 << (n - 1 - i), 2, 1 << i) + state.shape[1:]
             src, dst = state.reshape(shape), out.reshape(shape)
+            term = scratch.reshape(src[:, 0].shape)
             for b in (0, 1):
-                dst[:, b] += coeffs[b] * src[:, 1 - b]
+                np.multiply(coeffs[b], src[:, 1 - b], out=term)
+                np.add(dst[:, b], term, out=dst[:, b])
         return out
-
-    # Hzz flips anti-aligned pairs (bits 01 and 10), Hdq aligned ones (00, 11)
-    flips = ((0, 1), (1, 0)) if kind == OperatorKind.HZZ else ((0, 0), (1, 1))
-    pairs = zip(system._pair_i.tolist(), system._pair_j.tolist(), system._pair_d)
-    for i, j, d in pairs:
-        shape = (1 << (n - 1 - j), 2, 1 << (j - i - 1), 2, 1 << i) + state.shape[1:]
-        src, dst = state.reshape(shape), out.reshape(shape)
-        for a, b in flips:
-            dst[:, b, :, a] += (-0.5 * d) * src[:, 1 - b, :, 1 - a]
+    if kind == OperatorKind.HZZ:
+        out = system._diag_zz[col] * state
+    elif kind == OperatorKind.HDQ:
+        out = np.zeros_like(state)
+    else:
+        raise InvalidParameter("kind", f"unknown operator kind {kind!r}")
+    _subtract_pairs(_pair_factors(system, kind), state, out)
     return out
+
+
+@dataclass(frozen=True)
+class _PairFactors:
+    """The pair sum of Hzz or Hdq, negated, split at bit ``low_spins``.
+
+    ``high`` acts on the high index (spins ``low_spins`` and up), ``low`` on
+    the low index, and ``cross[k] = (j, s, c)`` is the sum over low spins i
+    of the pairs (i, low_spins + j) that flip bit j of the high index from
+    s to 1 - s; ``c`` acts on the low index. Every entry is a d_ij / 2.
+    """
+
+    low_spins: int
+    high: scipy.sparse.csr_array
+    low: scipy.sparse.csr_array
+    cross: tuple[tuple[int, int, scipy.sparse.csr_array], ...]
+
+
+def _flip_matrix(dim: int, terms: list) -> scipy.sparse.csr_array:
+    """dim x dim matrix with ``value`` at (x ^ mask, x) for every
+    (mask, value, x) in ``terms``, x an int32 array of source states."""
+    if not terms:
+        return scipy.sparse.csr_array((dim, dim))
+    masks, values, sources = zip(*terms)
+    sizes = [x.size for x in sources]
+    cols = np.concatenate(sources)
+    rows = cols ^ np.repeat(np.array(masks, dtype=np.int32), sizes)
+    return scipy.sparse.csr_array((np.repeat(values, sizes), (rows, cols)), shape=(dim, dim))
+
+
+def _build_pair_factors(system: SpinSystem, kind: OperatorKind) -> _PairFactors:
+    """The factors of ``kind`` (Hzz or Hdq) on ``system``, from the bit rules."""
+    n, d = system.n_spins, system.couplings
+    low = n // 2
+    aligned = kind == OperatorKind.HDQ  # Hdq flips pairs of equal bits, Hzz of unequal
+    # int32 states suffice: 2**31 of them are far past any memory budget
+
+    def pairs_among(spins: list[int]) -> scipy.sparse.csr_array:
+        idx = np.arange(1 << len(spins), dtype=np.int32)
+        terms = []
+        for a, b in itertools.combinations(range(len(spins)), 2):
+            if d[spins[a], spins[b]] != 0.0:
+                differ = ((idx >> a) ^ (idx >> b)) & 1
+                terms.append(((1 << a) | (1 << b), 0.5 * d[spins[a], spins[b]],
+                              idx[differ == (0 if aligned else 1)]))
+        return _flip_matrix(idx.size, terms)
+
+    idx = np.arange(1 << low, dtype=np.int32)
+    cross = []
+    for j in range(low, n):
+        for s in (0, 1):
+            # spin i flips from s with an equal bit (Hdq), from 1 - s otherwise
+            source = s if aligned else 1 - s
+            terms = [(1 << i, 0.5 * d[i, j], idx[(idx >> i) & 1 == source])
+                     for i in range(low) if d[i, j] != 0.0]
+            if terms:
+                cross.append((j - low, s, _flip_matrix(idx.size, terms)))
+    return _PairFactors(low, pairs_among(list(range(low, n))), pairs_among(list(range(low))),
+                        tuple(cross))
+
+
+def _pair_factors(system: SpinSystem, kind: OperatorKind) -> _PairFactors:
+    """The factors of ``kind`` on ``system``, built on first use; concurrent
+    first uses may each build them, and all get the one that is kept."""
+    factors = system._pair_factors.get(kind)
+    if factors is None:
+        factors = system._pair_factors.setdefault(kind, _build_pair_factors(system, kind))
+    return factors
+
+
+def _subtract_pairs(f: _PairFactors, state: np.ndarray, out: np.ndarray) -> None:
+    """out -= the pair sum applied to state: both C-contiguous, of one shape
+    and dtype; a complex block goes through as its float64 view. Per column
+    chunk, the low and cross pairs are subtracted first, then the high ones."""
+    dim = state.shape[0]
+    lo = 1 << f.low_spins
+    src, dst = state.reshape(dim, -1), out.reshape(dim, -1)
+    if np.iscomplexobj(state):
+        src, dst = src.view(np.float64), dst.view(np.float64)
+    for c0 in range(0, src.shape[1], _PAIR_CHUNK):
+        block, part = src[:, c0:c0 + _PAIR_CHUNK], dst[:, c0:c0 + _PAIR_CHUNK]
+        part.reshape(dim // lo, lo, -1)[...] -= _low_and_cross(f, block).transpose(1, 0, 2)
+        part -= (f.high @ np.ascontiguousarray(block).reshape(dim // lo, -1)).reshape(part.shape)
+
+
+def _low_and_cross(f: _PairFactors, block: np.ndarray) -> np.ndarray:
+    """The low and cross pair terms, negated, applied to a float64 (D, c)
+    block, as a (low, high, c) array: in that layout the low index is the
+    row of each product."""
+    lo = 1 << f.low_spins
+    hi, c = block.shape[0] // lo, block.shape[1]
+    t = np.ascontiguousarray(block.reshape(hi, lo, c).transpose(1, 0, 2))
+    z = f.low @ t.reshape(lo, hi * c)
+    for j, s, cj in f.cross:
+        split = (lo, hi >> (j + 1), 2, c << j)  # high bit j on its own axis
+        flipped = cj @ t.reshape(split)[:, :, s].reshape(lo, -1)
+        z.reshape(split)[:, :, 1 - s] += flipped.reshape(split[0], split[1], split[3])
+        del flipped
+    return z.reshape(lo, hi, c)
 
 
 # --- JSON serialization -------------------------------------------------

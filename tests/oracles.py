@@ -71,6 +71,33 @@ def dense_operator(kind, couplings, n):
     raise ValueError(kind)
 
 
+def pair_action(kind, couplings, v):
+    """``dense_operator(kind, couplings, n) @ v`` for kind "zz" or "dq" and v
+    of shape (2**n, k), without the 2**n x 2**n matrix: every single-spin
+    factor of every pair term acts on its own axis of v viewed as a (2,)*n
+    tensor, in op_on's order (spin n-1 on the first axis)."""
+    n = couplings.shape[0]
+    t = np.asarray(v, dtype=complex).reshape((2,) * n + (-1,))
+
+    def on(op, i, x):
+        return np.moveaxis(np.tensordot(op, x, axes=([1], [n - 1 - i])), 0, n - 1 - i)
+
+    out = np.zeros_like(t)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = couplings[i, j]
+            if d == 0:
+                continue
+            if kind == "zz":
+                out += d * (2 * on(IZ, i, on(IZ, j, t)) - on(IX, i, on(IX, j, t))
+                            - on(IY, i, on(IY, j, t)))
+            elif kind == "dq":
+                out += -0.5 * d * (on(SP, i, on(SP, j, t)) + on(SM, i, on(SM, j, t)))
+            else:
+                raise ValueError(kind)
+    return out.reshape(np.shape(v))
+
+
 def brute_force_mqc_signal(couplings, t, phi, back_couplings=None):
     """Dense-matrix protocol evaluation sharing no code with the package.
 

@@ -12,8 +12,10 @@ import pytest
 import scipy
 
 import mqcsim
-from mqcsim import blas, cli
+from mqcsim import blas, cli, krylov_expmv
 from mqcsim import io as mio
+
+from oracles import random_couplings, random_state
 
 
 def _openblas_wheels() -> bool:
@@ -39,6 +41,20 @@ def test_threads_restores_each_count_on_error():
             assert set(blas.thread_counts().values()) <= {1}
             raise RuntimeError("inside")
         assert blas.thread_counts() == before
+
+
+def test_krylov_expmv_does_not_depend_on_the_thread_count():
+    # the vector path makes no BLAS call: its sparse products and updates
+    # give the same bits on any number of threads
+    rng = np.random.default_rng(12)
+    couplings = random_couplings(12, rng)
+    psi = random_state(12, rng)
+    runs = []
+    for n in (1, 2):
+        system = mqcsim.SpinSystem(n_spins=12, couplings=couplings)
+        with blas.threads(n):
+            runs.append(krylov_expmv(system, mqcsim.OperatorKind.HDQ, psi, 0.5))
+    assert runs[0].tobytes() == runs[1].tobytes()
 
 
 def test_without_openblas_nothing_is_set(tmp_path, monkeypatch):

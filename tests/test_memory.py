@@ -157,9 +157,9 @@ def test_run_dd_keeps_only_flip_blocks():
 @pytest.mark.parametrize("n", TRACED_SPINS)
 def test_hdq_eigenbasis_peak_is_its_assembly(n):
     # no eye(D) and no D x D Hdq: the peak is one sector's D x D/2 identity
-    # slice and its image under the kernel, 16 D^2 / 2 bytes, plus a quarter
-    # of that for the kernel's temporary; at even N sector 0's eigenvectors,
-    # 16 D^2 / 8 bytes, are kept while sector 1 is assembled
+    # slice and its image under the kernel, 16 D^2 / 2 bytes, plus the
+    # kernel's temporaries of a few D x 12 columns; at even N sector 0's
+    # eigenvectors, 16 D^2 / 8 bytes, are kept while sector 1 is assembled
     _, peak = dense_peaks(n)["eigenbasis-hdq"]
     assert peak <= (0.7 if n % 2 else 0.85) * 16 * (1 << n) ** 2
 
@@ -247,13 +247,15 @@ def small_budget(monkeypatch):
         MqcRun(s, 2, 4 * 3e-6 + 6 * 8e-6, uniform_phase_grid(8), mode=Mode.PULSE_LEVEL)),
     lambda s: order_amplitudes(MqcRun(_system(3), 10**12, 0.1, uniform_phase_grid(8))),
     lambda s: run_dd(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
+    lambda s: run_dd(_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=10**12)),
     lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
+    lambda s: run_dd_stepwise(_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=10**12)),
     lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
     lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
 ], ids=["hamiltonian_matrix", "hamiltonian_matrix-sector", "eigenbasis", "evolve-density",
         "compile_program", "order_amplitudes-ideal", "order_amplitudes-pulse",
-        "order_amplitudes-tables", "run_dd",
-        "run_dd_stepwise", "SpinSystem", "build_system"])
+        "order_amplitudes-tables", "run_dd", "run_dd-cycles",
+        "run_dd_stepwise", "run_dd_stepwise-cycles", "SpinSystem", "build_system"])
 def test_refused_before_allocation(small_budget, build):
     system = _system(10)  # its vector path (280 kB) fits; its dense paths (134 MB) do not
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from mqcsim import (
     system_to_json,
 )
 
-from oracles import dense_operator, random_couplings, random_state
+from oracles import dense_operator, pair_action, random_couplings, random_state
 
 UP, DOWN = 1, 0
 
@@ -246,13 +248,18 @@ class TestApplyOperator:
             assert np.max(np.abs(out[outside])) < 1e-14
 
     def test_stacked_columns_match_single_vectors(self):
+        # the kernel treats every column on its own, also across the pair
+        # kernel's column chunks: a column of a block is, bit for bit, that
+        # column applied alone
         rng = np.random.default_rng(5)
-        system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
-        block = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
-        stacked = apply_operator(OperatorKind.HZZ, system, block)
-        for c in range(3):
-            single = apply_operator(OperatorKind.HZZ, system, block[:, c])
-            assert np.allclose(stacked[:, c], single)
+        system = build_system(ExplicitCouplings(random_couplings(8, rng, -1.5, 1.5)), 8)
+        complex_block = rng.normal(size=(256, 7)) + 1j * rng.normal(size=(256, 7))
+        for kind in OperatorKind:
+            for block in (complex_block, rng.normal(size=(256, 13))):
+                stacked = apply_operator(kind, system, block)
+                for c in range(block.shape[1]):
+                    single = apply_operator(kind, system, block[:, c])
+                    assert np.array_equal(stacked[:, c], single), (kind, c)
 
 
 def gather_apply(kind, system, state):
@@ -273,20 +280,48 @@ def gather_apply(kind, system, state):
                 out += coeff[col] * state[flipped]
         return out
     out = system._diag_zz[col] * state if kind == OperatorKind.HZZ else np.zeros_like(state)
-    for i, j, d in zip(system._pair_i, system._pair_j, system._pair_d):
+    for i, j in zip(*np.triu_indices(system.n_spins, 1)):
+        d = system.couplings[i, j]
+        if d == 0.0:
+            continue
         same = ((idx >> int(i)) & 1) == ((idx >> int(j)) & 1)
         sel = idx[~same if kind == OperatorKind.HZZ else same]
         out[sel] += (-0.5 * d) * state[sel ^ ((1 << int(i)) | (1 << int(j)))]
     return out
 
 
+PAIR_KINDS = (OperatorKind.HZZ, OperatorKind.HDQ)
+
+
 class TestTensorKernel:
-    @pytest.mark.parametrize("kind", list(OperatorKind))
-    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    # The single-spin kinds add a state's terms spin by spin, as the gather
+    # form does. The pair kinds add them part by part of the kernel's split
+    # (low and cross pairs, then high pairs), so they keep the gather form's
+    # order, and its bits, only where no part holds two terms of one state:
+    # up to N = 3 with the pair (0, N-1) dropped.
+    @pytest.mark.parametrize("n, kind", [(n, kind) for n in (2, 3, 5, 7) for kind in OperatorKind
+                                         if n <= 3 or kind not in PAIR_KINDS])
     def test_bit_identical_to_gather_kernel(self, kind, n):
         # the same addends in the same order for every element: equal bits.
         # A real state stays real for every kind but Iy, with the real part
         # of the complex result
+        for expected, out in self._cases(kind, n):
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, kind", [(n, kind) for n in (5, 7) for kind in PAIR_KINDS])
+    def test_pair_kinds_match_gather_kernel_to_roundoff(self, kind, n):
+        # the same addends in another order: equal to a few ulps of the
+        # largest element, with the same exact zeros
+        for expected, out in self._cases(kind, n):
+            scale = np.max(np.abs(expected))
+            assert np.max(np.abs(out - expected)) <= 4 * np.finfo(float).eps * scale
+            assert np.array_equal(out == 0, expected == 0)
+
+    @staticmethod
+    def _cases(kind, n):
+        """(gather-form result, kernel result) for a vector, a block, a
+        Fortran-ordered block and a real block, with the pair (0, n-1)
+        dropped."""
         rng = np.random.default_rng(n)
         couplings = random_couplings(n, rng)
         couplings[0, n - 1] = couplings[n - 1, 0] = 0.0  # a dropped pair
@@ -298,7 +333,71 @@ class TestTensorKernel:
             if np.isrealobj(state) and kind != OperatorKind.IY_TOTAL:
                 expected = expected.real
             assert out.dtype == expected.dtype
-            assert out.tobytes() == expected.tobytes()
+            yield expected, out
+
+
+class TestPairKernel:
+    """The split pair kernel of Hzz and Hdq against the tensor-product oracle,
+    which shares no code with it, and against the sector rules."""
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_matches_tensor_oracle(self, kind, n):
+        # N = 2 and 3 leave one spin on the low side of the split; couplings
+        # of both signs, every third pair exactly zero
+        rng = np.random.default_rng(100 + n)
+        couplings = random_couplings(n, rng, -1.5, 1.5)
+        iu, ju = np.triu_indices(n, 1)
+        couplings[iu[::3], ju[::3]] = couplings[ju[::3], iu[::3]] = 0.0
+        system = build_system(ExplicitCouplings(couplings), n)
+        block = rng.normal(size=(system.dim, 3)) + 1j * rng.normal(size=(system.dim, 3))
+        for state in (block, block[:, 0], block.real, block.real[:, 0]):
+            expected = pair_action(kind.value, couplings, state)
+            assert np.max(np.abs(apply_operator(kind, system, state) - expected)) <= 1e-13
+        if n <= 6:  # the oracle itself against the kron-built matrix
+            dense = dense_operator(kind.value, couplings, n)
+            assert np.max(np.abs(pair_action(kind.value, couplings, block) - dense @ block)) <= 1e-13
+
+    def test_concurrent_first_uses(self):
+        # threads that build the factors at once each get a correct result,
+        # and the system keeps one set of factors per kind
+        n = 8
+        rng = np.random.default_rng(9)
+        couplings = random_couplings(n, rng, -1.5, 1.5)
+        system = build_system(ExplicitCouplings(couplings), n)
+        psi = random_state(n, rng)
+        results = {}
+
+        def work(k):
+            results[k] = apply_operator(OperatorKind.HDQ, system, psi)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        expected = pair_action("dq", couplings, psi)
+        assert all(np.max(np.abs(r - expected)) <= 1e-13 for r in results.values())
+        assert len(results) == 6 and list(system._pair_factors) == [OperatorKind.HDQ]
+
+    def test_exact_zeros_outside_the_reached_sectors(self):
+        # at N = 8 the split has cross pairs; from one magnetization sector
+        # Hzz reaches only that sector and Hdq only m +- 2, with exact zeros
+        n = 8
+        rng = np.random.default_rng(8)
+        system = build_system(ExplicitCouplings(random_couplings(n, rng, -1.5, 1.5)), n)
+        mz = system.magnetization
+        for m in np.unique(mz):
+            psi = np.where(mz == m, random_state(n, rng), 0.0)
+            assert np.all(apply_operator(OperatorKind.HZZ, system, psi)[mz != m] == 0.0)
+            reached = np.abs(mz - m) == 2
+            assert np.all(apply_operator(OperatorKind.HDQ, system, psi)[~reached] == 0.0)
 
 
 class TestSerialization:
