@@ -17,14 +17,19 @@ flip-symmetric and flip-antisymmetric states, and the signal is the sum of
 the two blocks' signals. Each block of V is a symmetric unitary, so it has
 a real orthogonal eigenbasis, which real ``eigh`` calls find; the complex
 Schur form is only the fallback for a basis that leaves an off-diagonal
-residue. A cell then costs two real eigendecompositions plus one
-(chunk x D/2) @ (D/2 x D/2) GEMM per block and chunk of cycles. The tip
+residue. In that basis the signal is a Fourier sum over the (D/2)^2
+differences of a block's eigenphases, evaluated at every cycle at once by
+one nonuniform FFT per cell: each difference is spread over a few points
+of a grid of 4 n_cycles, and one inverse FFT reads the grid out. A cell
+then costs two real eigendecompositions, O(D^2) spreading and one FFT of
+O(n_cycles log n_cycles), rather than D^2 n_cycles products. The tip
 makes Iz into Ix exactly, so the spectral route takes Ix as the density
 and builds none; the stepwise reference tips Iz. The Hzz eigenbasis is
 computed once per system (:meth:`EigenBasis.compute` keeps it), so every
 cell of a sweep shares it without further setup. The decay fit
 is a grid scan over time constants, with the amplitudes solved in closed
-form, plus one local polish of each model the scan supports. Additive
+form, plus one local polish of each model the scan supports; the cells of
+a sweep that share their sample times share the grid. Additive
 white Gaussian noise of scale ``noise_sigma/sqrt(n_scans)`` per
 acquisition window models scan averaging; everything is deterministic
 under a fixed seed.
@@ -32,6 +37,7 @@ under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,9 +61,17 @@ from .spins import OperatorKind, SpinSystem, require_memory
 _SEED_MIX_A = 0x9E3779B97F4A7C15
 _SEED_MIX_B = 0xC2B2AE3D27D4EB4F
 
-# cycles per GEMM of the signal kernel: bounds its working set to a few
-# chunk x dim arrays whatever the cycle count
-_CHUNK = 128
+# taps of the signal kernel's "exponential of semicircle" spreading
+# function, and its shape parameter for a grid oversampled twice: the
+# Fourier sum comes out within 1e-12 of the atoms' total weight
+_TAPS = 14
+_BETA = 2.30 * _TAPS
+# atoms spread per pass: bounds the pass's few atoms x _TAPS temporaries
+# whatever the block size
+_ATOMS = 512
+# Gauss-Legendre nodes on [0, 1] of the spreading function's transform;
+# 16 already reach its roundoff
+_NODES = 20
 # time constants per decade in the fit's grid scan
 _GRID_PER_DECADE = 8
 # smallest 1 - g^2 of two unit grid columns whose 2x2 Gram system is solved
@@ -156,14 +170,18 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     re, im = v.real, v.imag
     vals, o = scipy.linalg.eigh(re + _MIX * im, driver="evd")
     perp = im - _MIX * re
-    breaks = np.flatnonzero(np.diff(vals) >= _CLUSTER_GAP) + 1
-    for run in np.split(np.arange(vals.size), breaks):
-        if run.size > 1:
-            oc = o[:, run]
-            o[:, run] = oc @ np.linalg.eigh(oc.T @ perp @ oc)[1]
+    # the runs of two or more eigenvalues: edges[r] <= run < edges[r + 1]
+    edges = np.flatnonzero(np.diff(vals) >= _CLUSTER_GAP) + 1
+    edges = np.concatenate(([0], edges, [vals.size]))
+    wide = np.flatnonzero(np.diff(edges) > 1)
+    for lo, hi in zip(edges[wide], edges[wide + 1]):
+        oc = o[:, lo:hi]
+        o[:, lo:hi] = oc @ np.linalg.eigh(oc.T @ perp @ oc)[1]
+    del perp
     d = _mul(o.T, _mul(o.T, v).T).T  # o^T v o
-    diag = np.diag(d)
-    if np.max(np.abs(d - np.diag(diag))) > _MAX_RESIDUE:
+    diag = np.diag(d).copy()
+    np.fill_diagonal(d, 0.0)
+    if np.max(np.abs(d)) > _MAX_RESIDUE:
         t_mat, o = scipy.linalg.schur(v, output="complex")
         diag = np.diag(t_mat)
     return o, np.angle(diag)
@@ -173,45 +191,139 @@ def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j < n_cycles, from the cycle's spectrum; Ix is the tipped density."""
     _require_dense(system.dim, "run_dd")
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
-    # only the flip blocks are kept: each D x D operator is freed once it is cut
-    blocks = zip(
+    # only the flip blocks are kept: each D x D operator is freed once it is
+    # cut, and each block's inputs and weights once its atoms are spread
+    blocks = list(zip(
         _flip_blocks(basis.propagator(config.tau / 2)),
         _flip_blocks(pulse_matrix(Axis.X, config.theta, system.n_spins)),
         _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL)),
-    )
-    signal = np.zeros(config.n_cycles)
-    # the spin flip keeps every operator block-diagonal: the signal is the
-    # sum of the two blocks' signals
-    for half_b, pulse_b, ix_b in blocks:
-        w, phase = _floquet_basis(half_b @ pulse_b @ half_b)
-        # first sample in the Floquet basis: rho_s = g Ix g^dag with
-        # g = w^dag half; g Ix = (Ix g^T)^T keeps the real, symmetric Ix left
-        g = _mul(w.conj().T, half_b)
-        rho_s = _mul(ix_b, g.T).T @ g.conj().T
-        # Tr{Ix V^j rho V^-j} = sum_ab W_ab lam_a^j conj(lam_b)^j
-        # with W = rho_s * (w^dag Ix w)^T
-        weights = rho_s * _mul(w.conj().T, _mul(ix_b, w)).T
-        # lam_a^j = lam_a^k lam_a^j0 for j = j0 + k: one table of the k < _CHUNK
-        # powers, and one direct exp per chunk offset, so nothing drifts
-        table = np.exp(1j * np.outer(np.arange(min(_CHUNK, config.n_cycles)), phase))
-        for start in range(0, config.n_cycles, _CHUNK):
-            stop = min(start + _CHUNK, config.n_cycles)
-            lam = table[: stop - start] * np.exp(1j * start * phase)
-            signal[start:stop] += np.sum((lam @ weights) * lam.conj(), axis=1).real
+    ))
+    trace = 0.0
+
+    def atoms():
+        # the spin flip keeps every operator block-diagonal: the signal is
+        # the sum of the two blocks' signals
+        nonlocal trace
+        while blocks:
+            phase, weights = _block_weights(*blocks.pop(0))
+            trace += np.trace(weights).real
+            yield from _pair_atoms(phase, weights)
+            del weights
+
+    # the atoms are all spread once the sum returns, so the trace is complete
+    signal = _fourier_sum(atoms(), config.n_cycles).real + trace
     signal /= system.iz_norm()
     return signal if config.detect == "aligned" else np.abs(signal)
 
 
-def _require_series(config: DdConfig) -> None:
-    """Budget check of the arrays sized by ``n_cycles``: the signal, the
-    noise draw, the noisy sum, the sample times and their index range, one
-    float64 each per cycle. Made before the first of them is allocated."""
-    require_memory(5 * 8 * config.n_cycles, f"a series of {config.n_cycles} cycles")
+def _block_weights(
+    half: np.ndarray, pulse: np.ndarray, ix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases of one flip block of the cycle V = half . pulse . half,
+    and the weights W of its signal Tr{Ix V^j rho V^-j} = sum_ab W_ab
+    e^{ij(phase_a - phase_b)}: W = rho_s * (w^dag Ix w)^T for the Floquet
+    basis w and the first sample in it, rho_s = g Ix g^dag with g = w^dag half."""
+    w, phase = _floquet_basis(half @ pulse @ half)
+    # g Ix = (Ix g^T)^T keeps the real, symmetric Ix left
+    g = _mul(w.conj().T, half)
+    rho_s = _mul(ix, g.T).T @ g.conj().T
+    del g
+    return phase, rho_s * _mul(w.conj().T, _mul(ix, w)).T
+
+
+def _pair_atoms(phase: np.ndarray, weights: np.ndarray):
+    """The atoms of sum_ab W_ab e^{ij(phase_a - phase_b)} off the diagonal,
+    in passes of at most about ``_ATOMS``: the real part of the pairs (a, b)
+    and (b, a) is that of one atom x = phase_a - phase_b, c = W_ab +
+    conj(W_ba). A pass takes whole rows a of the triangle a < b."""
+    n = phase.size
+    r0 = 0
+    while r0 < n - 1:
+        r1 = min(r0 + max(1, _ATOMS // (n - 1 - r0)), n - 1)
+        # the rows r0 <= a < r1 against the columns b > r0; keep b > a
+        x = phase[r0:r1, None] - phase[r0 + 1:]
+        c = weights[r0:r1, r0 + 1:] + weights[r0 + 1:, r0:r1].T.conj()
+        upper = np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+        yield x[upper], c[upper]
+        r0 = r1
+
+
+def _fourier_sum(atoms, n: int) -> np.ndarray:
+    """f_j = sum_k c_k e^{i j x_k} for j < n over every pass (x, c) of
+    ``atoms``, by a type-1 nonuniform FFT (Greengard & Lee, SIAM Rev. 46,
+    443, 2004).
+
+    Each atom is spread with the "exponential of semicircle" function
+    exp(beta (sqrt(1 - z^2) - 1)) (Barnett, Magland & af Klinteberg, SIAM J.
+    Sci. Comput. 41, C479, 2019) over ``_TAPS`` points of a periodic grid of
+    4 n points, twice oversampled for the band [-n, n); one inverse FFT of
+    the grid, divided by the function's transform, gives f. The x are taken
+    modulo 2 pi.
+    """
+    size = 4 * n
+    taps = np.arange(_TAPS)
+    # the real and imaginary parts of the grid, with room for the taps that
+    # run past its end
+    acc = np.zeros((2, size + _TAPS - 1))
+    for x, c in atoms:
+        # grid position of each atom and the first of its taps
+        u = x * (size / (2 * np.pi))
+        first = np.ceil(u - _TAPS / 2)
+        idx = (np.remainder(first.astype(np.intp), size)[:, None] + taps).ravel()
+        # each tap's offset from the atom in half-widths: [-1, 1) up to roundoff
+        z = ((first - u)[:, None] + taps) * (2 / _TAPS)
+        kernel = np.exp(_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+        for row, coef in zip(acc, (c.real, c.imag)):
+            row += np.bincount(idx, (kernel * coef[:, None]).ravel(), acc.shape[1])
+    # fold the taps past the end back onto the grid, more than once round a
+    # grid shorter than the taps
+    for lap in range(size, acc.shape[1], size):
+        tail = acc[:, lap:lap + size]
+        acc[:, :tail.shape[1]] += tail
+    grid = acc[0, :size] + 1j * acc[1, :size]
+    del acc
+    np.fft.ifft(grid, out=grid)
+    f = grid[:n] * size
+    f /= _kernel_transform(n)
+    return f
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel_transform(n: int) -> np.ndarray:
+    """The transform of :func:`_fourier_sum`'s spreading function at the
+    frequencies j < n of its 4 n point grid, read-only: the integral of
+    exp(beta (sqrt(1 - z^2) - 1)) cos(pi j taps z / (4 n)) over z in
+    [-1, 1], times taps / 2, by Gauss-Legendre quadrature."""
+    z, weight = np.polynomial.legendre.leggauss(2 * _NODES)
+    z, weight = z[_NODES:], weight[_NODES:]  # the function is even: z in [0, 1]
+    weight = _TAPS * weight * np.exp(_BETA * (np.sqrt(1.0 - z * z) - 1.0))
+    freq = np.arange(n) * (np.pi * _TAPS / (4 * n))
+    out = np.zeros(n)
+    for zq, wq in zip(z, weight):
+        out += wq * np.cos(freq * zq)
+    out.flags.writeable = False
+    return out
+
+
+# bytes per cycle of the series: the signal, the noise draw, the noisy sum,
+# the sample times and their index range, one float64 each
+_SERIES_BYTES = 5 * 8
+# bytes per cycle of the signal kernel: on its grid of 4 points a cycle,
+# the two float64 rows, one pass's float64 counts and the complex128 grid
+# they are read into; then the complex128 sum and the float64 transform of
+# the spreading function with the three temporaries of its quadrature
+_KERNEL_BYTES = 4 * (2 * 8 + 8 + 16) + 16 + 4 * 8
+
+
+def _require_series(config: DdConfig, bytes_per_cycle: int = _SERIES_BYTES) -> None:
+    """Budget check of the arrays sized by ``n_cycles``, ``bytes_per_cycle``
+    each cycle. Made before the first of them is allocated."""
+    require_memory(bytes_per_cycle * config.n_cycles, f"a series of {config.n_cycles} cycles")
 
 
 def run_dd(system: SpinSystem, config: DdConfig) -> DdSeries:
     """Simulate the pulse-train acquisition; see the module docstring."""
-    _require_series(config)
+    _require_series(config, _SERIES_BYTES + _KERNEL_BYTES)
     return _series(_signal(system, config), config)
 
 
@@ -279,17 +391,13 @@ def _exp_sum_jac(t, *p):
     return np.stack(cols, axis=1)
 
 
-def _grid_starts(
-    t: np.ndarray, y: np.ndarray, a_hi: float, t_hi: float
-) -> tuple[list[float] | None, list[float]]:
-    """Best bi- and single-exponential starts on a log grid of time constants.
-
-    With the time constants fixed the model is linear in its amplitudes
-    (variable projection), so each grid column and each pair of columns
-    gets its non-negative amplitudes in closed form from a 1x1 or 2x2 Gram
-    system. Returns ``[a_f, t_f, a_s, t_s]`` and ``[a, t_s]``; the pair is
-    None when no pair of columns beats the best single column.
-    """
+@functools.lru_cache(maxsize=1)
+def _fit_grid(t_bytes: bytes, t_hi: float) -> tuple[np.ndarray, ...]:
+    """The part of :func:`_grid_starts` that depends on the sample times
+    alone, read-only: the log grid of time constants, the norms of its
+    columns exp(-t/T), the unit columns and their Gram matrix. The cells of
+    a sweep share their times, so one entry serves a whole row of cells."""
+    t = np.frombuffer(t_bytes)
     # from the sample spacing up: a shorter time constant fits one sample
     dt = t[1] - t[0]
     taus = np.geomspace(dt, t_hi, int(_GRID_PER_DECADE * np.log10(t_hi / dt)) + 2)
@@ -303,7 +411,25 @@ def _grid_starts(
         raise FitFailure("every grid time constant underflows over the window")
     taus, norms = taus[keep], np.sqrt(sq[keep])
     basis = basis[:, keep] / norms  # unit columns: the Gram diagonal is 1
-    gram, b = basis.T @ basis, basis.T @ y
+    grid = taus, norms, basis, basis.T @ basis
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _grid_starts(
+    t: np.ndarray, y: np.ndarray, a_hi: float, t_hi: float
+) -> tuple[list[float] | None, list[float]]:
+    """Best bi- and single-exponential starts on a log grid of time constants.
+
+    With the time constants fixed the model is linear in its amplitudes
+    (variable projection), so each grid column and each pair of columns
+    gets its non-negative amplitudes in closed form from a 1x1 or 2x2 Gram
+    system. Returns ``[a_f, t_f, a_s, t_s]`` and ``[a, t_s]``; the pair is
+    None when no pair of columns beats the best single column.
+    """
+    taus, norms, basis, gram = _fit_grid(t.tobytes(), t_hi)
+    b = basis.T @ y
     c_hi = a_hi * norms  # the amplitude bound in unit-column coordinates
 
     # one column: y.y - SSR = 2 c b - c^2

@@ -71,7 +71,7 @@ from .spins import (
 _DENSE_FACTORS = {
     "order_amplitudes-ideal": 1.3,
     "order_amplitudes-pulse": 4.7,
-    "run_dd": 4.3,
+    "run_dd": 2.8,
     "run_dd_stepwise": 7.0,
     "evolve-density": 4.5,
     "compile_program": 4.5,

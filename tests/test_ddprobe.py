@@ -27,7 +27,7 @@ from mqcsim import (
 )
 
 import mqcsim.ddprobe
-from mqcsim.ddprobe import _CHUNK, _flip_blocks, _floquet_basis, _polish
+from mqcsim.ddprobe import _TAPS, _flip_blocks, _floquet_basis, _fourier_sum, _polish
 from oracles import multistart_biexponential, random_couplings
 from snr import estimate_noise_sigma, measured_snr
 
@@ -76,11 +76,12 @@ class TestRunDd:
         assert np.max(np.abs(fast.values - slow.values)) < 1e-10
 
     @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
-    def test_chunk_boundaries_match_stepwise(self, detect):
-        # the spectral kernel walks the cycles in chunks of _CHUNK
+    def test_kernel_edges_match_stepwise(self, detect):
+        # the spectral kernel spreads over _TAPS points of a grid of
+        # 4 n_cycles, so short series wrap the taps around the grid
         rng = np.random.default_rng(29)
         system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
-        for n_cycles in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        for n_cycles in (1, 2, _TAPS - 1, _TAPS, _TAPS + 1, 2 * _TAPS + 3, 2049):
             config = DdConfig(tau=0.31, theta=0.9, n_cycles=n_cycles, detect=detect)
             fast = run_dd(system, config)
             slow = run_dd_stepwise(system, config)
@@ -135,6 +136,27 @@ class TestRunDd:
         assert fits[0.1].a_slow > fits[0.4].a_slow
 
 
+class TestFourierSum:
+    """The nonuniform FFT behind the spectral signal."""
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 14, 15, 64, 2049, 4096])
+    def test_matches_direct_sum(self, n):
+        rng = np.random.default_rng(n)
+        eps = 1e-9
+        x = np.concatenate((
+            [0.0, 2 * np.pi - eps, -(2 * np.pi - eps), 4 * np.pi - eps, -(4 * np.pi - eps)],
+            rng.uniform(-4 * np.pi, 4 * np.pi, 200)))
+        c = rng.normal(size=x.size) + 1j * rng.normal(size=x.size)
+        # the direct sum in extended precision, so that its own rounding of
+        # j x does not count against the kernel
+        j = np.arange(n, dtype=np.longdouble)
+        direct = np.exp(1j * np.outer(j, x.astype(np.longdouble))) @ c.astype(np.clongdouble)
+        # two passes of atoms add into one grid
+        f = _fourier_sum([(x[:50], c[:50]), (x[50:], c[50:])], n)
+        assert f.shape == (n,)
+        assert np.max(np.abs(f - direct)) <= 1e-12 * np.sum(np.abs(c))
+
+
 class TestFloquetKernel:
     """The spin-flip blocks and the real Floquet basis of the DD kernel."""
 
@@ -152,7 +174,7 @@ class TestFloquetKernel:
         # uniform couplings and these angles leave exact eigenphase
         # degeneracies, the case the cluster re-split exists for
         system = build_system(geometry, n)
-        config = DdConfig(tau=0.2, theta=theta, n_cycles=2 * _CHUNK + 3)
+        config = DdConfig(tau=0.2, theta=theta, n_cycles=259)
         fast = run_dd(system, config).values
         slow = run_dd_stepwise(system, config).values
         assert np.max(np.abs(fast - slow)) < 1e-10
@@ -188,7 +210,7 @@ class TestFloquetKernel:
     def test_schur_fallback_matches_real_basis(self, monkeypatch):
         rng = np.random.default_rng(12)
         system = build_system(ExplicitCouplings(random_couplings(6, rng, -1.5, 1.5)), 6)
-        config = DdConfig(tau=0.27, theta=1.3, n_cycles=2 * _CHUNK + 3)
+        config = DdConfig(tau=0.27, theta=1.3, n_cycles=259)
         real = run_dd(system, config).values
         calls = []
         schur = scipy.linalg.schur

@@ -588,11 +588,12 @@ class TestCli:
         assert not (out / "manifest.json").exists()
 
     def test_huge_n_cycles_refused_exit_1(self, tmp_path, capsys):
-        # the series is counted before the signal is allocated
+        # the series and the signal kernel's grid, 248 bytes a cycle, are
+        # counted before the signal is allocated
         cfg, out = write_config(tmp_path, system={"n_spins": 3}, dd={"n_cycles": 10**12})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "a series of 1000000000000 cycles needs 40000000000000 bytes" in err
+        assert "a series of 1000000000000 cycles needs 248000000000000 bytes" in err
         assert not (out / "manifest.json").exists()
 
     def test_failed_eigh_exit_1(self, tmp_path, capsys, monkeypatch):

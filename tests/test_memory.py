@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import mqcsim.ddprobe
 import mqcsim.evolution
 import mqcsim.spins
 from mqcsim import (
@@ -148,10 +149,27 @@ def test_operator_block_within_its_count(monkeypatch, kind, family):
 def test_run_dd_keeps_only_flip_blocks():
     # _signal cuts each D x D operator into its two flip blocks and frees it
     # at once, so no dense half-delay propagator lives through the block loop,
-    # and builds no tipped density beside Ix
+    # builds no tipped density beside Ix, and frees each flip block's inputs
+    # and weights before the next block is diagonalized
     for n in TRACED_SPINS:
         for path in ("run_dd-aligned", "run_dd-magnitude"):
-            assert dense_peaks(n)[path][1] <= 4.5 * 16 * (1 << n) ** 2, (n, path)
+            assert dense_peaks(n)[path][1] <= 2.8 * 16 * (1 << n) ** 2, (n, path)
+
+
+def test_run_dd_counts_its_kernel_per_cycle(monkeypatch):
+    # the series alone (40 bytes a cycle) fits this budget, the signal
+    # kernel's grid and transform do not
+    config = DdConfig(tau=0.2, theta=0.7, n_cycles=10**6)
+    budget = 100 * config.n_cycles
+    monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", budget)
+    mqcsim.ddprobe._require_series(config)
+    system = _system(3)
+
+    def refuse():
+        with pytest.raises(CapExceeded, match=f"a series of {config.n_cycles} cycles needs"):
+            run_dd(system, config)
+
+    assert traced_peak(refuse) < budget // 100
 
 
 @pytest.mark.parametrize("n", TRACED_SPINS)
