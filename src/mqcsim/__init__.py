@@ -35,15 +35,12 @@ from .evolution import (
     EigenBasis,
     Pulse,
     PulseProgram,
-    aht_error,
     collective_pulse,
     compile_program,
     dq_block,
     evolve,
     hamiltonian_matrix,
     krylov_expmv,
-    program_from_json,
-    program_to_json,
     pulse_matrix,
     unitarity_defect,
 )
@@ -84,6 +81,4 @@ from .spins import (
     apply_operator,
     build_system,
     magnetization_values,
-    system_from_json,
-    system_to_json,
 )

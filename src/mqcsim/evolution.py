@@ -30,14 +30,13 @@ tensor product of single-spin rotations; finite pulse widths are out of
 scope. The shipped eight-pulse cycle :func:`dq_block` realizes the
 double-quantum Hamiltonian at leading order during free dipolar
 evolution; its delays satisfy ``4*delta1 + 6*delta2`` = total period and
-its correctness is established numerically by :func:`aht_error`, not by a
-published phase table. Shifting every pulse phase by ``pi/2`` (the
+its correctness is established numerically by acceptance check c05, not by
+a published phase table. Shifting every pulse phase by ``pi/2`` (the
 ``sign=-1`` block) negates the effective double-quantum Hamiltonian.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass
@@ -53,6 +52,7 @@ from .spins import (
     OperatorKind,
     SpinSystem,
     _pair_bytes,
+    _spin_count,
     all_finite,
     apply_operator,
     magnetization_sectors,
@@ -122,8 +122,9 @@ class Pulse:
 
 @dataclass(frozen=True)
 class Delay:
+    """Free evolution under Hzz."""
+
     duration: float
-    hamiltonian: OperatorKind = OperatorKind.HZZ
 
 
 Step = Union[Pulse, Delay]
@@ -134,7 +135,6 @@ class PulseProgram:
     """Ordered delta pulses and free-evolution delays."""
 
     steps: list[Step]
-    name: str = ""
 
     @property
     def duration(self) -> float:
@@ -427,7 +427,7 @@ def evolve(
 def _pulse_u2(axis: Axis, angle: float) -> np.ndarray:
     """exp(-i*angle*S) for the single-spin operator S of ``axis``; S^2 = 1/4,
     so it is cos(angle/2) - 2i sin(angle/2) S."""
-    if not np.isfinite(angle):
+    if not np.isfinite(number(angle, "angle")):
         raise InvalidParameter("angle", "pulse angle must be finite")
     op = _AXIS_OP[choice(Axis, axis, "axis")]
     return np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * op
@@ -443,12 +443,20 @@ def _apply_left(u2: np.ndarray, mat: np.ndarray, n_spins: int) -> np.ndarray:
 
 
 def collective_pulse(obj: np.ndarray, axis: Axis, angle: float) -> np.ndarray:
-    """Apply exp(-i*angle*I_axis) to a state vector or density matrix."""
+    """Apply exp(-i*angle*I_axis) to a state vector or density matrix.
+
+    Raises InvalidParameter unless ``obj`` has shape (2**N,) or
+    (2**N, 2**N) for N >= 2 and is finite.
+    """
     u2 = _pulse_u2(axis, angle)
     obj = np.asarray(obj, dtype=complex)
-    n = int(obj.shape[0]).bit_length() - 1
-    if obj.shape[0] != 1 << n:
-        raise InvalidParameter("obj", f"length {obj.shape[0]} is not a power of two")
+    dim = obj.shape[0] if obj.ndim in (1, 2) else 0
+    n = dim.bit_length() - 1
+    if dim < 4 or dim != 1 << n or obj.shape[1:] not in ((), (dim,)):
+        raise InvalidParameter("obj", f"shape {obj.shape} is not (2**N,) or "
+                                      f"(2**N, 2**N) for N >= 2")
+    if not all_finite(obj):
+        raise InvalidParameter("obj", "state or density to rotate must be finite")
     if obj.ndim == 1:
         return _apply_left(u2, obj[:, None], n)[:, 0]
     out = _apply_left(u2, obj, n)
@@ -456,7 +464,16 @@ def collective_pulse(obj: np.ndarray, axis: Axis, angle: float) -> np.ndarray:
 
 
 def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
+    """Dense exp(-i*angle*I_axis) on ``n_spins`` spins, a Kronecker product.
+
+    Raises InvalidParameter for an ``n_spins`` that is not an integer of at
+    least 2 and CapExceeded when the matrix would not fit in the budget.
+    """
     u2 = _pulse_u2(axis, angle)
+    n_spins = _spin_count(n_spins)
+    # the last kron holds its 2**(N-1)-square input, its 2**N-square output
+    # and numpy's iteration buffers for the broadcast product
+    require_memory((20 << 2 * n_spins) + 48 * np.getbufsize(), f"a {n_spins}-spin pulse matrix")
     out = np.array([[1.0]], dtype=complex)
     for _ in range(n_spins):
         out = np.kron(out, u2)
@@ -465,8 +482,8 @@ def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
 
 def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
     """Dense propagator of the program (earliest step acts first)."""
-    if not program.steps:
-        raise InvalidParameter("program", "pulse program has no steps")
+    if not (isinstance(program.steps, list) and program.steps):
+        raise InvalidParameter("steps", "a pulse program needs a non-empty list of steps")
     dim = system.dim
     _require_dense(dim, "compile_program")
     u = np.eye(dim, dtype=complex)
@@ -474,7 +491,7 @@ def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
         if isinstance(step, Pulse):
             u = _apply_left(_pulse_u2(step.axis, step.angle), u, system.n_spins)
         else:
-            basis = EigenBasis.compute(system, step.hamiltonian)
+            basis = EigenBasis.compute(system, OperatorKind.HZZ)
             u = basis.evolve_columns(u, step.duration)
     return u
 
@@ -498,86 +515,24 @@ def dq_block(
     else:
         raise InvalidParameter("sign", "sign must be +1 or -1")
     half = np.pi / 2
-    zz = OperatorKind.HZZ
     steps: list[Step] = [
-        Delay(delta1, zz),
+        Delay(delta1),
         Pulse(p, half),
-        Delay(delta2, zz),
+        Delay(delta2),
         Pulse(p, half),
-        Delay(delta1, zz),
+        Delay(delta1),
         Pulse(pm, half),
-        Delay(2 * delta2, zz),
+        Delay(2 * delta2),
         Pulse(pm, half),
-        Delay(delta1, zz),
+        Delay(delta1),
         Pulse(p, half),
-        Delay(delta2, zz),
+        Delay(delta2),
         Pulse(p, half),
-        Delay(delta1, zz),
+        Delay(delta1),
         Pulse(pm, half),
-        Delay(delta2, zz),
+        Delay(delta2),
         Pulse(pm, half),
-        Delay(delta2, zz),
+        Delay(delta2),
     ]
-    return PulseProgram(steps=steps, name="dq8" if sign == +1 else "dq8-reversed")
+    return PulseProgram(steps=steps)
 
-
-def aht_error(
-    program: PulseProgram,
-    target: OperatorKind,
-    system: SpinSystem,
-    scale: float,
-) -> float:
-    """Frobenius defect per sqrt(dim) of the program against its target.
-
-    Couplings are multiplied by ``scale`` and the compiled propagator is
-    compared to ``exp(-i * H_target * duration)``. A leading-order average
-    Hamiltonian leaves a defect of order scale**2.
-    """
-    if scale <= 0:
-        raise InvalidParameter("scale", "scale must be positive")
-    scaled = SpinSystem(
-        n_spins=system.n_spins,
-        couplings=system.couplings * scale,
-        geometry=None,
-    )
-    u_prog = compile_program(program, scaled)
-    u_target = EigenBasis.compute(scaled, target).propagator(program.duration)
-    return float(np.linalg.norm(u_prog - u_target) / 2 ** (system.n_spins / 2))
-
-
-# --- JSON serialization ---------------------------------------------------
-
-
-def program_to_json(program: PulseProgram) -> str:
-    items = []
-    for step in program.steps:
-        if isinstance(step, Pulse):
-            items.append({"pulse": {"axis": step.axis.value, "angle": step.angle}})
-        else:
-            items.append({"delay": {"t": step.duration, "h": step.hamiltonian.value}})
-    return json.dumps({"name": program.name, "steps": items}, indent=2)
-
-
-def program_from_json(text: str) -> PulseProgram:
-    """Raises InvalidParameter naming the key that is missing or mistyped."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise InvalidParameter("text", "a program document must be a JSON object")
-    if not isinstance(doc.get("steps"), list):
-        raise InvalidParameter("steps", f"steps must be a list, got {doc.get('steps')!r}")
-    name = doc.get("name", "")
-    if not isinstance(name, str):
-        raise InvalidParameter("name", f"name must be a string, got {name!r}")
-    steps: list[Step] = []
-    for item in doc["steps"]:
-        pulse, delay = ((item.get("pulse"), item.get("delay")) if isinstance(item, dict)
-                        else (None, None))
-        if isinstance(pulse, dict):
-            steps.append(Pulse(axis=choice(Axis, pulse.get("axis"), "axis"),
-                               angle=number(pulse.get("angle"), "angle")))
-        elif isinstance(delay, dict):
-            steps.append(Delay(duration=number(delay.get("t"), "t"),
-                               hamiltonian=choice(OperatorKind, delay.get("h", "zz"), "h")))
-        else:
-            raise InvalidParameter("steps", f"unknown program step {item!r}")
-    return PulseProgram(steps=steps, name=name)

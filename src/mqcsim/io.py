@@ -10,18 +10,21 @@ CSV schemas (column order is part of the contract):
     distribution:  n,s,f
 
 Floats are written with ``repr`` so a rerun with the same seed produces
-bit-identical files; readers validate headers and round-trip exactly.
-JSON documents carry ``schema_version``. External measured spectra in the
-same schema are accepted anywhere a simulated spectrum is.
+bit-identical files. JSON documents carry ``schema_version``. The one CSV
+reader, :func:`read_spectrum_csv`, validates the header and every row,
+reads a written spectrum back exactly and accepts external measured
+spectra in the same schema. A file that a reader cannot open, decode as
+UTF-8 or parse is a :class:`ConfigError` naming it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -43,11 +46,24 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> None:
         writer.writerows(rows)
 
 
+@contextlib.contextmanager
+def _input_file(path: Path):
+    """``path`` open as UTF-8 text; a file that cannot be opened, read or
+    decoded is a :class:`ConfigError` naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def _read_csv(path: Path, header: list[str], parse) -> list:
     """``parse(row)`` of each non-empty row below ``header``; a bad header,
     a row of the wrong width or a field ``parse`` cannot read is a
     :class:`ConfigError` naming the file and the line."""
-    with open(path, newline="") as fh:
+    with _input_file(path) as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != header:
@@ -77,17 +93,15 @@ def _write_per_n(path: Path, header: list[str], tables: dict, fmt_x) -> None:
     _write_csv(path, header, rows)
 
 
-def _read_per_n(path: Path, header: list[str], parse_x, sort: bool = False) -> dict:
-    """n -> (x, values) from rows (n, x, value), each n's rows in file order,
-    or sorted by x with ``sort``."""
+def _read_per_n(path: Path, header: list[str], parse_x) -> dict:
+    """n -> (x, values) from rows (n, x, value), each n's rows sorted by x."""
     out: dict[int, list[tuple]] = {}
     rows = _read_csv(path, header, lambda r: (int(r[0]), parse_x(r[1]), float(r[2])))
     for n, x, v in rows:
         out.setdefault(n, []).append((x, v))
     result = {}
     for n, pairs in out.items():
-        if sort:
-            pairs.sort()
+        pairs.sort()
         result[n] = (np.array([x for x, _ in pairs]), np.array([v for _, v in pairs]))
     return result
 
@@ -99,7 +113,7 @@ def write_spectrum_csv(path: Path, spectra: dict[int, tuple[np.ndarray, np.ndarr
 
 def read_spectrum_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """n -> (orders, weights), each n sorted by order."""
-    return _read_per_n(path, ["n", "k", "value"], int, sort=True)
+    return _read_per_n(path, ["n", "k", "value"], int)
 
 
 def write_phase_csv(path: Path, signals: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
@@ -107,26 +121,13 @@ def write_phase_csv(path: Path, signals: dict[int, tuple[np.ndarray, np.ndarray]
     _write_per_n(path, ["n", "phi", "value"], signals, _fmt)
 
 
-def read_phase_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    return _read_per_n(path, ["n", "phi", "value"], float)
-
-
 def write_series_csv(path: Path, values: dict[int, float]) -> None:
     _write_csv(path, ["n", "value"], [(n, _fmt(values[n])) for n in sorted(values)])
-
-
-def read_series_csv(path: Path) -> dict[int, float]:
-    return dict(_read_csv(path, ["n", "value"], lambda r: (int(r[0]), float(r[1]))))
 
 
 def write_dd_csv(path: Path, times: np.ndarray, values: np.ndarray) -> None:
     rows = [(j, _fmt(t), _fmt(v)) for j, (t, v) in enumerate(zip(times, values))]
     _write_csv(path, ["cycle", "t", "value"], rows)
-
-
-def read_dd_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_csv(path, ["cycle", "t", "value"], lambda r: (float(r[1]), float(r[2])))
-    return (np.array([t for t, _ in rows]), np.array([v for _, v in rows]))
 
 
 _SWEEP_HEADER = ["tau", "theta", "a_fast", "t_fast", "a_slow", "t_slow",
@@ -149,26 +150,9 @@ def write_sweep_csv(path: Path, result) -> None:
     _write_csv(path, _SWEEP_HEADER, rows)
 
 
-def read_sweep_csv(path: Path) -> list[dict[str, Any]]:
-    def parse(row: list[str]) -> dict[str, Any]:
-        rec: dict[str, Any] = dict(zip(_SWEEP_HEADER, row))
-        for key in ("tau", "theta", "snr"):
-            rec[key] = float(rec[key])
-        for key in ("a_fast", "t_fast", "a_slow", "t_slow"):
-            rec[key] = float(rec[key]) if rec[key] else None
-        rec["n_star"] = int(rec["n_star"])
-        return rec
-
-    return _read_csv(path, _SWEEP_HEADER, parse)
-
-
 def write_distribution_csv(path: Path, dists: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
     """dists maps n -> (size_grid, f)."""
     _write_per_n(path, ["n", "s", "f"], dists, _fmt)
-
-
-def read_distribution_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    return _read_per_n(path, ["n", "s", "f"], float)
 
 
 def write_json(path: Path, doc: dict) -> None:
@@ -179,8 +163,13 @@ def write_json(path: Path, doc: dict) -> None:
 
 
 def read_json(path: Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document at ``path``; a file that cannot be read or is not
+    JSON is a :class:`ConfigError` naming it."""
+    with _input_file(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: line {err.lineno}, col {err.colno}: {err.msg}") from None
 
 
 # --- run manifest and config ----------------------------------------------
@@ -203,14 +192,6 @@ def write_manifest(out_dir: Path, command: str, config: dict) -> Path:
         },
     )
     return path
-
-
-def read_manifest(path: Path) -> dict:
-    doc = read_json(path)
-    for key in ("tool", "tool_version", "command", "config"):
-        if key not in doc:
-            raise ConfigError(f"{path}: manifest missing key {key!r}")
-    return doc
 
 
 class OutputLock:
@@ -239,11 +220,7 @@ class OutputLock:
 
 
 def load_config(path: Path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: line {err.lineno}, col {err.colno}: {err.msg}")
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return doc

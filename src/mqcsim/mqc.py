@@ -86,7 +86,10 @@ class Mode(str, Enum):
 
 
 def uniform_phase_grid(m: int) -> np.ndarray:
-    """m phases covering [0, 2*pi); resolves coherence orders |k| <= m/2 - 1."""
+    """m phases covering [0, 2*pi); resolves coherence orders |k| <= m/2 - 1.
+
+    Raises InvalidParameter unless ``m`` is an integer of at least 2."""
+    m = integer(m, "m")
     if m < 2:
         raise InvalidParameter("m", "need at least 2 phases")
     return np.arange(m) * (2.0 * np.pi / m)

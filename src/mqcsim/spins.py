@@ -39,7 +39,6 @@ connect two of the :func:`magnetization_sectors` either.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -451,24 +450,7 @@ def _low_and_cross(f: _PairFactors, block: np.ndarray) -> np.ndarray:
     return z.reshape(lo, hi, c)
 
 
-# --- JSON serialization -------------------------------------------------
-
-
-def geometry_to_dict(geometry: Geometry) -> dict:
-    if isinstance(geometry, AllToAll):
-        return {"kind": "all_to_all", "d0": geometry.d0}
-    if isinstance(geometry, Chain):
-        return {"kind": "chain", "d0": geometry.d0, "exponent": geometry.exponent}
-    if isinstance(geometry, Lattice3D):
-        return {
-            "kind": "lattice3d",
-            "d0": geometry.d0,
-            "cutoff": geometry.cutoff,
-            "shape": list(geometry.shape),
-        }
-    if isinstance(geometry, ExplicitCouplings):
-        return {"kind": "explicit"}
-    raise InvalidParameter("geometry", f"unknown geometry {geometry!r}")
+# --- geometry documents -------------------------------------------------
 
 
 def geometry_from_dict(doc: dict) -> Geometry:
@@ -499,26 +481,3 @@ def geometry_from_dict(doc: dict) -> Geometry:
             couplings=np.array([[number(x, "couplings") for x in r] for r in rows]))
     raise InvalidParameter("kind", f"unknown geometry kind {kind!r}")
 
-
-def system_to_json(system: SpinSystem) -> str:
-    """Serialize to the documented {n_spins, geometry, couplings?} document."""
-    doc: dict = {"n_spins": system.n_spins}
-    if system.geometry is not None and not isinstance(
-        system.geometry, ExplicitCouplings
-    ):
-        doc["geometry"] = geometry_to_dict(system.geometry)
-    else:
-        doc["geometry"] = {"kind": "explicit"}
-        doc["couplings"] = system.couplings.tolist()
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def system_from_json(text: str) -> SpinSystem:
-    """Raises InvalidParameter naming the key that is missing or invalid."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise InvalidParameter("text", "a system document must be a JSON object")
-    geo = doc.get("geometry", {})
-    if "couplings" in doc and isinstance(geo, dict):
-        geo = {**geo, "couplings": doc["couplings"]}
-    return build_system(geometry_from_dict(geo), doc.get("n_spins"))

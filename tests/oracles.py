@@ -2,7 +2,8 @@
 
 Everything here is built from explicit Kronecker products of 2x2 matrices
 and shares no code with the bitwise kernels in mqcsim.spins; it is the
-brute-force side of every dual-route check.
+brute-force side of every dual-route check. ``aht_error`` calls the package
+only for the side under test, the compiled pulse program.
 """
 
 import numpy as np
@@ -201,3 +202,23 @@ def otoc_direct(couplings, t):
     izt = u @ iz @ u.conj().T
     comm = iz @ izt - izt @ iz
     return float((-np.trace(comm @ comm) / np.trace(iz @ iz)).real)
+
+
+def aht_error(program, target, system, scale):
+    """Frobenius defect per sqrt(D) of ``program`` against its target.
+
+    The couplings are multiplied by ``scale``; the package compiles the
+    program on them, and the target is ``expm(-i * H_target * duration)``
+    of the kron-built ``dense_operator``, so the two sides share no
+    propagator. A leading-order average Hamiltonian leaves a defect of
+    order scale**2.
+    """
+    import scipy.linalg
+
+    from mqcsim import ExplicitCouplings, build_system, compile_program
+
+    n = system.n_spins
+    couplings = system.couplings * scale
+    u_prog = compile_program(program, build_system(ExplicitCouplings(couplings), n))
+    u_target = scipy.linalg.expm(-1j * program.duration * dense_operator(target, couplings, n))
+    return float(np.linalg.norm(u_prog - u_target) / 2 ** (n / 2))

@@ -19,7 +19,6 @@ from mqcsim import (
     Mode,
     MqcRun,
     OperatorKind,
-    aht_error,
     analyze,
     build_system,
     density_spectra,
@@ -46,7 +45,7 @@ from fixtures import (
     SPECTRUM_NOISE,
     bimodal_noisy,
 )
-from oracles import brute_force_mqc_signal, otoc_direct, random_couplings
+from oracles import aht_error, brute_force_mqc_signal, otoc_direct, random_couplings
 from snr import measured_snr
 
 warnings.simplefilter("ignore", IllConditionedWarning)

@@ -13,8 +13,8 @@ import scipy
 
 import mqcsim
 from mqcsim import blas, cli, krylov_expmv
-from mqcsim import io as mio
 
+import readers
 from oracles import random_couplings, random_state
 
 
@@ -64,7 +64,7 @@ def test_without_openblas_nothing_is_set(tmp_path, monkeypatch):
         pass
     out = tmp_path / "out"
     assert cli.main(["simulate-mqc", "--config", _config(tmp_path), "--out", str(out)]) == 0
-    assert mio.read_manifest(out / "manifest.json")["blas_threads"] is None
+    assert readers.read_manifest(out / "manifest.json")["blas_threads"] is None
 
 
 def test_libraries_are_read_once(monkeypatch):
@@ -102,7 +102,7 @@ def test_cli_gives_the_counts_back(tmp_path, case):
             assert code == (0 if case == "exit-0" else 2)
         assert blas.thread_counts() == before
     if case == "exit-0" and before:
-        assert mio.read_manifest(out / "manifest.json")["blas_threads"] == 1
+        assert readers.read_manifest(out / "manifest.json")["blas_threads"] == 1
 
 
 def test_large_system_keeps_the_environment_count(tmp_path, monkeypatch):
@@ -113,7 +113,7 @@ def test_large_system_keeps_the_environment_count(tmp_path, monkeypatch):
         expected = blas.thread_count()
         assert cli.main(["simulate-mqc", "--config", _config(tmp_path),
                          "--out", str(out)]) == 0
-    assert mio.read_manifest(out / "manifest.json")["blas_threads"] == expected
+    assert readers.read_manifest(out / "manifest.json")["blas_threads"] == expected
 
 
 _RUN = """
@@ -152,7 +152,7 @@ def test_outputs_do_not_depend_on_openblas_threads(tmp_path):
                           for p in sorted(root.rglob("*"))
                           if p.is_file() and p.name != "manifest.json"}
         for command in ("simulate-mqc", "sweep"):
-            manifest = mio.read_manifest(root / command / "manifest.json")
+            manifest = readers.read_manifest(root / command / "manifest.json")
             if _openblas_wheels():
                 assert manifest["blas_threads"] == 1
     assert len(files["1"]) == 7  # five MQC tables, the sweep table and heat map

@@ -17,7 +17,6 @@ from mqcsim import (
     OperatorKind,
     Pulse,
     PulseProgram,
-    aht_error,
     build_system,
     collective_pulse,
     compile_program,
@@ -25,14 +24,12 @@ from mqcsim import (
     evolve,
     hamiltonian_matrix,
     krylov_expmv,
-    program_from_json,
-    program_to_json,
     pulse_matrix,
     unitarity_defect,
 )
 
 from mqcsim.spins import magnetization_sectors, parity_sectors
-from oracles import dense_hdq, dense_operator, random_couplings, random_state
+from oracles import aht_error, dense_hdq, dense_operator, random_couplings, random_state
 
 UP, DOWN = 1, 0
 
@@ -238,7 +235,7 @@ class TestCollectivePulse:
 
 class TestPrograms:
     def test_single_delay_equals_evolve(self, sys4):
-        program = PulseProgram([Delay(0.3, OperatorKind.HZZ)], name="one-delay")
+        program = PulseProgram([Delay(0.3)])
         prop = compile_program(program, sys4)
         rng = np.random.default_rng(8)
         psi = random_state(4, rng)
@@ -271,25 +268,10 @@ class TestPrograms:
         prop = compile_program(dq_block(), system)
         assert unitarity_defect(prop) < 1e-10
 
-    def test_program_json_roundtrip(self):
-        program = dq_block(2e-6, 5e-6, sign=-1)
-        clone = program_from_json(program_to_json(program))
-        assert clone.name == program.name
-        assert clone.steps == program.steps
-
-    def test_json_wire_format(self):
-        import json
-
-        doc = json.loads(program_to_json(PulseProgram(
-            [Pulse(Axis.X, 1.5707), Delay(3e-6, OperatorKind.HZZ)], name="demo"
-        )))
-        assert doc["steps"][0] == {"pulse": {"axis": "X", "angle": 1.5707}}
-        assert doc["steps"][1] == {"delay": {"t": 3e-6, "h": "zz"}}
-
 
 class TestAhtError:
     def test_matching_delay_is_exact(self, sys4):
-        program = PulseProgram([Delay(0.25, OperatorKind.HZZ)])
+        program = PulseProgram([Delay(0.25)])
         assert aht_error(program, OperatorKind.HZZ, sys4, 1.0) < 1e-12
 
     def test_error_vanishes_with_scale(self):

@@ -12,6 +12,8 @@ from mqcsim import cli
 from mqcsim import io as mio
 from mqcsim.errors import ConfigError, InvalidParameter
 
+import readers
+
 
 class TestCsvRoundTrips:
     def test_spectrum(self, tmp_path):
@@ -31,21 +33,21 @@ class TestCsvRoundTrips:
         path = tmp_path / "phase.csv"
         signals = {1: (np.linspace(0, 6, 7), np.linspace(1, 0.4, 7))}
         mio.write_phase_csv(path, signals)
-        back = mio.read_phase_csv(path)
+        back = readers.read_phase_csv(path)
         assert np.array_equal(back[1][0], signals[1][0])
         assert np.array_equal(back[1][1], signals[1][1])
 
     def test_series(self, tmp_path):
         path = tmp_path / "series.csv"
         mio.write_series_csv(path, {0: 1.0, 1: 0.25})
-        assert mio.read_series_csv(path) == {0: 1.0, 1: 0.25}
+        assert readers.read_series_csv(path) == {0: 1.0, 1: 0.25}
 
     def test_dd(self, tmp_path):
         path = tmp_path / "dd.csv"
         t = np.array([0.05, 0.15])
         v = np.array([1.0, 0.97])
         mio.write_dd_csv(path, t, v)
-        bt, bv = mio.read_dd_csv(path)
+        bt, bv = readers.read_dd_csv(path)
         assert np.array_equal(bt, t)
         assert np.array_equal(bv, v)
 
@@ -53,7 +55,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "dist.csv"
         dists = {2: (np.geomspace(1, 100, 5), np.array([0, 0.5, 1.0, 0.5, 0]))}
         mio.write_distribution_csv(path, dists)
-        back = mio.read_distribution_csv(path)
+        back = readers.read_distribution_csv(path)
         assert np.array_equal(back[2][0], dists[2][0])
         assert np.array_equal(back[2][1], dists[2][1])
 
@@ -81,8 +83,8 @@ class TestCsvRoundTrips:
         assert weights.tolist() == [0.1, 0.7, 0.2]
 
     @pytest.mark.parametrize("header, read", [
-        ("n,phi,value", mio.read_phase_csv),
-        ("n,s,f", mio.read_distribution_csv),
+        ("n,phi,value", readers.read_phase_csv),
+        ("n,s,f", readers.read_distribution_csv),
     ])
     def test_reader_keeps_file_order(self, tmp_path, header, read):
         path = tmp_path / "table.csv"
@@ -114,7 +116,7 @@ class TestManifest:
         config = cli.default_config()
         config["seed"] = 41
         path = mio.write_manifest(tmp_path, "simulate-mqc", config)
-        doc = mio.read_manifest(path)
+        doc = readers.read_manifest(path)
         assert doc["config"] == config
         assert doc["command"] == "simulate-mqc"
         assert doc["tool"] == "mqcsim"
@@ -123,7 +125,7 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"tool": "mqcsim"}))
         with pytest.raises(ConfigError):
-            mio.read_manifest(path)
+            readers.read_manifest(path)
 
 
 def run_cli(tmp_path, *argv):
@@ -160,9 +162,9 @@ class TestCli:
         k2 = int(np.nonzero(orders == 2)[0][0])
         assert weights[k0] == pytest.approx(np.cos(t) ** 2, abs=1e-9)
         assert weights[k2] == pytest.approx(np.sin(t) ** 2 / 2, abs=1e-9)
-        echo = mio.read_series_csv(out / "loschmidt.csv")
+        echo = readers.read_series_csv(out / "loschmidt.csv")
         assert echo[2] == pytest.approx(1.0, abs=1e-9)
-        manifest = mio.read_manifest(out / "manifest.json")
+        manifest = readers.read_manifest(out / "manifest.json")
         assert manifest["config"]["seed"] == 7
 
     def test_simulate_mqc_n_zero_single_row(self, tmp_path):
@@ -193,7 +195,7 @@ class TestCli:
     def test_sweep_single_cell_matches_simulate_dd(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert cli.main(["sweep", "--config", str(cfg)]) == 0
-        rows = mio.read_sweep_csv(out / "sweep.csv")
+        rows = readers.read_sweep_csv(out / "sweep.csv")
         assert len(rows) == 1
         assert rows[0]["status"] == "ok"
         heat = mio.read_json(out / "sweep_heatmap.json")
@@ -227,7 +229,7 @@ class TestCli:
         assert analytics.exists()
         doc = mio.read_json(analytics)
         assert doc["entries"]["3"]["status"] == "ok"
-        dists = mio.read_distribution_csv(out / "spec_distributions.csv")
+        dists = readers.read_distribution_csv(out / "spec_distributions.csv")
         assert set(dists) == set(range(1, 7))
 
         assert cli.main([
@@ -348,6 +350,27 @@ class TestCli:
             ["simulate-mqc", "--config", str(tmp_path / "nope.json")]
         ) == 2
 
+    @pytest.mark.parametrize("command, content, message", [
+        ("simulate-mqc", None, "cannot read: Is a directory"),
+        ("invert", None, "cannot read: Is a directory"),
+        ("simulate-mqc", b'{"seed": 7, "output_dir": "\xe9"}', "not UTF-8 text"),
+        ("invert", b"n,k,value\n1,0,\xe9\n", "not UTF-8 text"),
+        ("fit-growth", b'{"entries": ', "line 1, col 13: Expecting value"),
+    ], ids=["directory-config", "directory-spectrum", "latin1-config", "latin1-spectrum",
+            "truncated-analytics"])
+    def test_unreadable_input_file_exit_2(self, tmp_path, capsys, command, content, message):
+        # a file that cannot be opened, decoded or parsed is a bad input file
+        bad = tmp_path / "input"
+        if content is None:
+            bad.mkdir()
+        else:
+            bad.write_bytes(content)
+        cfg, _ = write_config(tmp_path)
+        argv = ([command, "--config", str(bad)] if command == "simulate-mqc"
+                else [command, "--config", str(cfg), str(bad)])
+        assert cli.main(argv) == 2
+        assert f"mqcsim: config error: {bad}: {message}" in capsys.readouterr().err
+
     def test_invalid_field_exit_2(self, tmp_path):
         cfg, _ = write_config(tmp_path, format="parquet")
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
@@ -395,7 +418,7 @@ class TestCli:
         geometry = {"kind": "explicit", "couplings": couplings}
         cfg, out = write_config(tmp_path, system={"geometry": geometry})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 0
-        manifest = mio.read_manifest(out / "manifest.json")
+        manifest = readers.read_manifest(out / "manifest.json")
         assert manifest["config"]["system"]["geometry"] == geometry
 
     @pytest.mark.parametrize("geometry, message", [

@@ -18,6 +18,7 @@ import mqcsim.ddprobe
 import mqcsim.evolution
 import mqcsim.spins
 from mqcsim import (
+    Axis,
     CapExceeded,
     DdConfig,
     EigenBasis,
@@ -33,6 +34,7 @@ from mqcsim import (
     hamiltonian_matrix,
     krylov_expmv,
     order_amplitudes,
+    pulse_matrix,
     run_dd,
     run_dd_stepwise,
     uniform_phase_grid,
@@ -144,6 +146,21 @@ def test_operator_block_within_its_count(monkeypatch, kind, family):
         system = _system(n)
         peak = traced_peak(lambda: hamiltonian_matrix(system, kind, states))
         assert peak <= asked.pop(), n
+
+
+def test_pulse_matrix_within_its_count(monkeypatch):
+    # pulse_matrix counts its arrays too: the last kron's input and output
+    asked = []
+    monkeypatch.setattr(mqcsim.evolution, "require_memory", lambda n, what: asked.append(n))
+    for n in TRACED_SPINS:
+        peak = traced_peak(lambda: pulse_matrix(Axis.X, 0.7, n))
+        assert peak <= asked.pop() <= 1.25 * peak, n
+
+
+def test_pulse_matrix_refused_before_allocation(monkeypatch):
+    monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match="a 3-spin pulse matrix needs [0-9]+ bytes"):
+        pulse_matrix(Axis.X, 0.7, 3)
 
 
 def test_run_dd_keeps_only_flip_blocks():

@@ -18,8 +18,6 @@ from mqcsim import (
     apply_operator,
     build_system,
     magnetization_values,
-    system_from_json,
-    system_to_json,
 )
 
 from oracles import dense_operator, pair_action, random_couplings, random_state
@@ -399,24 +397,3 @@ class TestPairKernel:
             reached = np.abs(mz - m) == 2
             assert np.all(apply_operator(OperatorKind.HDQ, system, psi)[~reached] == 0.0)
 
-
-class TestSerialization:
-    @pytest.mark.parametrize(
-        "geometry,n",
-        [
-            (AllToAll(d0=2.5), 4),
-            (Chain(d0=1.0, exponent=3.0), 5),
-            (Lattice3D(d0=1.0, cutoff=1.5), 8),
-        ],
-    )
-    def test_roundtrip_parametric(self, geometry, n):
-        system = build_system(geometry, n)
-        clone = system_from_json(system_to_json(system))
-        assert clone.n_spins == system.n_spins
-        assert np.allclose(clone.couplings, system.couplings)
-
-    def test_roundtrip_explicit(self):
-        rng = np.random.default_rng(2)
-        system = build_system(ExplicitCouplings(random_couplings(3, rng)), 3)
-        clone = system_from_json(system_to_json(system))
-        assert np.allclose(clone.couplings, system.couplings)
