@@ -31,13 +31,9 @@ from .errors import (
 )
 from .evolution import (
     Axis,
-    Delay,
     EigenBasis,
-    Pulse,
-    PulseProgram,
     collective_pulse,
-    compile_program,
-    dq_block,
+    dq_cycle,
     evolve,
     hamiltonian_matrix,
     krylov_expmv,

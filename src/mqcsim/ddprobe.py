@@ -163,9 +163,10 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one real ``eigh`` of Re v + c Im v. Its eigenvalue sqrt(1 + c^2)
     cos(phi - phi0) is the same for phi and 2 phi0 - phi, so each run of
     near-equal eigenvalues is re-split by the perpendicular combination
-    Im v - c Re v, which is sqrt(1 + c^2) sin(phi - phi0). Where the basis
-    leaves an off-diagonal residue above ``_MAX_RESIDUE``, the complex Schur
-    vectors are returned instead.
+    Im v - c Re v, which is sqrt(1 + c^2) sin(phi - phi0). Each eigenvalue
+    is its column's o^T v o; where some entry of v o - o diag leaves a
+    residue above ``_MAX_RESIDUE``, the complex Schur vectors are returned
+    instead.
     """
     re, im = v.real, v.imag
     vals, o = scipy.linalg.eigh(re + _MIX * im, driver="evd")
@@ -178,10 +179,10 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         oc = o[:, lo:hi]
         o[:, lo:hi] = oc @ np.linalg.eigh(oc.T @ perp @ oc)[1]
     del perp
-    d = _mul(o.T, _mul(o.T, v).T).T  # o^T v o
-    diag = np.diag(d).copy()
-    np.fill_diagonal(d, 0.0)
-    if np.max(np.abs(d)) > _MAX_RESIDUE:
+    vo = _mul(o.T, v).T  # v o = (o^T v)^T, since v is symmetric
+    diag = np.einsum("ij,ij->j", o, vo)
+    vo -= o * diag
+    if np.max(np.abs(vo)) > _MAX_RESIDUE:
         t_mat, o = scipy.linalg.schur(v, output="complex")
         diag = np.diag(t_mat)
     return o, np.angle(diag)
@@ -224,11 +225,12 @@ def _block_weights(
     e^{ij(phase_a - phase_b)}: W = rho_s * (w^dag Ix w)^T for the Floquet
     basis w and the first sample in it, rho_s = g Ix g^dag with g = w^dag half."""
     w, phase = _floquet_basis(half @ pulse @ half)
+    w_dag = w.T if np.isrealobj(w) else w.conj().T
     # g Ix = (Ix g^T)^T keeps the real, symmetric Ix left
-    g = _mul(w.conj().T, half)
+    g = _mul(w_dag, half)
     rho_s = _mul(ix, g.T).T @ g.conj().T
     del g
-    return phase, rho_s * _mul(w.conj().T, _mul(ix, w)).T
+    return phase, rho_s * _mul(w_dag, _mul(ix, w)).T
 
 
 def _pair_atoms(phase: np.ndarray, weights: np.ndarray):

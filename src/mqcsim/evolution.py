@@ -1,4 +1,4 @@
-"""Exact time evolution: propagators, collective pulses, pulse programs.
+"""Exact time evolution: propagators, collective pulses, the eight-pulse cycle.
 
 State vectors have two propagation paths that must agree wherever both
 run: an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and
@@ -27,12 +27,13 @@ lives, so every caller on one system shares one diagonalization per kind.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
-scope. The shipped eight-pulse cycle :func:`dq_block` realizes the
-double-quantum Hamiltonian at leading order during free dipolar
-evolution; its delays satisfy ``4*delta1 + 6*delta2`` = total period and
-its correctness is established numerically by acceptance check c05, not by
-a published phase table. Shifting every pulse phase by ``pi/2`` (the
-``sign=-1`` block) negates the effective double-quantum Hamiltonian.
+scope. :func:`dq_cycle` builds the dense propagator of the eight-pulse
+cycle, which realizes the double-quantum Hamiltonian at leading order
+during free dipolar evolution; its delays satisfy ``4*delta1 + 6*delta2``
+= total period. Acceptance check c05 establishes its leading order
+numerically, and ``tests/oracles.dq_cycle_direct`` rebuilds it step by
+step. Shifting every pulse phase by ``pi/2`` (the ``sign=-1`` cycle)
+negates the effective double-quantum Hamiltonian.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -74,7 +74,7 @@ _DENSE_FACTORS = {
     "run_dd": 2.8,
     "run_dd_stepwise": 7.0,
     "evolve-density": 4.5,
-    "compile_program": 4.5,
+    "dq_cycle": 4.5,
     "eigenbasis-dq-even": 0.8,
     "eigenbasis-dq-odd": 0.65,
     "eigenbasis-zz": 0.45,
@@ -112,33 +112,6 @@ _AXIS_OP = {
     Axis.MINUS_X: -_IX1,
     Axis.MINUS_Y: -_IY1,
 }
-
-
-@dataclass(frozen=True)
-class Pulse:
-    axis: Axis
-    angle: float
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Free evolution under Hzz."""
-
-    duration: float
-
-
-Step = Union[Pulse, Delay]
-
-
-@dataclass
-class PulseProgram:
-    """Ordered delta pulses and free-evolution delays."""
-
-    steps: list[Step]
-
-    @property
-    def duration(self) -> float:
-        return sum(s.duration for s in self.steps if isinstance(s, Delay))
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -480,59 +453,33 @@ def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
     return out
 
 
-def compile_program(program: PulseProgram, system: SpinSystem) -> np.ndarray:
-    """Dense propagator of the program (earliest step acts first)."""
-    if not (isinstance(program.steps, list) and program.steps):
-        raise InvalidParameter("steps", "a pulse program needs a non-empty list of steps")
-    dim = system.dim
-    _require_dense(dim, "compile_program")
-    u = np.eye(dim, dtype=complex)
-    for step in program.steps:
-        if isinstance(step, Pulse):
-            u = _apply_left(_pulse_u2(step.axis, step.angle), u, system.n_spins)
-        else:
-            basis = EigenBasis.compute(system, OperatorKind.HZZ)
-            u = basis.evolve_columns(u, step.duration)
-    return u
-
-
-def dq_block(
-    delta1: float = 3e-6, delta2: float = 8e-6, sign: int = +1
-) -> PulseProgram:
-    """Eight-pulse double-quantum cycle; total period 4*delta1 + 6*delta2.
+def dq_cycle(
+    system: SpinSystem, delta1: float = 3e-6, delta2: float = 8e-6, sign: int = +1
+) -> np.ndarray:
+    """Dense propagator of the eight-pulse double-quantum cycle (Baum et al.,
+    J. Chem. Phys. 83, 2015, 1985), period 4*delta1 + 6*delta2: each pi/2
+    pulse follows its delay of free Hzz evolution, and a closing delta2
+    ends the cycle.
 
     ``sign=+1`` uses +-X pulses and realizes Hdq at leading order;
     ``sign=-1`` shifts every pulse phase by pi/2 (+-Y pulses), which
-    realizes -Hdq and reverses the evolution.
+    realizes -Hdq and reverses the evolution. Raises InvalidParameter,
+    before any allocation, for a delay that is not finite and positive and
+    for a ``sign`` other than +1 or -1.
     """
     for name, delay in (("delta1", delta1), ("delta2", delta2)):
-        if delay <= 0:
-            raise InvalidParameter(name, f"{name} must be positive")
-    if sign == +1:
-        p, pm = Axis.X, Axis.MINUS_X
-    elif sign == -1:
-        p, pm = Axis.Y, Axis.MINUS_Y
-    else:
-        raise InvalidParameter("sign", "sign must be +1 or -1")
-    half = np.pi / 2
-    steps: list[Step] = [
-        Delay(delta1),
-        Pulse(p, half),
-        Delay(delta2),
-        Pulse(p, half),
-        Delay(delta1),
-        Pulse(pm, half),
-        Delay(2 * delta2),
-        Pulse(pm, half),
-        Delay(delta1),
-        Pulse(p, half),
-        Delay(delta2),
-        Pulse(p, half),
-        Delay(delta1),
-        Pulse(pm, half),
-        Delay(delta2),
-        Pulse(pm, half),
-        Delay(delta2),
-    ]
-    return PulseProgram(steps=steps)
-
+        if not 0 < number(delay, name) < math.inf:
+            raise InvalidParameter(name, f"{name} must be finite and positive, got {delay}")
+    if sign not in (+1, -1):
+        raise InvalidParameter("sign", f"sign must be +1 or -1, got {sign!r}")
+    p, m = (Axis.X, Axis.MINUS_X) if sign == +1 else (Axis.Y, Axis.MINUS_Y)
+    # (delay, the pulse after it), earliest first
+    steps = [(delta1, p), (delta2, p), (delta1, m), (2 * delta2, m),
+             (delta1, p), (delta2, p), (delta1, m), (delta2, m)]
+    _require_dense(system.dim, "dq_cycle")
+    u = np.eye(system.dim, dtype=complex)
+    basis = EigenBasis.compute(system, OperatorKind.HZZ)
+    for delay, axis in steps:
+        u = basis.evolve_columns(u, delay)
+        u = _apply_left(_pulse_u2(axis, np.pi / 2), u, system.n_spins)
+    return basis.evolve_columns(u, delta2)

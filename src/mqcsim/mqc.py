@@ -26,7 +26,7 @@ cycling can never access experimentally; the Fourier transform of S over
 a uniform phi grid must reproduce it under perfect reversal. Dividing by
 Tr{Iz^2} = N * 2**(N-2) makes the unperturbed echo unit height.
 
-The pass runs once per popcount-parity sector. Hdq, Hzz and the compiled
+The pass runs once per popcount-parity sector. Hdq, Hzz and the
 eight-pulse block change the popcount by 0 or +-2, and rho_0 = Iz is
 diagonal, so rho_n and M_n have no element between states of opposite
 parity, and the (D/2) x (D/2) blocks of the two sectors carry all of A.
@@ -50,7 +50,7 @@ exp(i pi k / 4) and (M_n)_{cr} by its conjugate. Pulse-level blocks
 stay complex in the same loop.
 
 Two execution modes: ``IDEAL`` evolves under the effective Hamiltonians
-exactly; ``PULSE_LEVEL`` compiles the eight-pulse block and realizes the
+exactly; ``PULSE_LEVEL`` builds the eight-pulse block and realizes the
 reversed block by shifting every pulse phase by pi/2, which is the
 standard construction for -Hdq. A forward/backward coupling mismatch
 emulates imperfect reversal and degrades the echo. Hdq and Hzz are linear
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import (ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice,
                      integer)
-from .evolution import EigenBasis, _require_dense, compile_program, dq_block
+from .evolution import EigenBasis, _require_dense, dq_cycle
 from .spins import OperatorKind, SpinSystem, parity_sectors, require_memory
 
 _RESIDUE_TOL = 1e-8
@@ -97,7 +97,7 @@ def uniform_phase_grid(m: int) -> np.ndarray:
 
 @dataclass
 class MqcRun:
-    """One protocol configuration; ``t_n = n_blocks * tau_dq``.
+    """One protocol configuration: n_blocks forward blocks of length tau_dq.
 
     ``mismatch`` scales the couplings of the reversed blocks by
     ``1 + mismatch`` and must exceed -1, since a factor <= 0 reverses
@@ -140,10 +140,6 @@ class MqcRun:
                     f"pulse-level tau_dq={self.tau_dq} != 4*delta1 + 6*delta2 = {period}",
                 )
 
-    @property
-    def t_n(self) -> float:
-        return self.n_blocks * self.tau_dq
-
 
 @dataclass
 class PhaseSignal:
@@ -166,13 +162,6 @@ class CoherenceSpectrum:
     weights: np.ndarray
     n_blocks: int
     normalization: float
-
-    def weight_at(self, k: int) -> float:
-        hit = np.nonzero(self.orders == k)[0]
-        return float(self.weights[hit[0]]) if hit.size else 0.0
-
-    def raw_weights(self) -> np.ndarray:
-        return self.weights * self.normalization
 
 
 @dataclass
@@ -199,19 +188,17 @@ def _mirrored(run: MqcRun) -> bool:
 def _sector_blocks(run: MqcRun):
     """(sector, U_f block, U_b block) for each popcount-parity sector that
     the pass runs on: real ideal blocks in the frame F = exp(i pi Iz / 4),
-    or complex blocks cut from the compiled pulse-level cycles. The
+    or complex blocks cut from the pulse-level cycles of :func:`dq_cycle`. The
     mismatch scales U_b's time. A mirrored run gets sector 0's blocks only.
     """
     system = run.system
     scale = 1.0 + run.mismatch
     if run.mode == Mode.PULSE_LEVEL:
         sectors = parity_sectors(system.n_spins)
-        u_f = compile_program(dq_block(run.delta1, run.delta2, sign=+1), system)
+        u_f = dq_cycle(system, run.delta1, run.delta2, sign=+1)
         f_blocks = [u_f[np.ix_(s, s)] for s in sectors]
-        del u_f  # freed before the reversed cycle is compiled
-        u_b = compile_program(
-            dq_block(scale * run.delta1, scale * run.delta2, sign=-1), system
-        )
+        del u_f  # freed before the reversed cycle is built
+        u_b = dq_cycle(system, scale * run.delta1, scale * run.delta2, sign=-1)
         for s, f in zip(sectors, f_blocks):
             yield s, f, u_b[np.ix_(s, s)]
         return

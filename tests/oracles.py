@@ -3,7 +3,7 @@
 Everything here is built from explicit Kronecker products of 2x2 matrices
 and shares no code with the bitwise kernels in mqcsim.spins; it is the
 brute-force side of every dual-route check. ``aht_error`` calls the package
-only for the side under test, the compiled pulse program.
+only for the side under test, the eight-pulse cycle.
 """
 
 import numpy as np
@@ -204,21 +204,54 @@ def otoc_direct(couplings, t):
     return float((-np.trace(comm @ comm) / np.trace(iz @ iz)).real)
 
 
-def aht_error(program, target, system, scale):
-    """Frobenius defect per sqrt(D) of ``program`` against its target.
+def dq_cycle_steps(delta1, delta2):
+    """The eight-pulse double-quantum cycle as ("delay", t) and ("pulse",
+    +-1) steps, earliest first; a pulse's sign is that of its axis."""
+    return [("delay", delta1), ("pulse", 1), ("delay", delta2), ("pulse", 1),
+            ("delay", delta1), ("pulse", -1), ("delay", 2 * delta2), ("pulse", -1),
+            ("delay", delta1), ("pulse", 1), ("delay", delta2), ("pulse", 1),
+            ("delay", delta1), ("pulse", -1), ("delay", delta2), ("pulse", -1),
+            ("delay", delta2)]
 
-    The couplings are multiplied by ``scale``; the package compiles the
-    program on them, and the target is ``expm(-i * H_target * duration)``
-    of the kron-built ``dense_operator``, so the two sides share no
-    propagator. A leading-order average Hamiltonian leaves a defect of
-    order scale**2.
+
+def dq_cycle_direct(couplings, delta1, delta2, sign):
+    """The cycle of ``dq_cycle_steps`` as one dense product: ``expm`` of the
+    kron-built Hzz for each delay and the Kronecker product of single-spin
+    ``expm`` rotations by pi/2 for each pulse, about +-X at ``sign=+1`` and
+    +-Y at ``sign=-1``."""
+    import scipy.linalg
+
+    n = couplings.shape[0]
+    hzz = dense_hzz(couplings)
+    u = np.eye(2**n, dtype=complex)
+    for what, value in dq_cycle_steps(delta1, delta2):
+        if what == "delay":
+            step = scipy.linalg.expm(-1j * value * hzz)
+        else:
+            u2 = scipy.linalg.expm(-0.5j * np.pi * value * (IX if sign == 1 else IY))
+            step = np.array([[1.0]], dtype=complex)
+            for _ in range(n):
+                step = np.kron(step, u2)
+        u = step @ u
+    return u
+
+
+def aht_error(target, system, scale, delta1=3e-6, delta2=8e-6, sign=+1):
+    """Frobenius defect per sqrt(D) of the eight-pulse cycle against its target.
+
+    The couplings are multiplied by ``scale``; the package builds the cycle
+    on them with ``dq_cycle``, and the target is ``expm(-i * sign * H_target
+    * T)`` of the kron-built ``dense_operator`` over the period T = 4*delta1
+    + 6*delta2, so the two sides share no propagator. A leading-order
+    average Hamiltonian leaves a defect of order scale**2.
     """
     import scipy.linalg
 
-    from mqcsim import ExplicitCouplings, build_system, compile_program
+    from mqcsim import ExplicitCouplings, build_system, dq_cycle
 
     n = system.n_spins
     couplings = system.couplings * scale
-    u_prog = compile_program(program, build_system(ExplicitCouplings(couplings), n))
-    u_target = scipy.linalg.expm(-1j * program.duration * dense_operator(target, couplings, n))
-    return float(np.linalg.norm(u_prog - u_target) / 2 ** (n / 2))
+    u_cycle = dq_cycle(build_system(ExplicitCouplings(couplings), n), delta1, delta2, sign)
+    period = 4 * delta1 + 6 * delta2
+    u_target = scipy.linalg.expm(-1j * sign * period * dense_operator(target, couplings, n))
+    return float(np.linalg.norm(u_cycle - u_target) / 2 ** (n / 2))

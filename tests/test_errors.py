@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import mqcsim
 from mqcsim import (AllToAll, Axis, DdConfig, InvalidParameter, MqcRun, MqcsimError,
-                    PulseProgram, build_system, collective_pulse, compile_program,
-                    fit_biexponential, pulse_matrix, sweep, uniform_phase_grid)
+                    build_system, collective_pulse, dq_cycle, fit_biexponential,
+                    pulse_matrix, sweep, uniform_phase_grid)
 from mqcsim.evolution import EigenBasis, _spectral_bound
 from mqcsim.spins import geometry_from_dict
 
@@ -54,10 +54,8 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: build_system(AllToAll(1.0), None), "n_spins"),
     (lambda: build_system(AllToAll(1.0), 2.5), "n_spins"),
     (lambda: build_system(AllToAll(1.0), True), "n_spins"),
-    (lambda: compile_program(PulseProgram([]), _SYSTEM), "steps"),
     (lambda: pulse_matrix(Axis.X, None, 2), "angle"),
     (lambda: collective_pulse(np.eye(4), Axis.X, "a"), "angle"),
-    (lambda: compile_program(PulseProgram(3), _SYSTEM), "steps"),
     # three pairs at 1e308 sum past float range in the Hzz diagonal
     (lambda: build_system(AllToAll(1e308), 3), "couplings"),
     (lambda: MqcRun(_SYSTEM, 2.5, 0.1, [0.0]), "n_blocks"),
@@ -75,15 +73,27 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: collective_pulse(np.zeros(0), Axis.X, 1.0), "obj"),
     (lambda: collective_pulse(np.zeros((4, 2)), Axis.X, 1.0), "obj"),
     (lambda: collective_pulse(np.full(4, np.nan), Axis.X, 1.0), "obj"),
+    # a non-finite delay would make an all-NaN cycle
+    (lambda: dq_cycle(_SYSTEM, np.nan), "delta1"),
+    (lambda: dq_cycle(_SYSTEM, np.inf), "delta1"),
+    (lambda: dq_cycle(_SYSTEM, 0.0), "delta1"),
+    (lambda: dq_cycle(_SYSTEM, "3e-6"), "delta1"),
+    (lambda: dq_cycle(_SYSTEM, 3e-6, np.nan), "delta2"),
+    (lambda: dq_cycle(_SYSTEM, 3e-6, -np.inf), "delta2"),
+    (lambda: dq_cycle(_SYSTEM, 3e-6, -8e-6), "delta2"),
+    (lambda: dq_cycle(_SYSTEM, sign=0), "sign"),
+    (lambda: dq_cycle(_SYSTEM, sign=np.nan), "sign"),
 ], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
         "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
         "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
-        "empty-program", "no-angle", "string-angle", "steps-not-a-list",
+        "no-angle", "string-angle",
         "overflowing-hzz-diagonal", "fractional-n-blocks", "fractional-n-cycles",
         "fractional-transient-skip", "bool-n-scans", "fractional-seed",
         "sweep-fractional-seed", "fit-length-mismatch", "fit-fractional-skip",
         "fractional-phase-count", "nan-phase-count", "pulse-fractional-n-spins",
-        "pulse-negative-n-spins", "empty-state", "non-square-density", "nan-state"])
+        "pulse-negative-n-spins", "empty-state", "non-square-density", "nan-state",
+        "nan-delta1", "inf-delta1", "zero-delta1", "string-delta1", "nan-delta2",
+        "minus-inf-delta2", "negative-delta2", "zero-sign", "nan-sign"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()

@@ -10,17 +10,13 @@ from mqcsim import (
     AllToAll,
     Axis,
     Chain,
-    Delay,
     EigenBasis,
     ExplicitCouplings,
     InvalidParameter,
     OperatorKind,
-    Pulse,
-    PulseProgram,
     build_system,
     collective_pulse,
-    compile_program,
-    dq_block,
+    dq_cycle,
     evolve,
     hamiltonian_matrix,
     krylov_expmv,
@@ -29,7 +25,8 @@ from mqcsim import (
 )
 
 from mqcsim.spins import magnetization_sectors, parity_sectors
-from oracles import aht_error, dense_hdq, dense_operator, random_couplings, random_state
+from oracles import (aht_error, dense_hdq, dense_operator, dq_cycle_direct, dq_cycle_steps,
+                     random_couplings, random_state)
 
 UP, DOWN = 1, 0
 
@@ -224,40 +221,26 @@ class TestCollectivePulse:
             assert np.max(np.abs(mqcsim.evolution._pulse_u2(axis, angle) - expected)) < 1e-15
 
     @pytest.mark.parametrize("angle", [np.nan, np.inf])
-    def test_non_finite_angle_rejected(self, sys4, angle):
-        program = PulseProgram([Pulse(Axis.Y, angle), Delay(1e-6)])
+    def test_non_finite_angle_rejected(self, angle):
         for build in (lambda: pulse_matrix(Axis.X, angle, 3),
-                      lambda: collective_pulse(np.eye(8), Axis.X, angle),
-                      lambda: compile_program(program, sys4)):
+                      lambda: collective_pulse(np.eye(8), Axis.X, angle)):
             with pytest.raises(ValueError, match="finite"):
                 build()
 
 
 class TestPrograms:
-    def test_single_delay_equals_evolve(self, sys4):
-        program = PulseProgram([Delay(0.3)])
-        prop = compile_program(program, sys4)
-        rng = np.random.default_rng(8)
-        psi = random_state(4, rng)
-        assert np.max(
-            np.abs(prop @ psi - evolve(psi, sys4, OperatorKind.HZZ, 0.3))
-        ) < 1e-12
-        assert program.duration == pytest.approx(0.3)
+    """The eight-pulse cycle, the one pulse program the package builds."""
 
-    def test_zero_rotation_is_identity(self, sys4):
-        program = PulseProgram([Pulse(Axis.X, 0.0)])
-        prop = compile_program(program, sys4)
-        assert np.max(np.abs(prop - np.eye(16))) < 1e-14
-        assert program.duration == 0.0
-
-    def test_dq_block_delays(self):
-        program = dq_block(3e-6, 8e-6)
-        assert program.duration == pytest.approx(60e-6)
-        delays = [s.duration for s in program.steps if isinstance(s, Delay)]
-        assert sum(delays) == pytest.approx(4 * 3e-6 + 6 * 8e-6)
-        pulses = [s for s in program.steps if isinstance(s, Pulse)]
-        assert len(pulses) == 8
-        assert all(p.angle == pytest.approx(np.pi / 2) for p in pulses)
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_step_by_step_oracle(self, n, sign):
+        couplings = random_couplings(n, np.random.default_rng(n), 100.0, 2000.0)
+        system = build_system(ExplicitCouplings(couplings), n)
+        steps = dq_cycle_steps(3e-6, 8e-6)
+        assert sum(t for what, t in steps if what == "delay") == pytest.approx(60e-6)
+        assert [what for what, _ in steps].count("pulse") == 8
+        expected = dq_cycle_direct(couplings, 3e-6, 8e-6, sign)
+        assert np.max(np.abs(dq_cycle(system, 3e-6, 8e-6, sign) - expected)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_propagator_unitarity(self, n):
@@ -265,19 +248,15 @@ class TestPrograms:
         system = build_system(
             ExplicitCouplings(random_couplings(n, rng, 100.0, 2000.0)), n
         )
-        prop = compile_program(dq_block(), system)
+        prop = dq_cycle(system)
         assert unitarity_defect(prop) < 1e-10
 
 
 class TestAhtError:
-    def test_matching_delay_is_exact(self, sys4):
-        program = PulseProgram([Delay(0.25)])
-        assert aht_error(program, OperatorKind.HZZ, sys4, 1.0) < 1e-12
-
     def test_error_vanishes_with_scale(self):
         system = build_system(Chain(d0=1.0), 4)
         errs = [
-            aht_error(dq_block(), OperatorKind.HDQ, system, s)
+            aht_error(OperatorKind.HDQ, system, s)
             for s in (400.0, 50.0, 1e-3)
         ]
         assert errs[0] > errs[1] > errs[2]
@@ -288,19 +267,16 @@ class TestAhtError:
         # halving the couplings quarters the defect in the small-coupling regime
         system = build_system(AllToAll(d0=1.0), n)
         scale = 500.0  # d0 * tau_dq = 0.03
-        e1 = aht_error(dq_block(), OperatorKind.HDQ, system, scale)
-        e2 = aht_error(dq_block(), OperatorKind.HDQ, system, scale / 2)
+        e1 = aht_error(OperatorKind.HDQ, system, scale)
+        e2 = aht_error(OperatorKind.HDQ, system, scale / 2)
         assert e2 / e1 == pytest.approx(0.25, abs=0.0625)
 
     def test_reversed_block_realizes_minus_hdq(self):
         system = build_system(AllToAll(d0=1.0), 4)
-        scaled = build_system(AllToAll(d0=500.0), 4)
-        block = dq_block(sign=-1)
         # target exp(+i*Hdq*T) = exp(-i*(-Hdq)*T)
-        target = EigenBasis.compute(scaled, OperatorKind.HDQ).propagator(-block.duration)
-        err = np.linalg.norm(compile_program(block, scaled) - target) / 2 ** (4 / 2)
+        err = aht_error(OperatorKind.HDQ, system, 500.0, sign=-1)
         # same leading-order quality as the forward block
-        fwd = aht_error(dq_block(), OperatorKind.HDQ, system, 500.0)
+        fwd = aht_error(OperatorKind.HDQ, system, 500.0)
         assert err == pytest.approx(fwd, rel=0.2)
 
 
@@ -355,7 +331,7 @@ class TestParitySectors:
         rng = np.random.default_rng(10 * n)
         couplings = random_couplings(n, rng, 100.0, 2000.0) * (1.0 + mismatch)
         system = build_system(ExplicitCouplings(couplings), n)
-        u = compile_program(dq_block(sign=sign), system)
+        u = dq_cycle(system, sign=sign)
         even, odd = parity_sectors(n)
         assert np.max(np.abs(u[np.ix_(even, odd)])) < 1e-12
         assert np.max(np.abs(u[np.ix_(odd, even)])) < 1e-12

@@ -175,6 +175,21 @@ class TestCli:
         assert weights[np.nonzero(orders == 0)[0][0]] == pytest.approx(1.0)
         assert np.sum(weights) == pytest.approx(1.0)
 
+    def test_simulate_mqc_pulse_level(self, tmp_path):
+        # the eight-pulse cycle end to end: its reversed cycle undoes the
+        # forward one to leading order at d0 * tau_dq = 0.03
+        cfg, out = write_config(
+            tmp_path,
+            system={"n_spins": 4, "geometry": {"kind": "all_to_all", "d0": 500.0}},
+            mqc={"n_max": 4, "tau_dq": 6e-5, "n_phases": 16, "mode": "pulse"})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 0
+        echo = readers.read_series_csv(out / "loschmidt.csv")
+        assert sorted(echo) == [0, 1, 2, 3, 4]
+        assert all(abs(v - 1.0) < 1e-6 for v in echo.values())
+        first = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == first
+
     def test_rerun_bit_identical(self, tmp_path):
         cfg, out = write_config(tmp_path, dd={"noise_sigma": 0.05, "n_scans": 4})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 0

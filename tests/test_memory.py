@@ -28,8 +28,7 @@ from mqcsim import (
     OperatorKind,
     SpinSystem,
     build_system,
-    compile_program,
-    dq_block,
+    dq_cycle,
     evolve,
     hamiltonian_matrix,
     krylov_expmv,
@@ -85,7 +84,7 @@ def _dense_paths(system: SpinSystem) -> dict:
         "order_amplitudes-pulse": ("order_amplitudes-pulse", lambda: order_amplitudes(
             MqcRun(system, 2, dq_period, phases, mode=Mode.PULSE_LEVEL))),
         "evolve-density": ("evolve-density", lambda: evolve(rho, system, OperatorKind.HDQ, 0.3)),
-        "compile_program": ("compile_program", lambda: compile_program(dq_block(), system)),
+        "dq_cycle": ("dq_cycle", lambda: dq_cycle(system)),
     }
     for kind in OperatorKind:
         paths[f"eigenbasis-{kind.name.lower()}"] = (
@@ -235,7 +234,7 @@ def test_vector_path_within_estimate(n, kind):
     ("run_dd", 13, 14),
     ("run_dd_stepwise", 13, 14),
     ("evolve-density", 13, 14),
-    ("compile_program", 13, 14),
+    ("dq_cycle", 13, 14),
     ("eigenbasis-dq-even", 14, 16),
     ("eigenbasis-dq-odd", 13, 15),
     ("eigenbasis-zz", 15, 16),
@@ -276,7 +275,7 @@ def small_budget(monkeypatch):
     lambda s: hamiltonian_matrix(s, OperatorKind.HDQ, parity_sectors(s.n_spins)[0]),
     lambda s: EigenBasis.compute(s, OperatorKind.HDQ),
     lambda s: evolve(np.broadcast_to(0.0, (s.dim, s.dim)), s, OperatorKind.HDQ, 0.3),
-    lambda s: compile_program(dq_block(), s),
+    dq_cycle,
     lambda s: order_amplitudes(MqcRun(s, 2, 0.1, uniform_phase_grid(8))),
     lambda s: order_amplitudes(
         MqcRun(s, 2, 4 * 3e-6 + 6 * 8e-6, uniform_phase_grid(8), mode=Mode.PULSE_LEVEL)),
@@ -288,7 +287,7 @@ def small_budget(monkeypatch):
     lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
     lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
 ], ids=["hamiltonian_matrix", "hamiltonian_matrix-sector", "eigenbasis", "evolve-density",
-        "compile_program", "order_amplitudes-ideal", "order_amplitudes-pulse",
+        "dq_cycle", "order_amplitudes-ideal", "order_amplitudes-pulse",
         "order_amplitudes-tables", "run_dd", "run_dd-cycles",
         "run_dd_stepwise", "run_dd_stepwise-cycles", "SpinSystem", "build_system"])
 def test_refused_before_allocation(small_budget, build):

@@ -15,9 +15,8 @@ from mqcsim import (
     MqcRun,
     OperatorKind,
     build_system,
-    compile_program,
     density_spectra,
-    dq_block,
+    dq_cycle,
     evolve,
     hamiltonian_matrix,
     invert,
@@ -34,6 +33,7 @@ from mqcsim import (
 )
 from mqcsim.evolution import _spectral_bound
 from oracles import dense_operator
+from spectra import weight_at
 
 # 16 phases resolve |k| <= 7, which covers every order |k| <= N of N <= 5 spins
 N_PHASES = 16
@@ -88,7 +88,7 @@ def test_phase_cycled_spectrum_equals_density(run):
     for signal, oracle in zip(phase_signals(amps), density_spectra(amps)):
         cycled = spectrum_from_phases(signal)
         for k in oracle.orders:
-            assert abs(cycled.weight_at(int(k)) - oracle.weight_at(int(k))) < 1e-8
+            assert abs(weight_at(cycled, int(k)) - weight_at(oracle, int(k))) < 1e-8
 
 
 @PROPERTY
@@ -185,7 +185,7 @@ def test_sector_propagator_matches_expm(kind, system, t):
 )
 def test_propagators_unitary(system, kind, t, delta1, delta2, sign):
     assert unitarity_defect(EigenBasis.compute(system, kind).propagator(t)) < 1e-12
-    block = compile_program(dq_block(delta1, delta2, sign), system)
+    block = dq_cycle(system, delta1, delta2, sign)
     assert unitarity_defect(block) < 1e-12
 
 

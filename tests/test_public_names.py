@@ -1,8 +1,9 @@
-"""Every public function of the package has a caller in the package.
+"""Every public function, method and property of the package has a caller
+in the package.
 
-Code that only tests call belongs in ``tests/``; a public function that
-nothing in ``src/`` calls is either unfinished work, listed below with the
-change that gives it a caller, or a candidate for deletion.
+Code that only tests call belongs in ``tests/``; a public name that nothing
+in ``src/`` calls is either unfinished work, listed below with the change
+that gives it a caller, or a candidate for deletion.
 """
 
 import ast
@@ -21,19 +22,44 @@ NO_CALLER_YET = {
 }
 
 
+def _public(node, kind) -> bool:
+    return isinstance(node, kind) and not node.name.startswith("_")
+
+
+class _Uses(ast.NodeVisitor):
+    """The names and attribute names a module reads, each counted only
+    outside a def of its own name."""
+
+    def __init__(self):
+        self.names, self.attributes, self.defs = set(), set(), []
+
+    def visit_FunctionDef(self, node):
+        self.defs.append(node.name)
+        self.generic_visit(node)
+        self.defs.pop()
+
+    def visit_Name(self, node):
+        if node.id not in self.defs:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.defs:
+            self.attributes.add(node.attr)
+        self.generic_visit(node)
+
+
 def test_every_public_function_has_a_caller_in_src():
-    defined, used = set(), set()
+    functions, methods, uses = set(), set(), _Uses()
     for path in sorted(Path(mqcsim.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for top in ast.parse(path.read_text(), str(path)).body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own is not None and not own.startswith("_"):
-                defined.add(own)
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute) else None)
-                if name is not None and name != own:
-                    used.add(name)
-    unused = sorted(defined - used - set(NO_CALLER_YET))
-    assert not unused, f"public functions with no caller in src/: {unused}"
+        tree = ast.parse(path.read_text(), str(path))
+        for top in tree.body:
+            if _public(top, ast.FunctionDef):
+                functions.add(top.name)
+            elif _public(top, ast.ClassDef):
+                methods.update(d.name for d in top.body if _public(d, ast.FunctionDef))
+        uses.visit(tree)
+    unused = (functions - uses.names - uses.attributes) | (methods - uses.attributes)
+    unused = sorted(unused - set(NO_CALLER_YET))
+    assert not unused, f"public functions, methods or properties with no caller in src/: {unused}"
