@@ -76,5 +76,4 @@ from .spins import (
     SpinSystem,
     apply_operator,
     build_system,
-    magnetization_values,
 )

@@ -74,6 +74,8 @@ _ATOMS = 512
 _NODES = 20
 # time constants per decade in the fit's grid scan
 _GRID_PER_DECADE = 8
+# a fit whose t=0 amplitude is below this many residual rms holds no decay
+_MIN_AMPLITUDE_SNR = 2.0
 # smallest 1 - g^2 of two unit grid columns whose 2x2 Gram system is solved
 _MIN_DET = 1e-9
 # weight of Im V in the real symmetric matrix Re V + c Im V whose
@@ -497,8 +499,6 @@ def require_fit_window(n_points: int, transient_skip: int) -> None:
 def fit_biexponential(
     series: DdSeries | tuple[np.ndarray, np.ndarray],
     transient_skip: int | None = None,
-    *,
-    min_amplitude_snr: float = 2.0,
 ) -> DecayFit:
     """Nonlinear least squares of a bi-exponential decay.
 
@@ -514,7 +514,7 @@ def fit_biexponential(
     length, non-finite or non-increasing times, non-finite values, or fewer
     than 8 points after the skip. Raises
     :class:`FitFailure` when the fitted t=0 amplitude does not exceed
-    ``min_amplitude_snr`` times the residual rms, i.e. the window holds no
+    ``_MIN_AMPLITUDE_SNR`` (2) times the residual rms, i.e. the window holds no
     decay structure above its own noise (pure noise fails), and when the
     window lies so far from t = 0 that exp(-t/T) underflows for all T.
     """
@@ -558,9 +558,9 @@ def fit_biexponential(
         fit_window=window, degenerate=degenerate,
     )
 
-    if fit.amplitude < min_amplitude_snr * fit.residual_rms:
+    if fit.amplitude < _MIN_AMPLITUDE_SNR * fit.residual_rms:
         raise FitFailure(
-            f"fitted amplitude {fit.amplitude:.3g} below {min_amplitude_snr} x "
+            f"fitted amplitude {fit.amplitude:.3g} below {_MIN_AMPLITUDE_SNR} x "
             f"residual rms {fit.residual_rms:.3g}: no decay structure",
             {"residual_rms": fit.residual_rms, "window": window, "fit": fit},
         )

@@ -1,29 +1,29 @@
 """Exact time evolution: propagators, collective pulses, the eight-pulse cycle.
 
-State vectors have two propagation paths that must agree wherever both
-run: an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``) and
-a matrix-free Chebyshev series in H, :func:`krylov_expmv`, which needs only
-a bound on the spectrum and so has no convergence to fail. Densities always
-use the eigendecomposition. Negative times are legitimate and mean time
-reversal.
+Hzz and Hdq evolve state vectors along two paths that must agree wherever
+both run: an eigendecomposition path (the default up to ``EIGEN_MAX_DIM``)
+and a matrix-free Chebyshev series in H, :func:`krylov_expmv`, which needs
+only a bound on the spectrum and so has no convergence to fail. Their
+densities always use the eigendecomposition. The collective spins Iz, Ix
+and Iy rotate vectors and densities in closed form, as a tensor product of
+single-spin rotations (:func:`collective_pulse`). Negative times are
+legitimate and mean time reversal.
 
-:class:`EigenBasis` diagonalizes Hzz and Iz per magnetization sector,
-since they keep the popcount: N+1 ``eigh`` calls of at most C(N, N/2)
-states instead of one of size D. Hdq changes the popcount by +-2, so it is
+:class:`EigenBasis` diagonalizes Hzz per magnetization sector, since it
+keeps the popcount: N+1 ``eigh`` calls of at most C(N, N/2) states instead
+of one of size D. Hdq changes the popcount by +-2, so it is
 block-diagonal over the two popcount-parity sectors, and it commutes with
 the global flip X = prod sigma_x. At odd N, X swaps the two sectors and one
 ``eigh`` of size D/2 serves both; at even N, X maps each sector onto
 itself and splits it into X-even and X-odd halves, four ``eigh`` calls of
-size D/4. All run in real arithmetic for a real generator (every kind but
-Iy). Ix and Iy flip one spin and keep a single sector.
-Each sector block is assembled on its own through :func:`hamiltonian_matrix`
-from the bitwise kernel, real for every kind but Iy, so no D x D generator
-or identity is formed for a generator with more than one sector.
+size D/4. All run in real arithmetic. Each sector block is assembled on
+its own through :func:`hamiltonian_matrix` from the bitwise kernel, so no
+D x D generator or identity is formed.
 :meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
 the sector blocks, and the MQC engine builds its own real blocks straight
 from the sector eigenbases.
-:meth:`EigenBasis.compute` keeps each basis for as long as its system
-lives, so every caller on one system shares one diagonalization per kind.
+:meth:`EigenBasis.compute` keeps each basis among its system's derived
+tables, so every caller on one system shares one diagonalization per kind.
 
 Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
@@ -39,7 +39,6 @@ negates the effective double-quantum Hamiltonian.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -51,8 +50,10 @@ from .errors import InvalidParameter, choice, number
 from .spins import (
     OperatorKind,
     SpinSystem,
+    _derived,
     _pair_bytes,
     _spin_count,
+    _zz_diagonal,
     all_finite,
     apply_operator,
     magnetization_sectors,
@@ -64,30 +65,24 @@ from .spins import (
 # the largest peak that tracemalloc sees at N = 8, 9 and 10, rounded up to
 # within 1.25x of each (tests/test_memory.py). Hdq's eigenbasis keeps sector
 # 0's eigenvectors while it assembles sector 1 at even N only, so it has a
-# factor per parity. The Hzz and Iz bases assemble one magnetization sector
-# at a time; the largest is a share of D that falls as N grows, so their
-# factors, set at N=8, grow looser above it. The interpreter, the imports and
+# factor per parity. The Hzz basis assembles one magnetization sector at a
+# time; the largest is a share of D that falls as N grows, so its factor,
+# set at N=8, grows looser above it. The interpreter, the imports and
 # BLAS's own buffers are outside every factor.
 _DENSE_FACTORS = {
     "order_amplitudes-ideal": 1.3,
     "order_amplitudes-pulse": 4.7,
     "run_dd": 2.8,
     "run_dd_stepwise": 7.0,
-    "evolve-density": 4.5,
+    "evolve-density": 5.1,
     "dq_cycle": 4.5,
     "eigenbasis-dq-even": 0.8,
     "eigenbasis-dq-odd": 0.65,
     "eigenbasis-zz": 0.45,
-    "eigenbasis-iz": 0.4,
-    "eigenbasis-ix": 2.1,
-    "eigenbasis-iy": 4.1,
 }
 # evolve(method="auto") switches state vectors from eigendecomposition to
 # Krylov above this
 EIGEN_MAX_DIM = 1 << 10
-# generators that keep the popcount, so have no matrix element between
-# states of different magnetization
-_MAGNETIZATION_KINDS = (OperatorKind.HZZ, OperatorKind.IZ_TOTAL)
 # krylov_expmv drops the Chebyshev terms past |bt| whose Bessel
 # coefficient is below this (roundoff for a unit vector)
 _SERIES_TOL = 1e-16
@@ -104,6 +99,7 @@ class Axis(str, Enum):
     Y = "Y"
     MINUS_X = "-X"
     MINUS_Y = "-Y"
+    Z = "Z"
 
 
 _AXIS_OP = {
@@ -111,7 +107,11 @@ _AXIS_OP = {
     Axis.Y: _IY1,
     Axis.MINUS_X: -_IX1,
     Axis.MINUS_Y: -_IY1,
+    Axis.Z: np.diag([-0.5, 0.5]).astype(complex),
 }
+# the axis of each collective spin, which evolve rotates in closed form
+_COLLECTIVE_AXES = {OperatorKind.IX_TOTAL: Axis.X, OperatorKind.IY_TOTAL: Axis.Y,
+                    OperatorKind.IZ_TOTAL: Axis.Z}
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -121,9 +121,10 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def _require_dense(dim: int, path: str) -> None:
     """Budget check of one dense path, named by its key in ``_DENSE_FACTORS``;
-    each path makes it before its first large allocation."""
-    require_memory(math.ceil(_DENSE_FACTORS[path] * 16 * dim * dim),
-                   f"the dense {path} path at D={dim}")
+    each path makes it before its first large allocation. The estimate is
+    inf past 64 spins, beyond any budget, rather than a float overflow."""
+    need = math.ceil(_DENSE_FACTORS[path] * 16 * dim * dim) if dim <= 1 << 64 else math.inf
+    require_memory(need, f"the dense {path} path at D={dim}")
 
 
 def hamiltonian_matrix(
@@ -142,27 +143,32 @@ def hamiltonian_matrix(
     """
     kind = choice(OperatorKind, kind, "kind")
     dim = system.dim
-    cols = np.arange(dim) if states is None else np.asarray(states)
-    if not (cols.ndim == 1 and np.issubdtype(cols.dtype, np.integer)
-            and np.all(np.diff(cols) > 0)
-            and (cols.size == 0 or 0 <= cols[0] and cols[-1] < dim)):
-        raise InvalidParameter("states", "states must be increasing basis-state indices below D")
+    if states is not None:
+        cols = np.asarray(states)
+        if not (cols.ndim == 1 and np.issubdtype(cols.dtype, np.integer)
+                and np.all(np.diff(cols) > 0)
+                and (cols.size == 0 or 0 <= cols[0] and cols[-1] < dim)):
+            raise InvalidParameter("states",
+                                   "states must be increasing basis-state indices below D")
+    size = dim if states is None else cols.size
     # per entry of the D x |states| slice: the float64 slice, the kernel's
     # output and the Ix/Iy scratch of half the output, for Iy complex and
     # with the kernel's complex copy of the slice; then the cut block, numpy's
     # iteration buffers for the kernel's strided updates and, for Hzz and
     # Hdq, the pair kernel's temporaries and factors
     iy = kind is OperatorKind.IY_TOTAL
-    cut = (16 if iy else 8) * cols.size**2 if cols.size < dim else 0
-    need = (48 if iy else 20) * dim * cols.size + cut + 48 * np.getbufsize()
+    cut = (16 if iy else 8) * size**2 if size < dim else 0
+    need = (48 if iy else 20) * dim * size + cut + 48 * np.getbufsize()
     if kind in (OperatorKind.HZZ, OperatorKind.HDQ):
-        need += _pair_bytes(system.n_spins, cols.size)
-    require_memory(need, f"a dense {cols.size}x{cols.size} operator block")
-    basis = np.zeros((dim, cols.size))
-    basis[cols, np.arange(cols.size)] = 1.0
+        need += _pair_bytes(system.n_spins, size)
+    require_memory(need, f"a dense {size}x{size} operator block")
+    if states is None:
+        cols = np.arange(dim)
+    basis = np.zeros((dim, size))
+    basis[cols, np.arange(size)] = 1.0
     out = apply_operator(kind, system, basis)
     del basis  # gone before the cut
-    return out if cols.size == dim else out[cols]
+    return out if size == dim else out[cols]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,17 +181,15 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenBasis:
-    """Eigendecomposition of one Hermitian generator, reusable across times.
+    """Eigendecomposition of Hzz or Hdq, reusable across times.
 
     The generator is block-diagonal over ``sectors``, lists of basis states
     it has no matrix element between: the N+1 magnetization sectors for Hzz
-    and Iz, the two popcount-parity sectors for Hdq, and one sector of every
-    state for Ix and Iy. Block j has the eigenvalues
-    ``eigenvalues[j]``, ascending, and the eigenvectors in the columns of
-    ``eigenvectors[j]``, which are real when the generator is. Each block is
-    assembled on its own by ``hamiltonian_matrix(system, kind, sector)``, so
-    no D x D generator or identity exists for a kind with more than one
-    sector. Hdq's two blocks come from the global spin flip
+    and the two popcount-parity sectors for Hdq. Block j has the eigenvalues
+    ``eigenvalues[j]``, ascending, and the real eigenvectors in the columns
+    of ``eigenvectors[j]``. Each block is assembled on its own by
+    ``hamiltonian_matrix(system, kind, sector)``, so no D x D generator or
+    identity exists. Hdq's two blocks come from the global spin flip
     (:func:`_flip_symmetric_eigh`): at odd N only sector 0 is assembled, and
     sector 1 shares its eigenvalue array and takes its eigenvectors with the
     rows reversed.
@@ -198,33 +202,36 @@ class EigenBasis:
     @classmethod
     def compute(cls, system: SpinSystem, kind: OperatorKind) -> "EigenBasis":
         """The eigenbasis of ``kind`` on ``system``, diagonalized on the first
-        call for that pair and returned as the same object on every later one.
+        call for that pair and kept with the system's other derived tables,
+        so every later call returns the same object; a caller must not
+        modify the arrays it is handed.
 
-        The cache holds a system only weakly, so its bases go when the
-        system does; a caller must not modify the arrays it is handed.
+        Raises InvalidParameter for a kind other than Hzz and Hdq: the
+        collective spins rotate in closed form through :func:`collective_pulse`.
         """
         kind = choice(OperatorKind, kind, "kind")
-        bases = _BASES.setdefault(system, {})
-        if kind not in bases:
+        if kind not in (OperatorKind.HZZ, OperatorKind.HDQ):
+            raise InvalidParameter("kind", f"no eigenbasis of {kind.value}: collective "
+                                           f"spins rotate through collective_pulse")
+
+        def build() -> EigenBasis:
             _require_dense(system.dim, _eigenbasis_path(system, kind))
             if kind is OperatorKind.HDQ:
                 sectors = parity_sectors(system.n_spins)
                 pairs = _flip_symmetric_eigh(system, sectors)
             else:
-                if kind in _MAGNETIZATION_KINDS:
-                    sectors = magnetization_sectors(system.n_spins)
-                else:
-                    sectors = [np.arange(system.dim)]
+                sectors = magnetization_sectors(system.n_spins)
                 pairs = [_eigh(hamiltonian_matrix(system, kind, s)) for s in sectors]
-            bases[kind] = cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
-        return bases[kind]
+            return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
+
+        return _derived(system, ("eigenbasis", kind), build)
 
     def propagator(self, t: float) -> np.ndarray:
         """Dense exp(-iHt), zero between sectors."""
         dim = sum(s.size for s in self.sectors)
         u = np.zeros((dim, dim), dtype=complex)
         for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
-            u[np.ix_(s, s)] = _mul(v, np.exp(-1j * w * t)[:, None] * v.conj().T)
+            u[np.ix_(s, s)] = _mul(v, np.exp(-1j * w * t)[:, None] * v.T)
         return u
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:
@@ -232,7 +239,7 @@ class EigenBasis:
         out = np.empty(mat.shape, dtype=complex)
         for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
             ph = np.exp(-1j * w * t)
-            out[s] = _mul(v, ph[:, None] * _mul(v.conj().T, mat[s]))
+            out[s] = _mul(v, ph[:, None] * _mul(v.T, mat[s]))
         return out
 
 
@@ -241,10 +248,6 @@ def _eigenbasis_path(system: SpinSystem, kind: OperatorKind) -> str:
     if kind is OperatorKind.HDQ:
         return "eigenbasis-dq-" + ("odd" if system.n_spins % 2 else "even")
     return f"eigenbasis-{kind.value}"
-
-
-# every EigenBasis.compute result, per system and then per kind
-_BASES: weakref.WeakKeyDictionary[SpinSystem, dict] = weakref.WeakKeyDictionary()
 
 
 def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,10 +312,10 @@ def _require_finite(obj: np.ndarray, t: float) -> None:
 def _spectral_bound(system: SpinSystem, kind: OperatorKind) -> float:
     """Weyl bound on |eigenvalue| of ``kind``; N/2 for collective spins.
     Hzz = 2Z - X - Y and Hdq = Y - X, where Z = sum_{i<j} d_ij Iz_i Iz_j is
-    the diagonal ``_diag_zz / 2``, of spread w, and X, Y alike are rotations
+    half the diagonal of Hzz, of spread w, and X, Y alike are rotations
     of Z. By Weyl, Hzz lies within +-2w and Hdq within +-w for couplings of
     any sign, never above Gershgorin's sum_{i<j} |d_ij| (Hdq: half), exact at N=2."""
-    w = 0.5 * float(np.ptp(system._diag_zz))
+    w = 0.5 * float(np.ptp(_zz_diagonal(system)))
     bounds = {OperatorKind.HZZ: 2 * w, OperatorKind.HDQ: w}
     return bounds.get(choice(OperatorKind, kind, "kind"), system.n_spins / 2)
 
@@ -367,13 +370,17 @@ def evolve(
 
     Vectors become ``exp(-iHt) psi``; densities become
     ``exp(-iHt) rho exp(+iHt)``. ``t < 0`` reverts the evolution.
-    Densities always use the eigenbasis. For vectors ``method`` is "auto",
-    "eigen" or "krylov"; auto picks eigen up to ``EIGEN_MAX_DIM`` and the
-    matrix-free path above it. Raises InvalidParameter for an unknown method,
+    Iz, Ix and Iy rotate both in closed form (:func:`collective_pulse`);
+    Hzz and Hdq evolve densities in their eigenbasis. For vectors ``method``
+    is "auto", "eigen" or "krylov": "krylov" runs the matrix-free series for
+    every kind, and auto runs it for Hzz and Hdq above ``EIGEN_MAX_DIM``.
+    Raises InvalidParameter for an unknown kind or method,
     ``method="krylov"`` on a density, a bad shape or a non-finite ``t``/``obj``.
     """
     if method not in ("auto", "eigen", "krylov"):
         raise InvalidParameter("method", f"unknown method {method!r}")
+    kind = choice(OperatorKind, kind, "kind")
+    axis = _COLLECTIVE_AXES.get(kind)
     obj = np.asarray(obj)
     dim = system.dim
     is_density = obj.ndim == 2
@@ -384,13 +391,17 @@ def evolve(
         if method == "krylov":
             raise InvalidParameter("method", 'method="krylov" evolves state vectors only')
         _require_dense(dim, "evolve-density")
+        if axis is not None:
+            return collective_pulse(obj, axis, t)
         # U (U rho)^dag = U rho^dag U^dag, whose adjoint is U rho U^dag
         basis = EigenBasis.compute(system, kind)
         half = basis.evolve_columns(obj.astype(complex, copy=False), t)
         return basis.evolve_columns(half.conj().T, t).conj().T
     psi = obj.astype(complex, copy=False)
-    if method == "krylov" or (method == "auto" and dim > EIGEN_MAX_DIM):
+    if method == "krylov" or (axis is None and method == "auto" and dim > EIGEN_MAX_DIM):
         return krylov_expmv(system, kind, psi, t)
+    if axis is not None:
+        return collective_pulse(psi, axis, t)
     return EigenBasis.compute(system, kind).evolve_columns(psi[:, None], t)[:, 0]
 
 

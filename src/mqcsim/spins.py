@@ -143,12 +143,6 @@ class ExplicitCouplings:
 Geometry = Union[AllToAll, Chain, Lattice3D, ExplicitCouplings]
 
 
-def magnetization_values(n_spins: int) -> np.ndarray:
-    """Total magnetization m(b) = popcount(b) - N/2 for every basis state."""
-    idx = np.arange(1 << n_spins, dtype=np.uint64)
-    return np.bitwise_count(idx).astype(np.float64) - n_spins / 2.0
-
-
 def parity_sectors(n_spins: int) -> list[np.ndarray]:
     """Basis states of even and of odd popcount, each in increasing order."""
     odd = np.bitwise_count(np.arange(1 << n_spins, dtype=np.uint64)) & 1
@@ -175,24 +169,20 @@ class SpinSystem:
     """N coupled spins 1/2; read-only after construction.
 
     ``n_spins`` must be an integer of at least 2, and ``couplings`` an
-    N x N symmetric matrix with an exactly zero diagonal. Derived
-    lookup tables (magnetization per state, Hzz diagonal) are prepared once
-    here, and the pair kernel's factors of Hzz and Hdq on first use; the
-    operator applications that share them are safe for concurrent use, and
-    concurrent first uses at worst build the same factors twice. Equality
-    and hash are by identity: two systems built from the same geometry are
-    different keys of any cache that holds results per system.
+    N x N symmetric matrix with an exactly zero diagonal and a finite
+    absolute sum, which bounds every Hzz diagonal entry. Nothing of size
+    2**N is allocated here: each derived table (magnetization, Hzz diagonal,
+    pair factors, eigenbases) is built on first use and kept in ``_tables``.
+    The operator applications that share them are safe for concurrent use,
+    and concurrent first uses at worst build a table twice. Equality and
+    hash are by identity.
     """
 
     n_spins: int
     couplings: np.ndarray
     geometry: Geometry | None = None
-
-    # derived, filled in __post_init__
-    _mz: np.ndarray = field(init=False, repr=False)
-    _diag_zz: np.ndarray = field(init=False, repr=False)
-    # kind -> _PairFactors, filled on first use
-    _pair_factors: dict = field(init=False, repr=False)
+    # key -> derived table, filled by _derived
+    _tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         n = self.n_spins = _spin_count(self.n_spins)
@@ -204,21 +194,14 @@ class SpinSystem:
             raise InvalidParameter("couplings", "couplings must be finite")
         with np.errstate(over="ignore"):  # a difference beyond float range is asymmetry
             symmetric = np.allclose(self.couplings, self.couplings.T, atol=0.0)
+            # |Hzz diagonal| <= sum_{i<j} |d_ij| / 2, a quarter of this sum
+            bounded = np.isfinite(np.abs(self.couplings).sum())
         if not symmetric:
             raise InvalidParameter("couplings", "coupling matrix must be symmetric")
         if np.any(np.diag(self.couplings) != 0.0):
             raise InvalidParameter("couplings",
                                    "coupling matrix diagonal must be exactly zero")
-        require_memory(_vector_bytes(n), f"the {n}-spin vector path")
-        self._mz = magnetization_values(n)
-        self._pair_factors = {}
-        # diagonal of Hzz: (1/2) sum_{i<j} d_ij s_i s_j with s = +-1
-        idx = np.arange(self.dim)
-        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.int8)
-        s = 2.0 * bits - 1.0
-        self._diag_zz = 0.5 * np.einsum("ai,ij,aj->a", s, self.couplings, s) / 2.0
-        # finite couplings can still sum past float range, and einsum sets no flag
-        if not np.all(np.isfinite(self._diag_zz)):
+        if not bounded:
             raise InvalidParameter("couplings", "couplings overflow the Hzz diagonal")
 
     @property
@@ -227,24 +210,51 @@ class SpinSystem:
 
     @property
     def magnetization(self) -> np.ndarray:
-        """m per basis state, shape (2**N,)."""
-        return self._mz
+        """m = popcount(b) - N/2 per basis state b, shape (2**N,)."""
+        return _derived(self, "magnetization", lambda: np.bitwise_count(
+            np.arange(self.dim, dtype=np.uint64)) - self.n_spins / 2.0)
 
     def iz_norm(self) -> float:
         """Tr{Iz^2} = N * 2**(N-2), the deviation-density normalization."""
         return self.n_spins * (1 << (self.n_spins - 2))
 
 
+def _derived(system: SpinSystem, key, build):
+    """The table ``key`` of ``system``, made by ``build()`` on first use
+    after the vector path's budget check, and the same object on every
+    later use. Concurrent first uses may each build it, and all get the one
+    that is kept; a caller must not modify it."""
+    table = system._tables.get(key)
+    if table is None:
+        n = system.n_spins
+        require_memory(_vector_bytes(n), f"the {n}-spin vector path")
+        table = system._tables.setdefault(key, build())
+    return table
+
+
+def _zz_diagonal(system: SpinSystem) -> np.ndarray:
+    """Diagonal of Hzz, (1/2) sum_{i<j} d_ij s_i s_j with s = +-1, from D x N
+    sign tables (9 N bytes a state). Tables split over the high and low spins
+    would be far smaller, but freeing these raises glibc's trim threshold;
+    without that, the Chebyshev loop re-faults its temporaries on every
+    operator application, and a 14-spin Hdq evolution ran about 30% slower."""
+    def build():
+        idx = np.arange(system.dim)
+        bits = ((idx[:, None] >> np.arange(system.n_spins)) & 1).astype(np.int8)
+        s = 2.0 * bits - 1.0
+        return 0.5 * np.einsum("ai,ij,aj->a", s, system.couplings, s) / 2.0
+    return _derived(system, "zz-diagonal", build)
+
+
 def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     """Construct a :class:`SpinSystem` with a populated coupling matrix.
 
     Raises :class:`InvalidParameter` for a bad ``n_spins`` or geometry and
-    :class:`CapExceeded` when the vector path of ``n_spins`` spins would not
-    fit in ``MEMORY_BUDGET``; that check runs before the N x N coupling
-    matrix is filled.
+    :class:`CapExceeded` when the N x N coupling matrix would not fit in
+    ``MEMORY_BUDGET``; that check runs before the matrix is filled.
     """
     n_spins = _spin_count(n_spins)
-    require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
+    require_memory(8 * n_spins**2, f"the {n_spins}-spin coupling matrix")
 
     if isinstance(geometry, (AllToAll, Chain, Lattice3D)) and geometry.d0 <= 0:
         raise InvalidParameter("d0", "d0 must be positive")
@@ -326,7 +336,7 @@ def apply_operator(
     col = (slice(None),) + (None,) * (state.ndim - 1)
 
     if kind == OperatorKind.IZ_TOTAL:
-        return system._mz[col] * state
+        return system.magnetization[col] * state
     if kind in (OperatorKind.IX_TOTAL, OperatorKind.IY_TOTAL):
         out = np.zeros_like(state)
         scratch = np.empty(state.size // 2, dtype=state.dtype)
@@ -342,7 +352,7 @@ def apply_operator(
                 np.add(dst[:, b], term, out=dst[:, b])
         return out
     if kind == OperatorKind.HZZ:
-        out = system._diag_zz[col] * state
+        out = _zz_diagonal(system)[col] * state
     elif kind == OperatorKind.HDQ:
         out = np.zeros_like(state)
     else:
@@ -411,12 +421,8 @@ def _build_pair_factors(system: SpinSystem, kind: OperatorKind) -> _PairFactors:
 
 
 def _pair_factors(system: SpinSystem, kind: OperatorKind) -> _PairFactors:
-    """The factors of ``kind`` on ``system``, built on first use; concurrent
-    first uses may each build them, and all get the one that is kept."""
-    factors = system._pair_factors.get(kind)
-    if factors is None:
-        factors = system._pair_factors.setdefault(kind, _build_pair_factors(system, kind))
-    return factors
+    """The factors of ``kind`` on ``system``, built on first use."""
+    return _derived(system, ("pair-factors", kind), lambda: _build_pair_factors(system, kind))
 
 
 def _subtract_pairs(f: _PairFactors, state: np.ndarray, out: np.ndarray) -> None:

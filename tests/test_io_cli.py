@@ -616,6 +616,15 @@ class TestCli:
         assert ("the dense order_amplitudes-ideal path at D=256 needs 1363149 bytes, "
                 "budget 1000000 bytes") in err
         assert not (out / "manifest.json").exists()
+        monkeypatch.undo()
+        # 600 spins build; each command's dense path refuses them on any budget
+        cfg, out = write_config(tmp_path, system={"n_spins": 600})
+        for command, path in (("simulate-mqc", "order_amplitudes-ideal"),
+                              ("simulate-dd", "run_dd"), ("sweep", "run_dd")):
+            assert cli.main([command, "--config", str(cfg)]) == 1, command
+            err = capsys.readouterr().err
+            assert f"the dense {path} path at D={1 << 600} needs inf bytes" in err, command
+            assert not (out / "manifest.json").exists()
 
     def test_huge_n_max_refused_exit_1(self, tmp_path, capsys):
         # the per-n tables are counted before they are allocated

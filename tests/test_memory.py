@@ -18,6 +18,7 @@ import mqcsim.ddprobe
 import mqcsim.evolution
 import mqcsim.spins
 from mqcsim import (
+    AllToAll,
     Axis,
     CapExceeded,
     DdConfig,
@@ -40,7 +41,8 @@ from mqcsim import (
 )
 from mqcsim.evolution import _DENSE_FACTORS, _eigenbasis_path, _require_dense
 from mqcsim.mqc import _sector_blocks
-from mqcsim.spins import _vector_bytes, magnetization_sectors, parity_sectors
+from mqcsim.spins import (_pair_factors, _vector_bytes, _zz_diagonal, magnetization_sectors,
+                          parity_sectors)
 
 from oracles import random_couplings, random_state
 
@@ -87,8 +89,13 @@ def _dense_paths(system: SpinSystem) -> dict:
         "dq_cycle": ("dq_cycle", lambda: dq_cycle(system)),
     }
     for kind in OperatorKind:
-        paths[f"eigenbasis-{kind.name.lower()}"] = (
-            _eigenbasis_path(system, kind), lambda kind=kind: EigenBasis.compute(system, kind))
+        name = kind.name.lower()
+        if kind in (OperatorKind.HZZ, OperatorKind.HDQ):
+            paths[f"eigenbasis-{name}"] = (
+                _eigenbasis_path(system, kind), lambda kind=kind: EigenBasis.compute(system, kind))
+        else:  # the closed-form rotation, under the density check made before it
+            paths[f"evolve-density-{name}"] = (
+                "evolve-density", lambda kind=kind: evolve(rho, system, kind, 0.3))
     return paths
 
 
@@ -98,7 +105,7 @@ DENSE_PATHS = list(_dense_paths(_system(2)))
 TRACED_SPINS = (8, 9, 10)
 # the largest magnetization sector's share of D falls as N grows, so these
 # factors are upper bounds that loosen with N, not 1.25x-tight at every N
-LOOSENING = ("eigenbasis-zz", "eigenbasis-iz")
+LOOSENING = ("eigenbasis-zz",)
 
 
 @functools.cache
@@ -218,7 +225,7 @@ def test_ideal_sector_blocks_are_real_products(n):
     assert len(sectors) == (1 if n % 2 else 2)
 
 
-@pytest.mark.parametrize("n", [10, 12])
+@pytest.mark.parametrize("n", [10, 12, 14])
 @pytest.mark.parametrize("kind", list(OperatorKind))
 def test_vector_path_within_estimate(n, kind):
     couplings = random_couplings(n, np.random.default_rng(n))
@@ -238,9 +245,6 @@ def test_vector_path_within_estimate(n, kind):
     ("eigenbasis-dq-even", 14, 16),
     ("eigenbasis-dq-odd", 13, 15),
     ("eigenbasis-zz", 15, 16),
-    ("eigenbasis-iz", 15, 16),
-    ("eigenbasis-ix", 13, 14),
-    ("eigenbasis-iy", 13, 14),
 ])
 def test_box_budget_boundary_per_path(monkeypatch, key, admitted, refused):
     # the largest N each dense path runs at on a 7.84 GiB machine
@@ -252,7 +256,7 @@ def test_box_budget_boundary_per_path(monkeypatch, key, admitted, refused):
 
 def test_box_budget_refuses_ideal_mqc_at_n15(monkeypatch):
     monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", BOX_BYTES)
-    system = _system(15)  # the vector path of 15 spins fits
+    system = _system(15)
     with pytest.raises(CapExceeded, match="order_amplitudes-ideal path at D=32768"):
         order_amplitudes(MqcRun(system, 8, 0.05, uniform_phase_grid(32)))
 
@@ -284,17 +288,52 @@ def small_budget(monkeypatch):
     lambda s: run_dd(_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=10**12)),
     lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
     lambda s: run_dd_stepwise(_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=10**12)),
-    lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))),
-    lambda s: build_system(ExplicitCouplings(np.zeros((14, 14))), 14),
+    # a system builds at any size; each table refuses on its first use
+    lambda s: SpinSystem(n_spins=14, couplings=np.zeros((14, 14))).magnetization,
+    lambda s: _zz_diagonal(build_system(ExplicitCouplings(np.zeros((14, 14))), 14)),
+    lambda s: _pair_factors(_system(14), OperatorKind.HDQ),
+    lambda s: EigenBasis.compute(_system(14), OperatorKind.HZZ),
 ], ids=["hamiltonian_matrix", "hamiltonian_matrix-sector", "eigenbasis", "evolve-density",
         "dq_cycle", "order_amplitudes-ideal", "order_amplitudes-pulse",
         "order_amplitudes-tables", "run_dd", "run_dd-cycles",
-        "run_dd_stepwise", "run_dd_stepwise-cycles", "SpinSystem", "build_system"])
+        "run_dd_stepwise", "run_dd_stepwise-cycles", "SpinSystem", "build_system",
+        "pair-factors", "eigenbasis-tables"])
 def test_refused_before_allocation(small_budget, build):
-    system = _system(10)  # its vector path (280 kB) fits; its dense paths (134 MB) do not
+    system = _system(10)  # its vector path (330 kB) fits; its dense paths (134 MB) do not
 
     def refuse():
         with pytest.raises(CapExceeded, match=f"needs [0-9]+ bytes, budget {small_budget} bytes"):
             build(system)
 
     assert traced_peak(refuse) < small_budget // 10
+
+
+# every public entry point that takes a system and no 2**N input
+ENTRY_POINTS = {
+    "magnetization": lambda s: s.magnetization,
+    "hamiltonian_matrix": lambda s: hamiltonian_matrix(s, OperatorKind.HZZ),
+    "hamiltonian_matrix-sector": lambda s: hamiltonian_matrix(s, OperatorKind.HDQ, np.arange(4)),
+    "eigenbasis-hzz": lambda s: EigenBasis.compute(s, OperatorKind.HZZ),
+    "eigenbasis-hdq": lambda s: EigenBasis.compute(s, OperatorKind.HDQ),
+    "pulse_matrix": lambda s: pulse_matrix(Axis.X, 0.7, s.n_spins),
+    "dq_cycle": dq_cycle,
+    "order_amplitudes-ideal": lambda s: order_amplitudes(MqcRun(s, 2, 0.1, uniform_phase_grid(8))),
+    "order_amplitudes-pulse": lambda s: order_amplitudes(
+        MqcRun(s, 2, 4 * 3e-6 + 6 * 8e-6, uniform_phase_grid(8), mode=Mode.PULSE_LEVEL)),
+    "run_dd": lambda s: run_dd(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
+    "run_dd_stepwise": lambda s: run_dd_stepwise(s, DdConfig(tau=0.2, theta=0.7, n_cycles=4)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("n", [40, 64, 200, 600, 1100])
+def test_large_system_refused_before_allocation(n, entry):
+    # the system builds; every path on it refuses with a count that stays
+    # a number, on any machine's budget
+    system = build_system(AllToAll(1.0), n)
+
+    def refuse():
+        with pytest.raises(CapExceeded, match="needs (inf|[0-9]+) bytes"):
+            ENTRY_POINTS[entry](system)
+
+    assert traced_peak(refuse) < 1_000_000

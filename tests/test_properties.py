@@ -168,9 +168,13 @@ def test_uncoupled_spins_do_not_evolve(kind, n):
 @PROPERTY
 @given(systems(max_spins=6), st.floats(-5.0, 5.0))
 def test_sector_propagator_matches_expm(kind, system, t):
-    # the eigenbasis works per parity sector; expm sees the full matrix
+    # the eigenbasis of Hzz and Hdq works per sector, and the collective
+    # spins rotate each column in closed form; expm sees the full matrix
     expected = scipy.linalg.expm(-1j * t * hamiltonian_matrix(system, kind))
-    u = EigenBasis.compute(system, kind).propagator(t)
+    if kind in (OperatorKind.HZZ, OperatorKind.HDQ):
+        u = EigenBasis.compute(system, kind).propagator(t)
+    else:
+        u = np.column_stack([evolve(e, system, kind, t) for e in np.eye(system.dim)])
     assert np.max(np.abs(u - expected)) < 1e-10
 
 

@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from mqcsim import (
     SpinSystem,
     apply_operator,
     build_system,
-    magnetization_values,
 )
+from mqcsim.spins import _zz_diagonal
 
 from oracles import dense_operator, pair_action, random_couplings, random_state
 
@@ -68,15 +69,32 @@ class TestBuildSystem:
         assert np.all(system.couplings[system.couplings > 0] == 1.0)
 
     def test_spin_count_limited_by_memory_budget_only(self, monkeypatch):
-        assert build_system(AllToAll(d0=1.0), 15).dim == 1 << 15
+        # a system of any size builds; its first table refuses over budget
+        assert build_system(AllToAll(d0=1.0), 15).magnetization.size == 1 << 15
         monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", 10**6)
+        system = build_system(AllToAll(d0=1.0), 15)
         with pytest.raises(CapExceeded, match="the 15-spin vector path needs"):
-            build_system(AllToAll(d0=1.0), 15)
+            system.magnetization  # noqa: B018
 
     def test_huge_spin_count_refused_without_a_huge_integer(self):
-        # 1 << n for n = 2**62 would exhaust memory before the budget check
-        with pytest.raises(CapExceeded, match="needs inf bytes"):
+        # the N x N coupling matrix is counted, 8 N**2 bytes, and no 1 << N
+        with pytest.raises(CapExceeded, match="coupling matrix needs [0-9]+ bytes"):
             build_system(AllToAll(d0=1.0), 2**62)
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_system(AllToAll(d0=1.0), 20),
+        lambda: SpinSystem(n_spins=20, couplings=np.ones((20, 20)) - np.eye(20)),
+    ], ids=["build_system", "SpinSystem"])
+    def test_construction_allocates_no_table(self, build):
+        # a 2**20 table would be 8 MB; the tables come on first use
+        tracemalloc.start()
+        try:
+            system = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert not system._tables
 
     def test_huge_lattice_shape_lists_only_the_sites_it_uses(self):
         small = build_system(Lattice3D(d0=1.0, cutoff=2.0, shape=(2, 2, 2)), 4)
@@ -141,10 +159,16 @@ class TestBuildSystem:
 
 class TestBasis:
     def test_magnetization_popcount(self):
-        mz = magnetization_values(3)
+        mz = build_system(AllToAll(d0=1.0), 3).magnetization
         assert mz[bits(UP, UP, DOWN)] == pytest.approx(0.5)
         assert mz[0] == pytest.approx(-1.5)
         assert mz[7] == pytest.approx(1.5)
+
+    def test_tables_built_once_and_kept(self):
+        system = build_system(Chain(d0=1.0), 4)
+        assert system.magnetization is system.magnetization
+        assert _zz_diagonal(system) is _zz_diagonal(system)
+        assert set(system._tables) == {"magnetization", "zz-diagonal"}
 
 
 class TestApplyOperator:
@@ -277,7 +301,7 @@ def gather_apply(kind, system, state):
                 coeff = np.where((idx >> i) & 1 == 1, -0.5j, 0.5j)
                 out += coeff[col] * state[flipped]
         return out
-    out = system._diag_zz[col] * state if kind == OperatorKind.HZZ else np.zeros_like(state)
+    out = _zz_diagonal(system)[col] * state if kind == OperatorKind.HZZ else np.zeros_like(state)
     for i, j in zip(*np.triu_indices(system.n_spins, 1)):
         d = system.couplings[i, j]
         if d == 0.0:
@@ -382,7 +406,8 @@ class TestPairKernel:
         assert not any(w.is_alive() for w in workers)
         expected = pair_action("dq", couplings, psi)
         assert all(np.max(np.abs(r - expected)) <= 1e-13 for r in results.values())
-        assert len(results) == 6 and list(system._pair_factors) == [OperatorKind.HDQ]
+        # Hdq has no diagonal and needs no magnetization: neither is built
+        assert len(results) == 6 and list(system._tables) == [("pair-factors", OperatorKind.HDQ)]
 
     def test_exact_zeros_outside_the_reached_sectors(self):
         # at N = 8 the split has cross pairs; from one magnetization sector
