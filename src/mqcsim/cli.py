@@ -62,7 +62,6 @@ _DEFAULT_CONFIG: dict = {
         "transient_skip": 8,
         "noise_sigma": 0.0,
         "n_scans": 1,
-        "detect": "aligned",
     },
     "sweep": {
         # grids include the 45-degree, 2048-cycle operating point
@@ -306,20 +305,6 @@ def cmd_sweep(config: dict) -> int:
     result = sweep(system, **config["sweep"], base_seed=config["seed"])
     out_dir = _prepare_out(config, "sweep")
     io.write_sweep_csv(out_dir / "sweep.csv", result)
-
-    def grid(attr):
-        g = result.grid_of(attr)
-        return [[None if np.isnan(v) else v for v in row] for row in g]
-
-    heat = {
-        "tau": result.tau_grid.tolist(),
-        "theta": result.theta_grid.tolist(),
-        "amplitude": grid("amplitude"),
-        "t_slow": grid("t_slow"),
-        "n_star": grid("n_star"),
-        "snr": grid("snr"),
-    }
-    io.write_json(out_dir / "sweep_heatmap.json", heat)
     n_ok = sum(1 for c in result.cells if c.status == "ok")
     print(f"sweep: {n_ok}/{len(result.cells)} cells fitted, output in {out_dir}")
     return 0

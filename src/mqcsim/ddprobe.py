@@ -3,12 +3,10 @@
 The sequence is a pi/2 pulse along Y (tipping Iz into Ix) followed by a
 train of theta rotations along X with period tau; the transverse signal is
 sampled at the center of every window, t_j = (j + 1/2) tau after the tip.
-Detection picks the component aligned with the initial transverse
-magnetization (Ix); a magnitude mode is available behind ``detect``. The
-global spin flip prod sigma_x commutes with Hzz, with the X pulses and
-with the tipped density Ix, and anticommutes with Iy, so Tr{Iy rho_j} = 0
-at every sample and the magnitude is the absolute value of the aligned
-signal.
+Detection reads the component aligned with the initial transverse
+magnetization, Tr{Ix rho_j} / Tr{Iz^2}, and nothing else: the global spin
+flip prod sigma_x commutes with Hzz, with the X pulses and with the tipped
+density Ix, and anticommutes with Iy, so Tr{Iy rho_j} = 0 at every sample.
 
 The cycle propagator V = half . X(theta) . half is diagonalized once per
 cell, and never as one D x D matrix. V and Ix, the tipped density, commute
@@ -100,9 +98,6 @@ class DdConfig:
     noise_sigma: float = 0.0
     n_scans: int = 1
     rng_seed: int = 0
-    # "aligned" reads Tr{Ix rho_j}; "magnitude" its absolute value, since
-    # the Iy component vanishes (see the module docstring)
-    detect: str = "aligned"
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -121,8 +116,6 @@ class DdConfig:
             raise InvalidParameter("n_scans", "n_scans must be >= 1")
         if self.rng_seed < 0:
             raise InvalidParameter("rng_seed", "rng_seed must be >= 0")
-        if self.detect not in ("aligned", "magnitude"):
-            raise InvalidParameter("detect", "detect must be 'aligned' or 'magnitude'")
 
 
 @dataclass
@@ -216,7 +209,7 @@ def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     # the atoms are all spread once the sum returns, so the trace is complete
     signal = _fourier_sum(atoms(), config.n_cycles).real + trace
     signal /= system.iz_norm()
-    return signal if config.detect == "aligned" else np.abs(signal)
+    return signal
 
 
 def _block_weights(
@@ -337,9 +330,9 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     O(cycles * dim^3); kept as the independent cross-check of the
     spectral path (the noise model is shared). It tips the kernel's Iz with
     :func:`collective_pulse`, steps the full density by the whole cycle, and
-    reads the Ix trace (and the Iy trace, for magnitude detection) itself, so
-    neither the flip blocks, Ix as the tipped density nor a zero Iy is assumed.
-    Each D x D matrix is built once those it replaces are gone.
+    reads the Ix trace of each sample itself, so neither the flip blocks nor
+    Ix as the tipped density is assumed. Each D x D matrix is built once
+    those it replaces are gone.
     """
     _require_series(config)
     _require_dense(system.dim, "run_dd_stepwise")
@@ -351,17 +344,12 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     cycle = (half @ pulse_matrix(Axis.X, config.theta, system.n_spins)) @ half
     del half
     ix = hamiltonian_matrix(system, OperatorKind.IX_TOTAL)
-    iy = None
-    if config.detect == "magnitude":
-        iy = hamiltonian_matrix(system, OperatorKind.IY_TOTAL)
     norm = float(system.iz_norm())
 
-    # Tr{O rho} = vdot(O, rho) for a Hermitian O, with no D x D product
+    # Tr{Ix rho} = vdot(Ix, rho) for the Hermitian Ix, with no D x D product
     signal = np.empty(config.n_cycles)
     for j in range(config.n_cycles):
         signal[j] = np.vdot(ix, rho).real / norm
-        if iy is not None:
-            signal[j] = np.hypot(signal[j], np.vdot(iy, rho).real / norm)
         rho = cycle @ rho @ cycle.conj().T
     return _series(signal, config)
 
@@ -619,7 +607,6 @@ class SweepCell:
     theta: float
     status: str
     fit: DecayFit | None
-    amplitude: float
     n_star: int
     snr: float
     rng_seed: int
@@ -627,28 +614,9 @@ class SweepCell:
 
 @dataclass
 class SweepResult:
-    tau_grid: np.ndarray
-    theta_grid: np.ndarray
+    """The cells of a sweep in grid order: tau outer, theta inner."""
+
     cells: list[SweepCell]
-
-    def grid_of(self, attr: str) -> np.ndarray:
-        """(len(tau_grid), len(theta_grid)) array of a cell or fit attribute.
-
-        Fit parameters (``a_fast``, ``t_fast``, ``a_slow``, ``t_slow``)
-        come out as NaN for cells whose fit failed.
-        """
-        if attr == "fit":
-            raise InvalidParameter("attr", "grid_of needs a scalar attribute")
-        fit_attrs = ("a_fast", "t_fast", "a_slow", "t_slow")
-        out = np.full((len(self.tau_grid), len(self.theta_grid)), np.nan)
-        for idx, cell in enumerate(self.cells):
-            i, j = divmod(idx, len(self.theta_grid))
-            if attr in fit_attrs:
-                val = getattr(cell.fit, attr) if cell.fit is not None else None
-            else:
-                val = getattr(cell, attr)
-            out[i, j] = np.nan if val is None else val
-        return out
 
 
 def sweep(
@@ -662,7 +630,7 @@ def sweep(
     transient_skip: int = 8,
     base_seed: int = 0,
 ) -> SweepResult:
-    """Map (tau, theta) to decay fits, amplitudes, N* and SNR.
+    """Map (tau, theta) to decay fits, N* and SNR.
 
     Cells are independent, seeded deterministically from ``base_seed`` and
     the cell index; per-cell fit failures are recorded in ``status`` and
@@ -694,15 +662,13 @@ def sweep(
         try:
             fit = fit_biexponential(series)
             status = "ok"
-            amplitude = fit.amplitude
         except FitFailure as err:
             fit = None
             status = f"fit_failed: {err}"
-            amplitude = np.nan
         cells.append(
             SweepCell(
                 tau=config.tau, theta=config.theta, status=status, fit=fit,
-                amplitude=amplitude, n_star=n_star, snr=snr, rng_seed=config.rng_seed,
+                n_star=n_star, snr=snr, rng_seed=config.rng_seed,
             )
         )
-    return SweepResult(tau_grid=tau_grid, theta_grid=theta_grid, cells=cells)
+    return SweepResult(cells)

@@ -52,6 +52,7 @@ from .spins import (
     SpinSystem,
     _derived,
     _pair_bytes,
+    _require_vector_path,
     _spin_count,
     _zz_diagonal,
     all_finite,
@@ -73,7 +74,7 @@ _DENSE_FACTORS = {
     "order_amplitudes-ideal": 1.3,
     "order_amplitudes-pulse": 4.7,
     "run_dd": 2.8,
-    "run_dd_stepwise": 7.0,
+    "run_dd_stepwise": 6.5,
     "evolve-density": 5.1,
     "dq_cycle": 4.5,
     "eigenbasis-dq-even": 0.8,
@@ -337,8 +338,10 @@ def krylov_expmv(
     depend on the BLAS thread count.
 
     Raises InvalidParameter unless ``v`` has shape (D,), and for a
-    non-finite ``t`` or ``v``.
+    non-finite ``t`` or ``v``; checks the vector path's budget before it
+    reads ``v``.
     """
+    _require_vector_path(system.n_spins)
     v = np.asarray(v, dtype=complex)
     if v.shape != (system.dim,):
         raise InvalidParameter("v", f"state shape {v.shape} is not ({system.dim},)")
@@ -376,10 +379,12 @@ def evolve(
     every kind, and auto runs it for Hzz and Hdq above ``EIGEN_MAX_DIM``.
     Raises InvalidParameter for an unknown kind or method,
     ``method="krylov"`` on a density, a bad shape or a non-finite ``t``/``obj``.
+    The vector path's budget is checked before ``obj`` is read.
     """
     if method not in ("auto", "eigen", "krylov"):
         raise InvalidParameter("method", f"unknown method {method!r}")
     kind = choice(OperatorKind, kind, "kind")
+    _require_vector_path(system.n_spins)
     axis = _COLLECTIVE_AXES.get(kind)
     obj = np.asarray(obj)
     dim = system.dim

@@ -259,8 +259,12 @@ def order_amplitudes(run: MqcRun) -> OrderAmplitudes:
     :func:`_sector_blocks`, holding them, rho_n, M_n and two product
     buffers that every block reuses: a fixed number of (D/2) x (D/2)
     matrices whatever n_blocks is. A mirrored run passes over sector 0
-    alone and adds its tables at -k for sector 1. The dense pass and the
-    per-n tables are each checked against the memory budget first.
+    alone and adds its tables at -k for sector 1; no output can tell that
+    from a plain copy. rho_n and M_n are Hermitian, so element (c, r), at
+    order -k, adds the conjugate of element (r, c)'s share: each sector's
+    A_{n,-k} is conj(A_{n,k}), which the real ideal pass makes A_{n,k}, and
+    its density table is even. The dense pass and the per-n tables are
+    each checked against the memory budget first.
     """
     system = run.system
     _require_dense(system.dim, f"order_amplitudes-{run.mode.value}")

@@ -93,6 +93,12 @@ def _vector_bytes(n_spins: int) -> float:
     return (1 << n_spins) * (9 * n_spins + 3 * 8 + 10 * 16) + _pair_bytes(n_spins, 0)
 
 
+def _require_vector_path(n_spins: int) -> None:
+    """Budget check of the vector path, made before its first table is
+    built and before an input state is converted or scanned."""
+    require_memory(_vector_bytes(n_spins), f"the {n_spins}-spin vector path")
+
+
 class OperatorKind(str, Enum):
     """Collective operators available to :func:`apply_operator`."""
 
@@ -226,8 +232,7 @@ def _derived(system: SpinSystem, key, build):
     that is kept; a caller must not modify it."""
     table = system._tables.get(key)
     if table is None:
-        n = system.n_spins
-        require_memory(_vector_bytes(n), f"the {n}-spin vector path")
+        _require_vector_path(system.n_spins)
         table = system._tables.setdefault(key, build())
     return table
 
@@ -322,8 +327,10 @@ def apply_operator(
     Hdq are a few sparse products of the split in the module docstring,
     O(pairs * 2**N) multiply-adds with temporaries of a few
     ``2**N x _PAIR_CHUNK`` arrays. Raises InvalidParameter for another shape
-    or for NaN or inf.
+    or for NaN or inf, and CapExceeded, before the state is read, where the
+    vector path does not fit the budget.
     """
+    _require_vector_path(system.n_spins)
     state = np.asarray(state)
     if state.ndim not in (1, 2) or state.shape[0] != system.dim:
         raise InvalidParameter("state", f"state shape {state.shape} is not "

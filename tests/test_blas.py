@@ -155,5 +155,5 @@ def test_outputs_do_not_depend_on_openblas_threads(tmp_path):
             manifest = readers.read_manifest(root / command / "manifest.json")
             if _openblas_wheels():
                 assert manifest["blas_threads"] == 1
-    assert len(files["1"]) == 7  # five MQC tables, the sweep table and heat map
+    assert len(files["1"]) == 6  # five MQC tables and the sweep table
     assert files["1"] == files["2"]

@@ -27,7 +27,8 @@ from mqcsim import (
 )
 
 import mqcsim.ddprobe
-from mqcsim.ddprobe import _TAPS, _flip_blocks, _floquet_basis, _fourier_sum, _polish
+from mqcsim.ddprobe import (_TAPS, _flip_blocks, _floquet_basis, _fourier_sum, _polish,
+                            mix_seed)
 from oracles import multistart_biexponential, random_couplings
 from snr import estimate_noise_sigma, measured_snr
 
@@ -64,38 +65,25 @@ class TestRunDd:
         ))
         assert not np.array_equal(a.values, c.values)
 
-    @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
-    def test_spectral_matches_stepwise(self, detect):
+    def test_spectral_matches_stepwise(self):
         rng = np.random.default_rng(17)
         system = build_system(ExplicitCouplings(random_couplings(5, rng)), 5)
-        config = DdConfig(
-            tau=0.23, theta=1.1, n_cycles=40, detect=detect, noise_sigma=0.0
-        )
+        config = DdConfig(tau=0.23, theta=1.1, n_cycles=40, noise_sigma=0.0)
         fast = run_dd(system, config)
         slow = run_dd_stepwise(system, config)
         assert np.max(np.abs(fast.values - slow.values)) < 1e-10
 
-    @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
-    def test_kernel_edges_match_stepwise(self, detect):
+    def test_kernel_edges_match_stepwise(self):
         # the spectral kernel spreads over _TAPS points of a grid of
         # 4 n_cycles, so short series wrap the taps around the grid
         rng = np.random.default_rng(29)
         system = build_system(ExplicitCouplings(random_couplings(4, rng)), 4)
         for n_cycles in (1, 2, _TAPS - 1, _TAPS, _TAPS + 1, 2 * _TAPS + 3, 2049):
-            config = DdConfig(tau=0.31, theta=0.9, n_cycles=n_cycles, detect=detect)
+            config = DdConfig(tau=0.31, theta=0.9, n_cycles=n_cycles)
             fast = run_dd(system, config)
             slow = run_dd_stepwise(system, config)
             assert fast.values.shape == (n_cycles,)
             assert np.max(np.abs(fast.values - slow.values)) < 1e-10, n_cycles
-
-    @pytest.mark.parametrize("detect", ["aligned", "magnitude"])
-    def test_stepwise_builds_iy_for_magnitude_only(self, monkeypatch, detect):
-        kinds = []
-        build = mqcsim.ddprobe.hamiltonian_matrix
-        monkeypatch.setattr(mqcsim.ddprobe, "hamiltonian_matrix",
-                            lambda system, kind: kinds.append(kind) or build(system, kind))
-        run_dd_stepwise(zero_system(3), DdConfig(tau=0.2, theta=0.7, n_cycles=4, detect=detect))
-        assert (OperatorKind.IY_TOTAL in kinds) == (detect == "magnitude")
 
     def test_spectral_route_reads_ix_as_the_tipped_density(self, monkeypatch):
         # no Y(pi/2) tip is built: the one Ix of a cell is density and readout
@@ -474,19 +462,14 @@ class TestSweep:
         assert len(calls) <= 50
         assert result.cells[0].fit.degenerate
 
-    def test_grid_of(self):
+    def test_cells_in_grid_order(self):
+        # tau outer, theta inner, each cell seeded from its own grid index
         system = build_system(AllToAll(d0=1.0), 4)
-        result = sweep(system, [0.1, 0.2], [0.5, 1.0, 1.5], 48)
-        grid = result.grid_of("snr")
-        assert grid.shape == (2, 3)
-        assert np.all(np.isfinite(grid))
-        slow = result.grid_of("t_slow")
-        for idx, cell in enumerate(result.cells):
-            if cell.fit is not None:
-                i, j = divmod(idx, 3)
-                assert slow[i, j] == cell.fit.t_slow
-        with pytest.raises(ValueError):
-            result.grid_of("fit")
+        taus, thetas = [0.1, 0.2], [0.5, 1.0, 1.5]
+        result = sweep(system, taus, thetas, 48, base_seed=5)
+        assert [(c.tau, c.theta, c.rng_seed) for c in result.cells] == [
+            (tau, theta, mix_seed(5, i, j))
+            for i, tau in enumerate(taus) for j, theta in enumerate(thetas)]
 
     def test_one_hzz_build_per_sweep(self, monkeypatch):
         kinds = []

@@ -208,13 +208,21 @@ class TestCli:
         assert a != b
 
     def test_sweep_single_cell_matches_simulate_dd(self, tmp_path):
-        cfg, out = write_config(tmp_path)
-        assert cli.main(["sweep", "--config", str(cfg)]) == 0
-        rows = readers.read_sweep_csv(out / "sweep.csv")
+        # the cell (0, 0) is seeded with the run seed itself: same noise, same fit
+        noise = {"n_cycles": 256, "noise_sigma": 0.01, "n_scans": 4}
+        cfg, _ = write_config(
+            tmp_path, system={"n_spins": 4, "geometry": {"kind": "chain", "d0": 1.0}},
+            dd=noise, sweep=noise)
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep")]) == 0
+        assert cli.main(["simulate-dd", "--config", str(cfg), "--out", str(tmp_path / "dd")]) == 0
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == [
+            "manifest.json", "sweep.csv"]
+        rows = readers.read_sweep_csv(tmp_path / "sweep" / "sweep.csv")
+        fit = mio.read_json(tmp_path / "dd" / "fit.json")
         assert len(rows) == 1
-        assert rows[0]["status"] == "ok"
-        heat = mio.read_json(out / "sweep_heatmap.json")
-        assert heat["tau"] == [0.2]
+        assert rows[0]["status"] == fit["status"] == "ok"
+        for key in ("a_fast", "t_fast", "a_slow", "t_slow"):
+            assert rows[0][key] == fit[key], key
 
     def test_default_sweep_grid_contains_paper_point(self):
         config = cli.default_config()
@@ -517,7 +525,7 @@ class TestCli:
         ("simulate-dd", "dd", "transient_skip", 300),
         ("simulate-dd", "dd", "noise_sigma", -1),
         ("simulate-dd", "dd", "n_scans", 0),
-        ("simulate-dd", "dd", "detect", "x"),
+        ("simulate-dd", "dd", "tau", 0),
         ("sweep", "sweep", "tau_grid", []),
         ("sweep", "sweep", "theta_grid", [4.0]),
         ("sweep", "sweep", "n_cycles", 0),
@@ -602,6 +610,13 @@ class TestCli:
         cfg, _ = write_config(tmp_path, output_dir=str(out))
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
         assert "config field output_dir" in capsys.readouterr().err
+
+    def test_detect_is_unknown_field(self, tmp_path, capsys):
+        # the DD readout is Tr{Ix rho_j}; there is no detect mode to choose
+        cfg, out = write_config(tmp_path, dd={"detect": "aligned"})
+        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+        assert "unknown config field dd.detect" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_max_spins_is_unknown_field(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, system={"max_spins": 20})

@@ -28,6 +28,7 @@ from mqcsim import (
     MqcRun,
     OperatorKind,
     SpinSystem,
+    apply_operator,
     build_system,
     dq_cycle,
     evolve,
@@ -73,12 +74,10 @@ def _dense_paths(system: SpinSystem) -> dict:
     phases = uniform_phase_grid(8)
     rho = np.diag(system.magnetization).astype(complex)
     paths = {
-        "run_dd-magnitude": ("run_dd", lambda: run_dd(
-            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048, detect="magnitude"))),
         "run_dd-aligned": ("run_dd", lambda: run_dd(
             system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048))),
         "run_dd_stepwise": ("run_dd_stepwise", lambda: run_dd_stepwise(
-            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2, detect="magnitude"))),
+            system, DdConfig(tau=0.2, theta=0.7, n_cycles=2))),
         "order_amplitudes-ideal": ("order_amplitudes-ideal", lambda: order_amplitudes(
             MqcRun(system, 2, 0.1, phases))),
         "order_amplitudes-mismatch": ("order_amplitudes-ideal", lambda: order_amplitudes(
@@ -175,8 +174,7 @@ def test_run_dd_keeps_only_flip_blocks():
     # builds no tipped density beside Ix, and frees each flip block's inputs
     # and weights before the next block is diagonalized
     for n in TRACED_SPINS:
-        for path in ("run_dd-aligned", "run_dd-magnitude"):
-            assert dense_peaks(n)[path][1] <= 2.8 * 16 * (1 << n) ** 2, (n, path)
+        assert dense_peaks(n)["run_dd-aligned"][1] <= 2.8 * 16 * (1 << n) ** 2, n
 
 
 def test_run_dd_counts_its_kernel_per_cycle(monkeypatch):
@@ -233,6 +231,25 @@ def test_vector_path_within_estimate(n, kind):
     peak = traced_peak(
         lambda: krylov_expmv(SpinSystem(n_spins=n, couplings=couplings), kind, psi, 0.4))
     assert peak <= _vector_bytes(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, psi: krylov_expmv(s, OperatorKind.HDQ, psi, 0.4),
+    lambda s, psi: evolve(psi, s, OperatorKind.HDQ, 0.4),
+    lambda s, psi: apply_operator(OperatorKind.HDQ, s, psi),
+], ids=["krylov_expmv", "evolve", "apply_operator"])
+def test_vector_budget_checked_before_the_state_is_read(monkeypatch, call):
+    # the float64 state is 131 kB at N=14 and its complex copy 262 kB: the
+    # refusal comes before either copy or the finiteness scan
+    monkeypatch.setattr(mqcsim.spins, "MEMORY_BUDGET", 10**6)
+    system = _system(14)
+    psi = np.ones(system.dim)
+
+    def refuse():
+        with pytest.raises(CapExceeded, match="the 14-spin vector path needs"):
+            call(system, psi)
+
+    assert traced_peak(refuse) < 16_000
 
 
 @pytest.mark.parametrize("key, admitted, refused", [

@@ -23,7 +23,7 @@ from mqcsim import (
     uniform_phase_grid,
 )
 
-from mqcsim.mqc import _sector_blocks
+from mqcsim.mqc import _sector_blocks, _sector_pass
 from oracles import brute_force_mqc_signal as brute_force_signal
 from oracles import otoc_direct, random_couplings
 from spectra import raw_weights, weight_at
@@ -226,6 +226,27 @@ class TestFlipMirror:
         both = order_amplitudes(run)
         assert np.max(np.abs(mirrored.amplitudes - both.amplitudes)) < 1e-12
         assert np.max(np.abs(mirrored.density - both.density)) < 1e-12
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("mode, tau, scale", [
+        (Mode.IDEAL, 0.2, 1.0), (Mode.PULSE_LEVEL, 60e-6, 1000.0)])
+    def test_each_sector_table_is_even_in_k(self, n, mode, tau, scale, monkeypatch):
+        # rho_n and M_n are Hermitian, so element (c, r), at order -k, adds the
+        # conjugate of element (r, c)'s share: the mirror's k -> -k is a copy
+        monkeypatch.setattr(mqcsim.mqc, "_mirrored", lambda run: False)
+        couplings = scale * random_couplings(n, np.random.default_rng(n))
+        system = build_system(ExplicitCouplings(couplings), n)
+        run = MqcRun(system, 3, tau, np.array([0.0]), mode=mode, mismatch=0.05)
+        n_passes = 0
+        for sector, f, b in _sector_blocks(run):
+            amplitudes = np.zeros((4, 2 * n + 1), dtype=complex)
+            density = np.zeros((4, 2 * n + 1))
+            _sector_pass(f, b, system.magnetization[sector], n, amplitudes, density)
+            mirror = amplitudes[:, ::-1].conj()
+            assert np.max(np.abs(amplitudes - mirror)) <= 1e-12 * np.max(np.abs(amplitudes))
+            assert np.max(np.abs(density - density[:, ::-1])) <= 1e-12 * np.max(density)
+            n_passes += 1
+        assert n_passes == 2
 
 
 class TestRotatedFrame:

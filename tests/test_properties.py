@@ -195,16 +195,23 @@ def test_propagators_unitary(system, kind, t, delta1, delta2, sign):
 
 @PROPERTY
 @given(systems(), st.floats(0.01, 1.0), st.floats(0.05, np.pi))
-def test_dd_magnitude_is_abs_of_aligned(system, tau, theta):
+def test_dd_iy_component_vanishes(system, tau, theta):
     # prod sigma_x commutes with Hzz, the X pulses and the tipped density and
-    # anticommutes with Iy, so Tr{Iy rho_j} = 0; the stepwise route still
-    # computes that trace, and shows it vanishing
-    def values(route, detect):
-        return route(system, DdConfig(tau, theta, n_cycles=16, detect=detect)).values
-
-    assert np.array_equal(values(run_dd, "magnitude"), np.abs(values(run_dd, "aligned")))
-    stepwise = values(run_dd_stepwise, "magnitude")
-    assert np.max(np.abs(stepwise - np.abs(values(run_dd_stepwise, "aligned")))) < 1e-12
+    # anticommutes with Iy, so Tr{Iy rho_j} = 0 and the DD readout Tr{Ix rho_j}
+    # is the whole transverse signal; built from Kronecker products and expm
+    n = system.n_spins
+    iz, ix, iy, hzz = (dense_operator(kind, system.couplings, n)
+                       for kind in ("iz", "ix", "iy", "zz"))
+    tip = scipy.linalg.expm(-0.5j * np.pi * iy)
+    half = scipy.linalg.expm(-0.5j * tau * hzz)
+    cycle = half @ scipy.linalg.expm(-1j * theta * ix) @ half
+    rho = tip @ iz @ tip.conj().T
+    scale = np.trace(ix @ rho).real
+    assert scale == pytest.approx(n * 2 ** (n - 2))
+    rho = half @ rho @ half.conj().T
+    for _ in range(16):
+        assert abs(np.trace(iy @ rho)) < 1e-12 * scale
+        rho = cycle @ rho @ cycle.conj().T
 
 
 @PROPERTY
