@@ -43,12 +43,10 @@ from .evolution import (
 from .inversion import (
     ClusterDistribution,
     DistributionAnalytics,
-    GaussianFit,
     KernelProblem,
     PowerLawFit,
     analyze,
     fit_power_law,
-    gaussian_fit_baseline,
     invert,
     make_kernel_problem,
     mixture_second_moment,

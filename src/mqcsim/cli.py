@@ -79,8 +79,6 @@ _DEFAULT_CONFIG: dict = {
         "n_grid": 64,
         "noise_estimate": 0.0,
         "alpha": None,
-        "prominence": 0.02,
-        "front_fraction": 0.97,
     },
 }
 
@@ -332,8 +330,7 @@ def cmd_invert(config: dict, inputs: list[str], continue_on_error: bool) -> int:
                     noise_estimate=sec["noise_estimate"],
                 )
                 dist = invert(problem, sec["alpha"])
-                analytics = analyze(dist, prominence=sec["prominence"],
-                                    front_fraction=sec["front_fraction"])
+                analytics = analyze(dist)
             except (MqcsimError, ValueError) as err:
                 if _config_field("invert", err):
                     raise  # a bad inversion.* value fails every spectrum
@@ -370,7 +367,7 @@ def cmd_fit_growth(config: dict, inputs: list[str], tau_dq: float) -> int:
     width_pts: list[tuple[float, float]] = []
     for path_s in inputs:
         doc = io.read_json(Path(path_s))
-        entries = doc.get("entries", {}) if isinstance(doc, dict) else None
+        entries = doc.get("entries") if isinstance(doc, dict) else None
         if not (isinstance(entries, dict)
                 and all(isinstance(e, dict) for e in entries.values())):
             raise ConfigError(f"{path_s}: expected an object whose 'entries' are objects")

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import curve_fit
 
-from .errors import FitFailure, InvalidParameter, integer
+from .errors import FitFailure, InvalidParameter, integer, number
 from .evolution import (
     Axis,
     EigenBasis,
@@ -563,7 +563,10 @@ def cumulative_snr(values: np.ndarray, sigma_eff: float) -> np.ndarray:
 
     The summed-magnitude convention only supports relative comparisons;
     with ``sigma_eff <= 0`` the noise scale drops to 1 (relative units).
+    A ``sigma_eff`` that is not a finite number is refused.
     """
+    if not np.isfinite(number(sigma_eff, "sigma_eff")):
+        raise InvalidParameter("sigma_eff", "sigma_eff must be finite")
     if sigma_eff <= 0:
         sigma_eff = 1.0
     n = np.arange(1, len(values) + 1)
@@ -585,10 +588,12 @@ def scans_to_match_snr(
     Under the white-noise model SNR scales as retention * sqrt(n_scans),
     so the required scan ratio is the squared retention ratio.
     """
+    if integer(n_scans_ref, "n_scans_ref") < 1:
+        raise InvalidParameter("n_scans_ref", "n_scans_ref must be at least 1")
     for name, value in (("retention_ref", retention_ref),
                         ("retention_other", retention_other)):
-        if value <= 0:
-            raise InvalidParameter(name, f"{name} must be positive")
+        if not 0 < number(value, name) < np.inf:
+            raise InvalidParameter(name, f"{name} must be positive and finite")
     return n_scans_ref * (retention_ref / retention_other) ** 2
 
 

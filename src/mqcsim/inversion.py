@@ -13,14 +13,15 @@ so we solve
 with L the second-difference (curvature) operator on the log-size grid;
 non-negativity comes from the active-set NNLS solver itself, never from
 post-hoc clipping. ``alpha`` is chosen by the discrepancy principle when
-the noise scale is known (a simulation knows what it injected) and by the
-L-curve corner otherwise.
+the noise scale, one number for every order, is known (a simulation knows
+what it injected) and by the L-curve corner otherwise. :func:`analyze`
+reads peaks, widths, populations and the 97% cumulative front off the
+result at fixed thresholds.
 
 The kernel convention follows exp(-k^2/s) literally, which makes a
 component of size s contribute a second moment of s/2 to the normalized
 coherence distribution; size claims are convention-dependent up to that
-factor of two (the single-Gaussian legacy convention is provided by
-:func:`gaussian_fit_baseline` for comparison).
+factor of two.
 """
 
 from __future__ import annotations
@@ -30,35 +31,38 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit, nnls
+from scipy.optimize import brentq, nnls
 
 from .errors import (
-    FitFailure,
     IllConditionedWarning,
     InvalidParameter,
     NoFeasibleSolution,
     NoPeaks,
+    integer,
+    number,
 )
 
 _COND_WARN = 1e12
 _ALPHA_RANGE = (1e-6, 1e4)
+# a peak stands this fraction of max(f) above its surroundings
+_PROMINENCE = 0.02
+# the front is the size below which this fraction of the mass lies
+_FRONT_FRACTION = 0.97
 
 
 @dataclass
 class KernelProblem:
     """Half-spectrum data against the Gaussian-mixture kernel.
 
-    ``noise_estimate`` is the noise scale eps, either one scalar for every
-    point or a per-order vector (heteroscedastic measurements weight the
-    fit rows accordingly); zero means unknown and selects the L-curve
-    fallback for alpha.
+    ``noise_estimate`` is the noise scale eps of every point; zero means
+    unknown and selects the L-curve fallback for alpha.
     """
 
     orders: np.ndarray
     size_grid: np.ndarray
     kernel: np.ndarray
     data: np.ndarray
-    noise_estimate: float | np.ndarray = 0.0
+    noise_estimate: float = 0.0
 
 
 @dataclass
@@ -95,16 +99,6 @@ class PowerLawFit:
     forced_residual: float | None = None
 
 
-@dataclass
-class GaussianFit:
-    """Legacy single-Gaussian baseline A*exp(-k^2/s)."""
-
-    s: float
-    amplitude: float
-    residual: float
-    degenerate: bool = False
-
-
 def make_kernel_problem(
     orders: np.ndarray,
     data: np.ndarray,
@@ -112,7 +106,7 @@ def make_kernel_problem(
     s_min: float = 1.0,
     s_max: float = 1e4,
     n_grid: int = 64,
-    noise_estimate: float | np.ndarray = 0.0,
+    noise_estimate: float = 0.0,
 ) -> KernelProblem:
     """Assemble K_{kj} = exp(-k_k^2 / s_j) on a log-spaced size grid."""
     orders = np.asarray(orders, dtype=float)
@@ -123,27 +117,22 @@ def make_kernel_problem(
         raise InvalidParameter("orders", "kernel inversion uses the half-spectrum, k >= 0")
     if np.any(np.diff(orders) <= 0):
         raise InvalidParameter("orders", "orders must be strictly increasing")
-    if n_grid < 8:
+    if integer(n_grid, "n_grid") < 8:
         raise InvalidParameter("n_grid", "size grid needs at least 8 points")
-    if not 0 < s_min < np.inf:
+    if not 0 < number(s_min, "s_min") < np.inf:
         raise InvalidParameter("s_min", "s_min must be positive and finite")
-    if not s_min < s_max < np.inf:
+    if not s_min < number(s_max, "s_max") < np.inf:
         raise InvalidParameter("s_max", "need s_min < s_max < inf")
-    noise = np.asarray(noise_estimate, dtype=float)
-    for name, value in (("orders", orders), ("data", data), ("noise_estimate", noise)):
+    for name, value in (("orders", orders), ("data", data)):
         if not np.all(np.isfinite(value)):
             raise InvalidParameter(name, f"{name} must be finite")
-    if noise.ndim not in (0, 1) or (noise.ndim == 1 and noise.shape != data.shape):
+    if not 0 <= number(noise_estimate, "noise_estimate") < np.inf:
         raise InvalidParameter("noise_estimate",
-                               "noise_estimate must be a scalar or match the data")
-    if np.any(noise < 0):
-        raise InvalidParameter("noise_estimate", "noise_estimate must be non-negative")
+                               "noise_estimate must be finite and non-negative")
     size_grid = np.geomspace(s_min, s_max, n_grid)
     kernel = np.exp(-np.outer(orders**2, 1.0 / size_grid))
-    return KernelProblem(
-        orders=orders, size_grid=size_grid, kernel=kernel, data=data,
-        noise_estimate=float(noise) if noise.ndim == 0 else noise,
-    )
+    return KernelProblem(orders=orders, size_grid=size_grid, kernel=kernel, data=data,
+                         noise_estimate=float(noise_estimate))
 
 
 def _second_difference(n: int) -> np.ndarray:
@@ -245,10 +234,8 @@ def invert(problem: KernelProblem, alpha: float | None = None) -> ClusterDistrib
 
     ``alpha=None`` selects the parameter automatically: discrepancy
     principle against ``noise_estimate`` when that is positive, L-curve
-    corner otherwise. A per-point noise vector additionally weights the
-    fit rows by 1/sigma_k (floored at 1e-3 of the largest sigma). Small
-    negative data entries (noise floor) are clipped to zero before
-    solving.
+    corner otherwise. Small negative data entries (noise floor) are
+    clipped to zero before solving.
     """
     data = np.asarray(problem.data, dtype=float)
     if data.size and np.max(data) <= 0:
@@ -263,29 +250,17 @@ def invert(problem: KernelProblem, alpha: float | None = None) -> ClusterDistrib
             IllConditionedWarning,
         )
 
-    noise = np.asarray(problem.noise_estimate, dtype=float)
-    kernel_w, data_w = problem.kernel, data
-    if noise.ndim == 1 and np.max(noise) > 0:
-        sigma = np.maximum(noise, 1e-3 * np.max(noise))
-        sigma_bar = float(np.sqrt(np.mean(sigma**2)))
-        row_w = sigma_bar / sigma
-        kernel_w = row_w[:, None] * problem.kernel
-        data_w = row_w * data
-    else:
-        sigma_bar = float(np.max(noise))  # scalar, or 0 for unknown
-
     smoother = _second_difference(problem.size_grid.size)
     if alpha is None:
-        if sigma_bar > 0:
-            target = sigma_bar * np.sqrt(data.size)
-            alpha = _discrepancy_alpha(kernel_w, data_w, smoother, target)
+        if problem.noise_estimate > 0:
+            target = problem.noise_estimate * np.sqrt(data.size)
+            alpha = _discrepancy_alpha(problem.kernel, data, smoother, target)
         else:
-            alpha = _lcurve_alpha(kernel_w, data_w, smoother)
-    elif not 0 <= alpha < np.inf:
+            alpha = _lcurve_alpha(problem.kernel, data, smoother)
+    elif not 0 <= number(alpha, "alpha") < np.inf:
         raise InvalidParameter("alpha", "alpha must be finite and >= 0")
 
-    f, _, _ = _solve_tikhonov_nnls(kernel_w, data_w, smoother, alpha)
-    residual = float(np.linalg.norm(problem.kernel @ f - data))
+    f, residual, _ = _solve_tikhonov_nnls(problem.kernel, data, smoother, alpha)
     return ClusterDistribution(
         size_grid=problem.size_grid.copy(), f=f, alpha=float(alpha), residual_norm=residual
     )
@@ -333,27 +308,16 @@ def _find_peaks(x: np.ndarray, min_prominence: float) -> list[int]:
     return peaks
 
 
-def analyze(
-    dist: ClusterDistribution,
-    *,
-    prominence: float = 0.02,
-    front_fraction: float = 0.97,
-) -> DistributionAnalytics:
-    """Peaks, FWHM, per-peak populations, and the cumulative front.
+def analyze(dist: ClusterDistribution) -> DistributionAnalytics:
+    """Peaks, FWHM, per-peak populations, and the 97% cumulative front.
 
-    Peaks are local maxima with prominence above ``prominence * max(f)``,
-    for ``prominence`` in [0, 1] (edge bins count). Widths interpolate the
-    half-height crossings on the log-size axis and are reported as Delta-s
-    in linear units. The weights
+    Peaks are local maxima with prominence at least 2% of max(f) (edge
+    bins count). Widths interpolate the half-height crossings on the
+    log-size axis and are reported as Delta-s in linear units. The weights
     are treated as point masses on the grid: populations are plain sums
     between the valleys separating adjacent peaks, and the front is the
-    interpolated size below which ``front_fraction``, in (0, 1], of the
-    mass lies.
+    interpolated size below which 97% of the mass lies.
     """
-    if not 0 <= prominence <= 1:
-        raise InvalidParameter("prominence", "prominence must lie in [0, 1]")
-    if not 0 < front_fraction <= 1:
-        raise InvalidParameter("front_fraction", "front_fraction must lie in (0, 1]")
     f = np.asarray(dist.f, dtype=float)
     s = np.asarray(dist.size_grid, dtype=float)
     total = float(np.sum(f))
@@ -363,9 +327,9 @@ def analyze(
     # virtual zero-height points one step beyond each edge let edge bins
     # count as peaks and guarantee that every half-height crossing exists
     fe = np.concatenate([[0.0], f, [0.0]])
-    peak_idx = [i - 1 for i in _find_peaks(fe, prominence * float(np.max(f)))]
+    peak_idx = [i - 1 for i in _find_peaks(fe, _PROMINENCE * float(np.max(f)))]
     if not peak_idx:
-        raise NoPeaks(f"no peak above prominence {prominence} * max(f)")
+        raise NoPeaks(f"no peak above prominence {_PROMINENCE} * max(f)")
 
     x = np.log(s)
     dx = x[1] - x[0]
@@ -401,9 +365,7 @@ def analyze(
     populations = [float(np.sum(f[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     cum = np.cumsum(f)
-    # np.sum adds pairwise and can exceed the running total cum[-1] by an
-    # ulp; capping the target there keeps the search on the grid
-    target = min(front_fraction * total, cum[-1])
+    target = _FRONT_FRACTION * total
     j = int(np.searchsorted(cum, target))
     if j == 0:
         front = float(s[0])
@@ -448,7 +410,8 @@ def fit_power_law(
     free fit. The points may come in any order and may repeat a time (the
     pooled orders of several analytics files do). Raises
     :class:`InvalidParameter` for fewer than 4 points, a time or value that
-    is not finite and positive, or fewer than two distinct times.
+    is not finite and positive, fewer than two distinct times, or a forced
+    exponent that is not a finite number.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -461,6 +424,9 @@ def fit_power_law(
             raise InvalidParameter(name, f"power-law fit needs positive {name}")
     if np.unique(t).size < 2:
         raise InvalidParameter("times", "power-law fit needs at least two distinct times")
+    if forced_exponent is not None:
+        if not np.isfinite(number(forced_exponent, "forced_exponent")):
+            raise InvalidParameter("forced_exponent", "forced_exponent must be finite")
     lt, ly = np.log(t), np.log(y)
     slope, intercept = np.polyfit(lt, ly, 1)
     model = slope * lt + intercept
@@ -477,41 +443,3 @@ def fit_power_law(
         fit.forced_prefactor = float(np.exp(log_pref))
         fit.forced_residual = resid
     return fit
-
-
-def gaussian_fit_baseline(orders: np.ndarray, weights: np.ndarray) -> GaussianFit:
-    """Single-Gaussian legacy model S_k ~ A exp(-k^2/s).
-
-    This is the classical spin-counting baseline; it often fails for long
-    evolution times, which is why :func:`invert` exists. A spectrum with
-    fewer than three distinct orders cannot determine a width and is
-    returned flagged degenerate.
-    """
-    k = np.asarray(orders, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    keep = k >= 0
-    k, w = k[keep], w[keep]
-    if k.size < 3 or np.count_nonzero(w > 0) < 2:
-        return GaussianFit(
-            s=float("nan"), amplitude=float(w[np.argmin(k)]) if w.size else 0.0,
-            residual=0.0, degenerate=True,
-        )
-
-    def model(kk, a, s):
-        return a * np.exp(-(kk**2) / s)
-
-    a0 = float(w[np.argmin(k)]) or float(np.max(w))
-    pos = (k > 0) & (w > 0)
-    if np.any(pos):
-        kk1 = k[pos][0]
-        s0 = float(np.clip(-kk1**2 / np.log(max(w[pos][0] / a0, 1e-12)), 1e-2, 1e6))
-    else:
-        s0 = 10.0
-    try:
-        p, _ = curve_fit(
-            model, k, w, p0=[a0, s0], bounds=([0, 1e-6], [np.inf, 1e9]), maxfev=20000
-        )
-    except (RuntimeError, ValueError) as err:
-        raise FitFailure(f"single-Gaussian baseline failed: {err}") from err
-    residual = float(np.sqrt(np.mean((model(k, *p) - w) ** 2)))
-    return GaussianFit(s=float(p[1]), amplitude=float(p[0]), residual=residual)

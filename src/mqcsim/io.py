@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import blas
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "mqcsim"
@@ -61,8 +61,9 @@ def _input_file(path: Path):
 
 def _read_csv(path: Path, header: list[str], parse) -> list:
     """``parse(row)`` of each non-empty row below ``header``; a bad header,
-    a row of the wrong width or a field ``parse`` cannot read is a
-    :class:`ConfigError` naming the file and the line."""
+    a row of the wrong width or a row that ``parse`` cannot read or refuses
+    (a ``ValueError``) is a :class:`ConfigError` naming the file and the
+    line."""
     with _input_file(path) as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
@@ -93,27 +94,31 @@ def _write_per_n(path: Path, header: list[str], tables: dict, fmt_x) -> None:
     _write_csv(path, header, rows)
 
 
-def _read_per_n(path: Path, header: list[str], parse_x) -> dict:
-    """n -> (x, values) from rows (n, x, value), each n's rows sorted by x."""
-    out: dict[int, list[tuple]] = {}
-    rows = _read_csv(path, header, lambda r: (int(r[0]), parse_x(r[1]), float(r[2])))
-    for n, x, v in rows:
-        out.setdefault(n, []).append((x, v))
-    result = {}
-    for n, pairs in out.items():
-        pairs.sort()
-        result[n] = (np.array([x for x, _ in pairs]), np.array([v for _, v in pairs]))
-    return result
-
-
 def write_spectrum_csv(path: Path, spectra: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:
     """spectra maps n -> (orders, weights)."""
     _write_per_n(path, ["n", "k", "value"], spectra, int)
 
 
 def read_spectrum_csv(path: Path) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """n -> (orders, weights), each n sorted by order."""
-    return _read_per_n(path, ["n", "k", "value"], int)
+    """n -> (orders, weights), each n sorted by order. A value that is not
+    finite or a second row of the same (n, k) is a :class:`ConfigError`
+    naming the file and the line."""
+    seen: set[tuple[int, int]] = set()
+
+    def parse(row):
+        n, k, value = int(row[0]), int(row[1]), float(row[2])
+        if not np.isfinite(value):
+            raise InvalidParameter("value", f"value {row[2]!r} is not finite")
+        if (n, k) in seen:
+            raise InvalidParameter("k", f"repeated row n={n}, k={k}")
+        seen.add((n, k))
+        return n, k, value
+
+    out: dict[int, list[tuple[int, float]]] = {}
+    for n, k, value in sorted(_read_csv(path, ["n", "k", "value"], parse)):
+        out.setdefault(n, []).append((k, value))
+    return {n: (np.array([k for k, _ in pairs]), np.array([v for _, v in pairs]))
+            for n, pairs in out.items()}
 
 
 def write_phase_csv(path: Path, signals: dict[int, tuple[np.ndarray, np.ndarray]]) -> None:

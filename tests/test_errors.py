@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 import mqcsim
 from mqcsim import (AllToAll, Axis, DdConfig, InvalidParameter, MqcRun, MqcsimError,
-                    build_system, collective_pulse, dq_cycle, fit_biexponential,
-                    pulse_matrix, sweep, uniform_phase_grid)
+                    build_system, collective_pulse, cumulative_snr, dq_cycle,
+                    fit_biexponential, fit_power_law, invert, make_kernel_problem,
+                    optimal_cycles, pulse_matrix, scans_to_match_snr, sweep,
+                    uniform_phase_grid)
 from mqcsim.evolution import EigenBasis, _spectral_bound
 from mqcsim.spins import geometry_from_dict
 
 _SYSTEM = build_system(AllToAll(d0=1.0), 2)
+_ORDERS = np.arange(0.0, 8.0, 2.0)
+_TIMES = np.arange(1.0, 6.0)
 
 
 _BUILTIN_BAD_INPUT = ("ValueError", "TypeError", "KeyError", "IndexError",
@@ -83,6 +87,19 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: dq_cycle(_SYSTEM, 3e-6, -8e-6), "delta2"),
     (lambda: dq_cycle(_SYSTEM, sign=0), "sign"),
     (lambda: dq_cycle(_SYSTEM, sign=np.nan), "sign"),
+    # the inversion takes one noise scale, and a grid of a whole number of points
+    (lambda: make_kernel_problem(_ORDERS, np.ones(4), n_grid=8.5), "n_grid"),
+    (lambda: make_kernel_problem(_ORDERS, np.ones(4), n_grid=np.nan), "n_grid"),
+    (lambda: make_kernel_problem(_ORDERS, np.ones(4), n_grid="9"), "n_grid"),
+    (lambda: make_kernel_problem(_ORDERS, np.ones(4), noise_estimate=np.full(4, 1e-3)),
+     "noise_estimate"),
+    (lambda: make_kernel_problem(_ORDERS, np.ones(4), s_min="1"), "s_min"),
+    (lambda: invert(make_kernel_problem(_ORDERS, np.ones(4)), "1"), "alpha"),
+    (lambda: fit_power_law(_TIMES, _TIMES**2, forced_exponent=np.nan), "forced_exponent"),
+    (lambda: fit_power_law(_TIMES, _TIMES**2, forced_exponent=np.inf), "forced_exponent"),
+    (lambda: cumulative_snr(np.ones(4), np.nan), "sigma_eff"),
+    (lambda: optimal_cycles(np.ones(4), np.nan), "sigma_eff"),
+    (lambda: scans_to_match_snr(np.nan, 1.0, 1.0), "n_scans_ref"),
 ], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
         "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
         "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
@@ -93,7 +110,11 @@ def test_no_bare_value_or_type_error_raised():
         "fractional-phase-count", "nan-phase-count", "pulse-fractional-n-spins",
         "pulse-negative-n-spins", "empty-state", "non-square-density", "nan-state",
         "nan-delta1", "inf-delta1", "zero-delta1", "string-delta1", "nan-delta2",
-        "minus-inf-delta2", "negative-delta2", "zero-sign", "nan-sign"])
+        "minus-inf-delta2", "negative-delta2", "zero-sign", "nan-sign",
+        "fractional-n-grid", "nan-n-grid", "string-n-grid", "array-noise-estimate",
+        "string-s-min", "string-alpha",
+        "nan-forced-exponent", "inf-forced-exponent", "nan-sigma-eff",
+        "optimal-cycles-nan-sigma-eff", "nan-n-scans-ref"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()

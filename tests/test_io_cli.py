@@ -103,7 +103,11 @@ class TestCsvRoundTrips:
         ("x,0,1.0", "line 3: invalid literal for int()"),
         ("1,0", "line 3: expected 3 fields, got 2"),
         ("1,0.5,1.0", "line 3: invalid literal for int()"),
-    ], ids=["string-n", "short-row", "fractional-k"])
+        ("1,2,nan", "line 3: value 'nan' is not finite"),
+        ("1,2,-inf", "line 3: value '-inf' is not finite"),
+        ("1,0,0.25", "line 3: repeated row n=1, k=0"),
+    ], ids=["string-n", "short-row", "fractional-k", "nan-value", "inf-value",
+            "repeated-row"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"n,k,value\n1,0,0.5\n{row}\n")
@@ -320,6 +324,7 @@ class TestCli:
         ({"entries": {str(n): {"status": "ok"} for n in range(1, 6)}},
          "entry 1 missing key 'front_97'"),
         ([{"status": "ok", "front_97": 1.0}], "expected an object whose 'entries'"),
+        ({"command": "invert"}, "expected an object whose 'entries' are objects"),
         ({"entries": [1, 2]}, "expected an object whose 'entries' are objects"),
         ({"entries": {"x": {"status": "ok", "front_97": 1.0}}},
          "entry key 'x' is not an integer"),
@@ -328,8 +333,8 @@ class TestCli:
         ({"entries": {"1": {"status": "ok", "front_97": 1.0, "populations": [1, 2],
                             "fwhm": [1.0]}}},
          "entry 1 'populations' and 'fwhm' must be lists of numbers of equal length"),
-    ], ids=["no-front", "top-level-list", "entries-list", "string-key", "string-front",
-            "short-fwhm"])
+    ], ids=["no-front", "top-level-list", "no-entries", "entries-list", "string-key",
+            "string-front", "short-fwhm"])
     def test_fit_growth_malformed_analytics_exit_2(self, tmp_path, capsys, doc, message):
         analytics = tmp_path / "a.json"
         analytics.write_text(json.dumps(doc))
@@ -533,8 +538,6 @@ class TestCli:
         ("invert", "inversion", "s_min", 0),
         ("invert", "inversion", "noise_estimate", -1),
         ("invert", "inversion", "alpha", -1),
-        ("invert", "inversion", "front_fraction", 2.0),
-        ("invert", "inversion", "prominence", 1.5),
     ])
     def test_out_of_range_field_exit_2(self, tmp_path, capsys, command, section, key,
                                        value):
@@ -616,6 +619,19 @@ class TestCli:
         cfg, out = write_config(tmp_path, dd={"detect": "aligned"})
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
         assert "unknown config field dd.detect" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("prominence", 0.02), ("front_fraction", 0.97)])
+    def test_fixed_inversion_thresholds_are_unknown_fields(self, tmp_path, capsys, key,
+                                                           value):
+        # a peak needs 2% of max f in prominence and the front holds 97% of
+        # the mass; neither threshold is configurable
+        cfg, out = write_config(tmp_path, inversion={key: value})
+        spec = tmp_path / "spec.csv"
+        k = np.arange(0, 12, 2)
+        mio.write_spectrum_csv(spec, {1: (k, np.exp(-(k**2) / 4.0))})
+        assert cli.main(["invert", "--config", str(cfg), str(spec)]) == 2
+        assert f"unknown config field inversion.{key}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_max_spins_is_unknown_field(self, tmp_path, capsys):

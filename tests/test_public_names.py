@@ -3,7 +3,8 @@ in the package.
 
 Code that only tests call belongs in ``tests/``; a public name that nothing
 in ``src/`` calls is either unfinished work, listed below with the change
-that gives it a caller, or a candidate for deletion.
+that gives it a caller, or a candidate for deletion. The list itself
+holds no name that is gone from ``src/`` or has gained a caller there.
 """
 
 import ast
@@ -17,7 +18,6 @@ NO_CALLER_YET = {
     "run_dd_stepwise": "the stepwise reference of perfbench's DD check (ROADMAP item 1)",
     "unitarity_defect": "the run report's propagator check (ROADMAP item 1)",
     "mixture_second_moment": "the finite-cluster inversion kernel (ROADMAP item 8)",
-    "gaussian_fit_baseline": "the single-Gaussian width beside the mixture (ROADMAP item 4)",
     "scans_to_match_snr": "the DD-detected MQC readout (ROADMAP item 3)",
 }
 
@@ -48,7 +48,9 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def test_every_public_function_has_a_caller_in_src():
+def _uncalled() -> set[str]:
+    """The public functions, methods and properties of ``src/`` that no
+    module there calls."""
     functions, methods, uses = set(), set(), _Uses()
     for path in sorted(Path(mqcsim.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
@@ -60,6 +62,15 @@ def test_every_public_function_has_a_caller_in_src():
             elif _public(top, ast.ClassDef):
                 methods.update(d.name for d in top.body if _public(d, ast.FunctionDef))
         uses.visit(tree)
-    unused = (functions - uses.names - uses.attributes) | (methods - uses.attributes)
-    unused = sorted(unused - set(NO_CALLER_YET))
+    return (functions - uses.names - uses.attributes) | (methods - uses.attributes)
+
+
+def test_every_public_function_has_a_caller_in_src():
+    unused = sorted(_uncalled() - set(NO_CALLER_YET))
     assert not unused, f"public functions, methods or properties with no caller in src/: {unused}"
+
+
+def test_allowlist_holds_only_uncalled_names():
+    # a name leaves the allowlist once it is deleted or gains a caller
+    stale = sorted(set(NO_CALLER_YET) - _uncalled())
+    assert not stale, f"allowlisted names gone from src/ or called there: {stale}"
