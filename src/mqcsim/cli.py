@@ -1,6 +1,8 @@
 """Command-line front end tying the simulation and inversion pipeline together.
 
-Subcommands: simulate-mqc, simulate-dd, sweep, invert, fit-growth. Every
+Subcommands: simulate-mqc, simulate-dd, sweep, invert, fit-growth. The
+simulations and the sweep write their results as CSV, the one format that
+``invert`` reads; the config's ``format`` key accepts only ``csv``. Every
 run writes a manifest echoing the resolved configuration; reruns with an
 identical manifest produce bit-identical outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error. The library checks
@@ -41,7 +43,7 @@ from .spins import AllToAll, Chain, Lattice3D, build_system, geometry_from_dict
 _DEFAULT_CONFIG: dict = {
     "seed": 0,
     "output_dir": "mqcsim-out",
-    "format": "csv",
+    "format": "csv",  # the one result format; configs that name it still resolve
     "system": {
         "n_spins": 6,
         "geometry": {"kind": "all_to_all", "d0": 1.0},
@@ -151,17 +153,15 @@ def _check_fields(config: dict, defaults: dict, prefix: str = "") -> None:
 def resolve_config(args) -> dict:
     """Merge the config file and flag overrides into the defaults and check the result."""
     config = default_config()
-    if getattr(args, "config", None):
+    if args.config:
         config = _merge(config, io.load_config(Path(args.config)))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config["seed"] = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         config["output_dir"] = args.out
-    if getattr(args, "format", None):
-        config["format"] = args.format
     _check_fields(config, _DEFAULT_CONFIG)
-    if config["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {config['format']!r}")
+    if config["format"] != "csv":
+        raise ConfigError(f"format must be csv, got {config['format']!r}")
     return config
 
 
@@ -230,46 +230,22 @@ def cmd_simulate_mqc(config: dict) -> int:
     otoc = {n: otoc_second_moment(spec) for n, spec in enumerate(oracle)}
 
     out_dir = _prepare_out(config, "simulate-mqc")
-    if config["format"] == "csv":
-        io.write_phase_csv(
-            out_dir / "phase_signals.csv",
-            {s.n_blocks: (s.phi, s.values) for s in signals},
-        )
-        io.write_spectrum_csv(
-            out_dir / "spectrum_phases.csv",
-            {n: (sp.orders, sp.weights) for n, sp in cycled.items()},
-        )
-        io.write_spectrum_csv(
-            out_dir / "spectrum_density.csv",
-            {n: (sp.orders, sp.weights) for n, sp in enumerate(oracle)},
-        )
-        io.write_series_csv(
-            out_dir / "loschmidt.csv", {n: float(v) for n, v in enumerate(echo)}
-        )
-        io.write_series_csv(out_dir / "otoc.csv", otoc)
-    else:
-        io.write_json(
-            out_dir / "results.json",
-            {
-                "phase_signals": [
-                    {"n": s.n_blocks, "phi": s.phi.tolist(),
-                     "value": np.real(s.values).tolist()}
-                    for s in signals
-                ],
-                "spectrum_phases": [
-                    {"n": n, "k": sp.orders.tolist(), "value": sp.weights.tolist(),
-                     "normalization": sp.normalization}
-                    for n, sp in sorted(cycled.items())
-                ],
-                "spectrum_density": [
-                    {"n": n, "k": sp.orders.tolist(), "value": sp.weights.tolist(),
-                     "normalization": sp.normalization}
-                    for n, sp in enumerate(oracle)
-                ],
-                "loschmidt": echo.tolist(),
-                "otoc": [otoc[n] for n in sorted(otoc)],
-            },
-        )
+    io.write_phase_csv(
+        out_dir / "phase_signals.csv",
+        {s.n_blocks: (s.phi, s.values) for s in signals},
+    )
+    io.write_spectrum_csv(
+        out_dir / "spectrum_phases.csv",
+        {n: (sp.orders, sp.weights) for n, sp in cycled.items()},
+    )
+    io.write_spectrum_csv(
+        out_dir / "spectrum_density.csv",
+        {n: (sp.orders, sp.weights) for n, sp in enumerate(oracle)},
+    )
+    io.write_series_csv(
+        out_dir / "loschmidt.csv", {n: float(v) for n, v in enumerate(echo)}
+    )
+    io.write_series_csv(out_dir / "otoc.csv", otoc)
     print(f"simulate-mqc: wrote n = 0..{run.n_blocks} to {out_dir}")
     return 0
 
@@ -286,13 +262,7 @@ def cmd_simulate_dd(config: dict) -> int:
         fit_doc = {"status": "fit_failed", "message": str(err)}
 
     out_dir = _prepare_out(config, "simulate-dd")
-    if config["format"] == "csv":
-        io.write_dd_csv(out_dir / "dd_series.csv", series.times, series.values)
-    else:
-        io.write_json(
-            out_dir / "results.json",
-            {"t": series.times.tolist(), "value": series.values.tolist()},
-        )
+    io.write_dd_csv(out_dir / "dd_series.csv", series.times, series.values)
     io.write_json(out_dir / "fit.json", fit_doc)
     print(f"simulate-dd: {dd_config.n_cycles} cycles, fit {fit_doc['status']}")
     return 0
@@ -428,10 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override the output directory")
         return p
 
-    # only the two simulations write their results in either format
-    for p in (common(sub.add_parser("simulate-mqc", help="run the MQC protocol end to end")),
-              common(sub.add_parser("simulate-dd", help="run one pulse-train acquisition"))):
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+    common(sub.add_parser("simulate-mqc", help="run the MQC protocol end to end"))
+    common(sub.add_parser("simulate-dd", help="run one pulse-train acquisition"))
     common(sub.add_parser("sweep", help="map decay fits over a (tau, theta) grid"))
 
     p_inv = sub.add_parser("invert", help="invert spectra to cluster-size distributions")

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import curve_fit
 
-from .errors import FitFailure, InvalidParameter, integer, number
+from .errors import FitFailure, InvalidParameter, integer, number, vector
 from .evolution import (
     Axis,
     EigenBasis,
@@ -100,9 +100,9 @@ class DdConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.tau < np.inf:
+        if not 0 < number(self.tau, "tau") < np.inf:
             raise InvalidParameter("tau", "tau must be positive and finite")
-        if not 0 < self.theta <= np.pi:
+        if not 0 < number(self.theta, "theta") <= np.pi:
             raise InvalidParameter("theta", "theta must lie in (0, pi]")
         for name in ("n_cycles", "transient_skip", "n_scans", "rng_seed"):
             integer(getattr(self, name), name)
@@ -110,7 +110,7 @@ class DdConfig:
             raise InvalidParameter("n_cycles", "n_cycles must be >= 1")
         if self.transient_skip < 0:
             raise InvalidParameter("transient_skip", "transient_skip must be >= 0")
-        if not 0 <= self.noise_sigma < np.inf:
+        if not 0 <= number(self.noise_sigma, "noise_sigma") < np.inf:
             raise InvalidParameter("noise_sigma", "noise_sigma must be finite and >= 0")
         if self.n_scans < 1:
             raise InvalidParameter("n_scans", "n_scans must be >= 1")
@@ -563,8 +563,12 @@ def cumulative_snr(values: np.ndarray, sigma_eff: float) -> np.ndarray:
 
     The summed-magnitude convention only supports relative comparisons;
     with ``sigma_eff <= 0`` the noise scale drops to 1 (relative units).
-    A ``sigma_eff`` that is not a finite number is refused.
+    ``values`` that are empty or not finite real numbers, and a
+    ``sigma_eff`` that is not a finite number, are refused.
     """
+    values = vector(values, "values")
+    if values.size == 0 or not np.all(np.isfinite(values)):
+        raise InvalidParameter("values", "values must be non-empty and finite")
     if not np.isfinite(number(sigma_eff, "sigma_eff")):
         raise InvalidParameter("sigma_eff", "sigma_eff must be finite")
     if sigma_eff <= 0:
@@ -643,8 +647,8 @@ def sweep(
     cell runs, so a grid value out of range fails the sweep at once, as
     does a ``transient_skip`` that leaves fewer than 8 samples to fit.
     """
-    tau_grid = np.asarray(list(tau_grid), float)
-    theta_grid = np.asarray(list(theta_grid), float)
+    tau_grid = vector(tau_grid, "tau_grid")
+    theta_grid = vector(theta_grid, "theta_grid")
     for name, grid in (("tau_grid", tau_grid), ("theta_grid", theta_grid)):
         if grid.size == 0:
             raise InvalidParameter(name, f"{name} must be non-empty")

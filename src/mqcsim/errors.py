@@ -3,8 +3,9 @@
 Every failure the package raises on purpose is an :class:`MqcsimError`.
 Bad input, out of range or of the wrong shape or type, is only ever an
 :class:`InvalidParameter`: a ``ValueError`` that names the parameter.
-:func:`choice`, :func:`number` and :func:`integer` raise it for a value
-that is not an enum member, not a number or not an integer. The other
+:func:`choice`, :func:`number`, :func:`integer` and :func:`vector` raise
+it for a value that is not an enum member, not a number, not an integer or
+not a 1-D array of real numbers. The other
 classes report a run that failed: :class:`CapExceeded`,
 :class:`FitFailure`, :class:`NoFeasibleSolution` and :class:`NoPeaks`.
 The command line reports a bad config field or input file as a
@@ -13,6 +14,8 @@ config field too; any other ``MqcsimError`` exits 1.
 """
 
 import numbers
+
+import numpy as np
 
 
 class MqcsimError(Exception):
@@ -67,6 +70,20 @@ def integer(value, name: str) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InvalidParameter(name, f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def vector(value, name: str) -> np.ndarray:
+    """``value`` as a 1-D float array, or an :class:`InvalidParameter`
+    naming ``name`` when it is not a 1-D array of real numbers (bools,
+    strings and complex numbers are not)."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.ndim == 1 and arr.dtype.kind in "iuf"
+    except ValueError:  # a ragged nesting of lists
+        ok = False
+    if not ok:
+        raise InvalidParameter(name, f"{name} must be a 1-D array of real numbers")
+    return arr.astype(float, copy=False)
 
 
 class CapExceeded(MqcsimError):

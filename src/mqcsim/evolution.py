@@ -304,7 +304,7 @@ def _flip_symmetric_eigh(
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:
-    if not np.isfinite(t):
+    if not np.isfinite(number(t, "t")):
         raise InvalidParameter("t", f"evolution time must be finite, got {t}")
     if not all_finite(obj):
         raise InvalidParameter("obj", "state or density to evolve must be finite")

@@ -40,6 +40,7 @@ from .errors import (
     NoPeaks,
     integer,
     number,
+    vector,
 )
 
 _COND_WARN = 1e12
@@ -109,10 +110,10 @@ def make_kernel_problem(
     noise_estimate: float = 0.0,
 ) -> KernelProblem:
     """Assemble K_{kj} = exp(-k_k^2 / s_j) on a log-spaced size grid."""
-    orders = np.asarray(orders, dtype=float)
-    data = np.asarray(data, dtype=float)
-    if orders.ndim != 1 or orders.shape != data.shape:
-        raise InvalidParameter("data", "orders and data must be 1-D arrays of equal length")
+    orders = vector(orders, "orders")
+    data = vector(data, "data")
+    if orders.shape != data.shape:
+        raise InvalidParameter("data", "orders and data must have equal length")
     if np.any(orders < 0):
         raise InvalidParameter("orders", "kernel inversion uses the half-spectrum, k >= 0")
     if np.any(np.diff(orders) <= 0):
@@ -409,12 +410,15 @@ def fit_power_law(
     rms log-residual of that constrained model is reported alongside the
     free fit. The points may come in any order and may repeat a time (the
     pooled orders of several analytics files do). Raises
-    :class:`InvalidParameter` for fewer than 4 points, a time or value that
-    is not finite and positive, fewer than two distinct times, or a forced
+    :class:`InvalidParameter` for times and values that are not 1-D arrays
+    of real numbers of equal length, fewer than 4 points, a time or value
+    that is not finite and positive, fewer than two distinct times, or a forced
     exponent that is not a finite number.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
+    t = vector(times, "times")
+    y = vector(values, "values")
+    if t.shape != y.shape:
+        raise InvalidParameter("values", "times and values must have equal length")
     if t.size < 4:
         raise InvalidParameter("times", "need at least 4 points")
     for name, value in (("times", t), ("values", y)):

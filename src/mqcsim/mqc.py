@@ -73,7 +73,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (ImaginaryResidueWarning, InvalidParameter, NoFeasibleSolution, choice,
-                     integer)
+                     integer, number, vector)
 from .evolution import EigenBasis, _require_dense, dq_cycle
 from .spins import OperatorKind, SpinSystem, parity_sectors, require_memory
 
@@ -115,9 +115,11 @@ class MqcRun:
     delta2: float = 8e-6
 
     def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
-        for name in ("phases", "tau_dq", "mismatch", "delta1", "delta2"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        self.phases = vector(self.phases, "phases")
+        if not np.all(np.isfinite(self.phases)):
+            raise InvalidParameter("phases", "phases must be finite")
+        for name in ("tau_dq", "mismatch", "delta1", "delta2"):
+            if not np.isfinite(number(getattr(self, name), name)):
                 raise InvalidParameter(name, f"{name} must be finite")
         if integer(self.n_blocks, "n_blocks") < 0:
             raise InvalidParameter("n_blocks", "n_blocks must be >= 0")

@@ -15,7 +15,7 @@ from mqcsim import (AllToAll, Axis, DdConfig, InvalidParameter, MqcRun, MqcsimEr
                     fit_biexponential, fit_power_law, invert, make_kernel_problem,
                     optimal_cycles, pulse_matrix, scans_to_match_snr, sweep,
                     uniform_phase_grid)
-from mqcsim.evolution import EigenBasis, _spectral_bound
+from mqcsim.evolution import EigenBasis, _spectral_bound, evolve, krylov_expmv
 from mqcsim.spins import geometry_from_dict
 
 _SYSTEM = build_system(AllToAll(d0=1.0), 2)
@@ -100,6 +100,27 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: cumulative_snr(np.ones(4), np.nan), "sigma_eff"),
     (lambda: optimal_cycles(np.ones(4), np.nan), "sigma_eff"),
     (lambda: scans_to_match_snr(np.nan, 1.0, 1.0), "n_scans_ref"),
+    # arrays are 1-D and real: no strings, no second axis, equal lengths
+    (lambda: make_kernel_problem(["a", "b"], [1.0, 2.0]), "orders"),
+    (lambda: sweep(_SYSTEM, ["a"], [0.5], 32), "tau_grid"),
+    (lambda: fit_power_law([str(t) for t in _TIMES], _TIMES**2), "times"),
+    (lambda: fit_power_law(_TIMES, _TIMES[:4] ** 2), "values"),
+    (lambda: fit_power_law(np.ones((2, 5)), np.ones((2, 5))), "times"),
+    (lambda: MqcRun(_SYSTEM, 1, 0.1, ["0.0"]), "phases"),
+    # the SNR bookkeeping sums finite values only
+    (lambda: optimal_cycles([1.0, np.nan, 0.5], 0.1), "values"),
+    (lambda: cumulative_snr([1.0, np.inf], 0.1), "values"),
+    (lambda: optimal_cycles([], 0.1), "values"),
+    # a number given as a string is not a number
+    (lambda: DdConfig(tau="0.1", theta=1.0, n_cycles=8), "tau"),
+    (lambda: DdConfig(tau=0.1, theta="1.0", n_cycles=8), "theta"),
+    (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=8, noise_sigma="0"), "noise_sigma"),
+    (lambda: MqcRun(_SYSTEM, 1, "0.1", [0.0]), "tau_dq"),
+    (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], mismatch="0"), "mismatch"),
+    (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], delta1="3e-6"), "delta1"),
+    (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], delta2="8e-6"), "delta2"),
+    (lambda: evolve(np.eye(4)[0], _SYSTEM, "dq", "1.0"), "t"),
+    (lambda: krylov_expmv(_SYSTEM, "dq", np.eye(4)[0], "1.0"), "t"),
 ], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
         "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
         "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
@@ -114,7 +135,12 @@ def test_no_bare_value_or_type_error_raised():
         "fractional-n-grid", "nan-n-grid", "string-n-grid", "array-noise-estimate",
         "string-s-min", "string-alpha",
         "nan-forced-exponent", "inf-forced-exponent", "nan-sigma-eff",
-        "optimal-cycles-nan-sigma-eff", "nan-n-scans-ref"])
+        "optimal-cycles-nan-sigma-eff", "nan-n-scans-ref",
+        "string-orders", "string-tau-grid", "string-times", "unequal-fit-lengths",
+        "2d-times", "string-phases", "nan-snr-values", "inf-snr-values", "empty-snr-values",
+        "string-tau", "string-theta", "string-noise-sigma", "string-tau-dq",
+        "string-mismatch", "run-string-delta1", "run-string-delta2", "string-evolve-t",
+        "string-krylov-t"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from pathlib import Path
@@ -170,6 +171,9 @@ class TestCli:
         assert echo[2] == pytest.approx(1.0, abs=1e-9)
         manifest = readers.read_manifest(out / "manifest.json")
         assert manifest["config"]["seed"] == 7
+        assert sorted(p.name for p in out.iterdir()) == [
+            "loschmidt.csv", "manifest.json", "otoc.csv", "phase_signals.csv",
+            "spectrum_density.csv", "spectrum_phases.csv"]
 
     def test_simulate_mqc_n_zero_single_row(self, tmp_path):
         cfg, out = write_config(tmp_path, mqc={"n_max": 0})
@@ -201,7 +205,7 @@ class TestCli:
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
         assert first == second
-        assert "dd_series.csv" in first
+        assert sorted(first) == ["dd_series.csv", "fit.json", "manifest.json"]
 
     def test_seed_flag_changes_noise(self, tmp_path):
         cfg, out = write_config(tmp_path, dd={"noise_sigma": 0.05})
@@ -223,6 +227,7 @@ class TestCli:
             "manifest.json", "sweep.csv"]
         rows = readers.read_sweep_csv(tmp_path / "sweep" / "sweep.csv")
         fit = mio.read_json(tmp_path / "dd" / "fit.json")
+        assert fit["schema_version"] == 1
         assert len(rows) == 1
         assert rows[0]["status"] == fit["status"] == "ok"
         for key in ("a_fast", "t_fast", "a_slow", "t_slow"):
@@ -399,9 +404,17 @@ class TestCli:
         assert cli.main(argv) == 2
         assert f"mqcsim: config error: {bad}: {message}" in capsys.readouterr().err
 
-    def test_invalid_field_exit_2(self, tmp_path):
-        cfg, _ = write_config(tmp_path, format="parquet")
-        assert cli.main(["simulate-dd", "--config", str(cfg)]) == 2
+    def test_invalid_field_exit_2(self, tmp_path, capsys):
+        # csv is the one result format, whatever the command
+        for value in ("parquet", "json"):
+            cfg, out = write_config(tmp_path, format=value)
+            for command in ("simulate-mqc", "simulate-dd", "sweep", "invert", "fit-growth"):
+                argv = [command, "--config", str(cfg)]
+                if command in ("invert", "fit-growth"):
+                    argv.append(str(tmp_path / "in"))
+                assert cli.main(argv) == 2, (value, command)
+                assert f"format must be csv, got {value!r}" in capsys.readouterr().err
+                assert not out.exists(), (value, command)
 
     def test_wrong_field_type_exit_2(self, tmp_path, capsys):
         cfg, _ = write_config(tmp_path, mqc={"tau_dq": "abc"})
@@ -598,8 +611,9 @@ class TestCli:
         assert "config error" not in err
         assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "invert", "fit-growth"])
-    def test_format_flag_only_on_simulations(self, capsys, command):
+    @pytest.mark.parametrize(
+        "command", ["simulate-mqc", "simulate-dd", "sweep", "invert", "fit-growth"])
+    def test_format_flag_refused(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, "--format", "json", "in.csv"])
         assert exc.value.code == 2
@@ -695,11 +709,13 @@ class TestCli:
         (out / ".lock").unlink()
         assert cli.main(["simulate-dd", "--config", str(cfg)]) == 0
 
-    def test_json_format(self, tmp_path):
-        cfg, out = write_config(tmp_path)
-        assert cli.main(
-            ["simulate-mqc", "--config", str(cfg), "--format", "json"]
-        ) == 0
-        doc = mio.read_json(out / "results.json")
-        assert doc["schema_version"] == 1
-        assert len(doc["loschmidt"]) == 3
+
+def test_readme_names_the_parser_flags():
+    # the README's CLI section documents every flag the parser takes, and no other
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag.startswith("--")} - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"^## CLI\n(.*?)^## ", readme, re.S | re.M).group(1)
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
