@@ -12,22 +12,33 @@ The cycle propagator V = half . X(theta) . half is diagonalized once per
 cell, and never as one D x D matrix. V and Ix, the tipped density, commute
 with the spin flip, so each splits into two (D/2) x (D/2) blocks on the
 flip-symmetric and flip-antisymmetric states, and the signal is the sum of
-the two blocks' signals. Each block of V is a symmetric unitary, so it has
-a real orthogonal eigenbasis, which real ``eigh`` calls find; the complex
-Schur form is only the fallback for a basis that leaves an off-diagonal
-residue. In that basis the signal is a Fourier sum over the (D/2)^2
-differences of a block's eigenphases, evaluated at every cycle at once by
-one nonuniform FFT per cell: each difference is spread over a few points
-of a grid of 4 n_cycles, and one inverse FFT reads the grid out. A cell
-then costs two real eigendecompositions, O(D^2) spreading and one FFT of
-O(n_cycles log n_cycles), rather than D^2 n_cycles products. The tip
-makes Iz into Ix exactly, so the spectral route takes Ix as the density
-and builds none; the stepwise reference tips Iz. The Hzz eigenbasis is
-computed once per system (:meth:`EigenBasis.compute` keeps it), so every
-cell of a sweep shares it without further setup. The decay fit
-is a grid scan over time constants, with the amplitudes solved in closed
-form, plus one local polish of each model the scan supports; the cells of
-a sweep that share their sample times share the grid. Additive
+the two blocks' signals. Each block runs in its real orthonormal Hzz
+eigenbasis E_b, derived from the magnetization sectors of
+:meth:`EigenBasis.compute`. There the half propagator is the diagonal
+d = exp(-i lambda tau/2), and the cycle is the elementwise d P~ d with
+P~ = E_b^T P_b E_b, so a cell builds no D x D propagator. Each block of
+the cycle is a symmetric unitary, so it has a real orthogonal eigenbasis,
+which real ``eigh`` calls find; the complex Schur form is only the
+fallback for a basis that leaves an off-diagonal residue. In that basis
+the signal is a Fourier sum over the (D/2)^2 differences of a block's
+eigenphases, evaluated at every cycle at once by one nonuniform FFT per
+cell: each difference is spread over a few points of a grid of 4
+n_cycles, and one inverse FFT reads the grid out. A cell then costs two
+real eigendecompositions, five products of (D/2) x (D/2) matrices per
+block, O(D^2) spreading and one FFT of O(n_cycles log n_cycles), rather
+than D^2 n_cycles products. The tip makes Iz into Ix exactly, so the
+spectral route takes Ix as the density and builds none; the stepwise
+reference tips Iz.
+
+A system keeps what depends on it alone among its derived tables: the Hzz
+eigenbasis, and per block E_b, its eigenvalues and Ix~ = E_b^T Ix_b E_b.
+It keeps the last angle's P~ in one slot beside them, 16 D^2 bytes in
+all. A sweep runs its cells angle by angle, so each angle's pulse is
+built once and every cell shares the rest without further setup. The
+decay fit is a grid scan over time constants, with the amplitudes solved
+in closed form, plus one local polish of each model the scan supports; a
+sweep fits its cells in grid order, so the cells that share their sample
+times share the grid. Additive
 white Gaussian noise of scale ``noise_sigma/sqrt(n_scans)`` per
 acquisition window models scan averaging; everything is deterministic
 under a fixed seed.
@@ -47,6 +58,7 @@ from .errors import FitFailure, InvalidParameter, integer, number, vector
 from .evolution import (
     Axis,
     EigenBasis,
+    _eigh,
     _flip_blocks,
     _mul,
     _require_dense,
@@ -54,7 +66,7 @@ from .evolution import (
     hamiltonian_matrix,
     pulse_matrix,
 )
-from .spins import OperatorKind, SpinSystem, require_memory
+from .spins import OperatorKind, SpinSystem, _derived, _slot, require_memory
 
 _SEED_MIX_A = 0x9E3779B97F4A7C15
 _SEED_MIX_B = 0xC2B2AE3D27D4EB4F
@@ -186,22 +198,17 @@ def _floquet_basis(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     """Noiseless signal s_j, j < n_cycles, from the cycle's spectrum; Ix is the tipped density."""
     _require_dense(system.dim, "run_dd")
-    basis = EigenBasis.compute(system, OperatorKind.HZZ)
-    # only the flip blocks are kept: each D x D operator is freed once it is
-    # cut, and each block's inputs and weights once its atoms are spread
-    blocks = list(zip(
-        _flip_blocks(basis.propagator(config.tau / 2)),
-        _flip_blocks(pulse_matrix(Axis.X, config.theta, system.n_spins)),
-        _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL)),
-    ))
+    tables = _flip_tables(system)
+    pulses = _pulse_blocks(system, config.theta)
     trace = 0.0
 
     def atoms():
         # the spin flip keeps every operator block-diagonal: the signal is
         # the sum of the two blocks' signals
         nonlocal trace
-        while blocks:
-            phase, weights = _block_weights(*blocks.pop(0))
+        for (energy, _, ix), pulse in zip(tables, pulses):
+            half = np.exp(-1j * energy * (config.tau / 2))
+            phase, weights = _block_weights(half, pulse, ix)
             trace += np.trace(weights).real
             yield from _pair_atoms(phase, weights)
             del weights
@@ -212,20 +219,84 @@ def _signal(system: SpinSystem, config: DdConfig) -> np.ndarray:
     return signal
 
 
+def _flip_tables(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(lambda, E, Ix~) of each flip block of Hzz, built once and kept with
+    the system's other tables: the block's Hzz eigenvalues, its real
+    orthonormal eigenvectors in the columns of E, and Ix~ = E^T Ix_b E."""
+    def build():
+        bases = _flip_eigenbases(system)
+        ix = _flip_blocks(hamiltonian_matrix(system, OperatorKind.IX_TOTAL))
+        return [(energy, e, _congruence(e, ix_b)) for (energy, e), ix_b in zip(bases, ix)]
+
+    return _derived(system, "dd-flip-tables", build)
+
+
+def _pulse_blocks(system: SpinSystem, theta: float) -> list[np.ndarray]:
+    """P~ = E^T P_b E of each flip block of the pulse X(theta), in the
+    block's Hzz eigenbasis; the system keeps the last angle's."""
+    def build():
+        pulse = _flip_blocks(pulse_matrix(Axis.X, theta, system.n_spins))
+        return [_congruence(e, p) for (_, e, _), p in zip(_flip_tables(system), pulse)]
+
+    return _slot(system, "dd-pulse", theta, build)
+
+
+def _congruence(e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """e^T m e for a real ``e`` and a symmetric ``m``: e^T (e^T m)^T."""
+    return _mul(e.T, _mul(e.T, m).T)
+
+
+def _flip_eigenbases(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and real orthonormal eigenvectors (columns) of Hzz's two
+    flip blocks, on the states s < D/2 as :func:`_flip_blocks` orders them,
+    derived from :meth:`EigenBasis.compute`'s magnetization sectors.
+
+    The flip maps the sector of popcount k onto that of N - k. An
+    eigenvector v of a sector k > N/2 gives one column of each block: v_s
+    at the states s < D/2 of the sector, and +-v_s at ~s for its states
+    s >= D/2, + in the flip-even block and - in the odd one. At even N the
+    sector k = N/2 maps onto itself; the two flip halves of its block,
+    rebuilt from its eigenbasis, get an ``eigh`` of their own.
+    """
+    basis = EigenBasis.compute(system, OperatorKind.HZZ)
+    n, dim = system.n_spins, system.dim
+    half = dim // 2
+    vectors = np.zeros((2, half, half))
+    energies = [[], []]
+    col = 0
+    for s, w, v in list(zip(basis.sectors, basis.eigenvalues, basis.eigenvectors))[n // 2 + 1:]:
+        low = s < half
+        rows = np.where(low, s, dim - 1 - s)
+        vectors[0][rows, col:col + w.size] = v
+        vectors[1][rows, col:col + w.size] = np.where(low, 1.0, -1.0)[:, None] * v
+        for out in energies:
+            out.append(w)
+        col += w.size
+    if n % 2 == 0:
+        k = n // 2
+        s, w, v = basis.sectors[k], basis.eigenvalues[k], basis.eigenvectors[k]
+        # the sector's first half lies below D/2, and ~ reverses its order
+        halves = map(_eigh, _flip_blocks((v * w) @ v.T))
+        for vecs, out, (w_b, v_b) in zip(vectors, energies, halves):
+            vecs[s[:s.size // 2], col:col + w_b.size] = v_b
+            out.append(w_b)
+    return [(np.concatenate(out), vecs) for out, vecs in zip(energies, vectors)]
+
+
 def _block_weights(
     half: np.ndarray, pulse: np.ndarray, ix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases of one flip block of the cycle V = half . pulse . half,
     and the weights W of its signal Tr{Ix V^j rho V^-j} = sum_ab W_ab
-    e^{ij(phase_a - phase_b)}: W = rho_s * (w^dag Ix w)^T for the Floquet
-    basis w and the first sample in it, rho_s = g Ix g^dag with g = w^dag half."""
-    w, phase = _floquet_basis(half @ pulse @ half)
+    e^{ij(phase_a - phase_b)}, all in the block's Hzz eigenbasis, where the
+    half propagator is the diagonal ``half``: W = rho_s * (w^dag Ix w)^T for
+    the Floquet basis w and the first sample rho_s = w^dag (half Ix half^*) w
+    in it."""
+    w, phase = _floquet_basis(half[:, None] * pulse * half)
     w_dag = w.T if np.isrealobj(w) else w.conj().T
-    # g Ix = (Ix g^T)^T keeps the real, symmetric Ix left
-    g = _mul(w_dag, half)
-    rho_s = _mul(ix, g.T).T @ g.conj().T
-    del g
-    return phase, rho_s * _mul(w_dag, _mul(ix, w)).T
+    # rho_s^T = w^T (w^dag rho)^T keeps the real w left in both products
+    rho_t = _mul(w.T, _mul(w_dag, half[:, None] * ix * half.conj()).T)
+    return phase, (rho_t * _mul(w_dag, _mul(ix, w))).T
 
 
 def _pair_atoms(phase: np.ndarray, weights: np.ndarray):
@@ -393,16 +464,19 @@ def _fit_grid(t_bytes: bytes, t_hi: float) -> tuple[np.ndarray, ...]:
     # from the sample spacing up: a shorter time constant fits one sample
     dt = t[1] - t[0]
     taus = np.geomspace(dt, t_hi, int(_GRID_PER_DECADE * np.log10(t_hi / dt)) + 2)
-    # the grid, its squares and its unit columns, one float64 each per cell
-    require_memory(3 * 8 * t.size * taus.size,
+    # the grid and its squares, or its kept columns, one float64 each per cell
+    require_memory(2 * 8 * t.size * taus.size,
                    f"the fit grid of {t.size} samples x {taus.size} time constants")
-    basis = np.exp(-t[:, None] / taus)
+    basis = -t[:, None] / taus
+    np.exp(basis, out=basis)
     sq = np.sum(basis**2, axis=0)
     keep = sq >= np.finfo(float).tiny  # columns that underflowed carry nothing
     if np.count_nonzero(keep) < 2:
         raise FitFailure("every grid time constant underflows over the window")
     taus, norms = taus[keep], np.sqrt(sq[keep])
-    basis = basis[:, keep] / norms  # unit columns: the Gram diagonal is 1
+    if not keep.all():
+        basis = basis[:, keep]
+    basis /= norms  # unit columns: the Gram diagonal is 1
     grid = taus, norms, basis, basis.T @ basis
     for array in grid:
         array.flags.writeable = False
@@ -646,6 +720,9 @@ def sweep(
     the sweep continues. Every cell's config is built before the first
     cell runs, so a grid value out of range fails the sweep at once, as
     does a ``transient_skip`` that leaves fewer than 8 samples to fit.
+    The signals run angle by angle, so each angle's pulse is built once;
+    the fits run in grid order, so the cells of one tau share the fit grid
+    of their sample times.
     """
     tau_grid = vector(tau_grid, "tau_grid")
     theta_grid = vector(theta_grid, "theta_grid")
@@ -653,20 +730,24 @@ def sweep(
         if grid.size == 0:
             raise InvalidParameter(name, f"{name} must be non-empty")
     integer(base_seed, "base_seed")
-    configs = [
-        DdConfig(
+    configs = {
+        (i, j): DdConfig(
             tau=float(tau), theta=float(theta), n_cycles=n_cycles,
             transient_skip=transient_skip, noise_sigma=noise_sigma,
             n_scans=n_scans, rng_seed=mix_seed(base_seed, i, j),
         )
         for i, tau in enumerate(tau_grid)
         for j, theta in enumerate(theta_grid)
-    ]
+    }
     require_fit_window(n_cycles, transient_skip)
+    # every cell's times and values, float64 each, are kept until its fit
+    require_memory(16 * n_cycles * len(configs), f"the series of {len(configs)} sweep cells")
     sigma_eff = noise_sigma / np.sqrt(n_scans)
+    by_angle = sorted(configs, key=lambda ij: ij[::-1])
+    runs = {ij: run_dd(system, configs[ij]) for ij in by_angle}
     cells = []
-    for config in configs:
-        series = run_dd(system, config)
+    for ij, config in configs.items():
+        series = runs.pop(ij)
         n_star, snr = optimal_cycles(series.values, sigma_eff)
         try:
             fit = fit_biexponential(series)

@@ -3,10 +3,10 @@
 Every failure the package raises on purpose is an :class:`MqcsimError`.
 Bad input, out of range or of the wrong shape or type, is only ever an
 :class:`InvalidParameter`: a ``ValueError`` that names the parameter.
-:func:`choice`, :func:`number`, :func:`integer` and :func:`vector` raise
-it for a value that is not an enum member, not a number, not an integer or
-not a 1-D array of real numbers. The other
-classes report a run that failed: :class:`CapExceeded`,
+:func:`choice`, :func:`number`, :func:`integer`, :func:`numeric` and
+:func:`vector` raise it for a value that is not an enum member, not a
+number, not an integer, not an array of numbers or not a 1-D array of real
+numbers. The other classes report a run that failed: :class:`CapExceeded`,
 :class:`FitFailure`, :class:`NoFeasibleSolution` and :class:`NoPeaks`.
 The command line reports a bad config field or input file as a
 :class:`ConfigError` (exit 2), an ``InvalidParameter`` that names a
@@ -72,18 +72,29 @@ def integer(value, name: str) -> int:
     return int(value)
 
 
+def numeric(value, name: str, kinds: str = "iufc", ndim: int | None = None) -> np.ndarray:
+    """``value`` as an array, unconverted, or an :class:`InvalidParameter`
+    naming ``name`` when its dtype is not one of ``kinds`` (numpy's kind
+    letters: integers, floats and complex numbers by default; bools,
+    strings and objects are none of them) or, with ``ndim``, its number of
+    axes differs. Only the dtype and shape are read, never the data."""
+    try:
+        arr = np.asarray(value)
+        ok = arr.dtype.kind in kinds and ndim in (None, arr.ndim)
+    except ValueError:  # a ragged nesting of lists
+        ok = False
+    if not ok:
+        array = "an array" if ndim is None else f"a {ndim}-D array"
+        what = "numbers" if "c" in kinds else "real numbers"
+        raise InvalidParameter(name, f"{name} must be {array} of {what}")
+    return arr
+
+
 def vector(value, name: str) -> np.ndarray:
     """``value`` as a 1-D float array, or an :class:`InvalidParameter`
     naming ``name`` when it is not a 1-D array of real numbers (bools,
     strings and complex numbers are not)."""
-    try:
-        arr = np.asarray(value)
-        ok = arr.ndim == 1 and arr.dtype.kind in "iuf"
-    except ValueError:  # a ragged nesting of lists
-        ok = False
-    if not ok:
-        raise InvalidParameter(name, f"{name} must be a 1-D array of real numbers")
-    return arr.astype(float, copy=False)
+    return numeric(value, name, "iuf", 1).astype(float, copy=False)
 
 
 class CapExceeded(MqcsimError):

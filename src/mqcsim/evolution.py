@@ -46,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .errors import InvalidParameter, choice, number
+from .errors import InvalidParameter, choice, number, numeric
 from .spins import (
     OperatorKind,
     SpinSystem,
@@ -68,12 +68,13 @@ from .spins import (
 # 0's eigenvectors while it assembles sector 1 at even N only, so it has a
 # factor per parity. The Hzz basis assembles one magnetization sector at a
 # time; the largest is a share of D that falls as N grows, so its factor,
-# set at N=8, grows looser above it. The interpreter, the imports and
+# set at N=8, grows looser above it. run_dd's counts the DD tables it keeps
+# on the system, 16 D^2 bytes in all. The interpreter, the imports and
 # BLAS's own buffers are outside every factor.
 _DENSE_FACTORS = {
     "order_amplitudes-ideal": 1.3,
     "order_amplitudes-pulse": 4.7,
-    "run_dd": 2.8,
+    "run_dd": 2.5,
     "run_dd_stepwise": 6.5,
     "evolve-density": 5.1,
     "dq_cycle": 4.5,
@@ -337,12 +338,12 @@ def krylov_expmv(
     for Hdq at N = 14 on 2 vCPUs, and no BLAS call, so the result does not
     depend on the BLAS thread count.
 
-    Raises InvalidParameter unless ``v`` has shape (D,), and for a
-    non-finite ``t`` or ``v``; checks the vector path's budget before it
-    reads ``v``.
+    Raises InvalidParameter unless ``v`` is an array of numbers of shape
+    (D,), and for a non-finite ``t`` or ``v``; checks the vector path's
+    budget before it reads ``v``.
     """
     _require_vector_path(system.n_spins)
-    v = np.asarray(v, dtype=complex)
+    v = numeric(v, "v").astype(complex, copy=False)
     if v.shape != (system.dim,):
         raise InvalidParameter("v", f"state shape {v.shape} is not ({system.dim},)")
     _require_finite(v, t)
@@ -378,7 +379,8 @@ def evolve(
     is "auto", "eigen" or "krylov": "krylov" runs the matrix-free series for
     every kind, and auto runs it for Hzz and Hdq above ``EIGEN_MAX_DIM``.
     Raises InvalidParameter for an unknown kind or method,
-    ``method="krylov"`` on a density, a bad shape or a non-finite ``t``/``obj``.
+    ``method="krylov"`` on a density, an ``obj`` that is not an array of
+    numbers, a bad shape or a non-finite ``t``/``obj``.
     The vector path's budget is checked before ``obj`` is read.
     """
     if method not in ("auto", "eigen", "krylov"):
@@ -386,7 +388,7 @@ def evolve(
     kind = choice(OperatorKind, kind, "kind")
     _require_vector_path(system.n_spins)
     axis = _COLLECTIVE_AXES.get(kind)
-    obj = np.asarray(obj)
+    obj = numeric(obj, "obj")
     dim = system.dim
     is_density = obj.ndim == 2
     if obj.shape != ((dim, dim) if is_density else (dim,)):
@@ -434,11 +436,11 @@ def _apply_left(u2: np.ndarray, mat: np.ndarray, n_spins: int) -> np.ndarray:
 def collective_pulse(obj: np.ndarray, axis: Axis, angle: float) -> np.ndarray:
     """Apply exp(-i*angle*I_axis) to a state vector or density matrix.
 
-    Raises InvalidParameter unless ``obj`` has shape (2**N,) or
-    (2**N, 2**N) for N >= 2 and is finite.
+    Raises InvalidParameter unless ``obj`` is an array of numbers of shape
+    (2**N,) or (2**N, 2**N) for N >= 2 and is finite.
     """
     u2 = _pulse_u2(axis, angle)
-    obj = np.asarray(obj, dtype=complex)
+    obj = numeric(obj, "obj").astype(complex, copy=False)
     dim = obj.shape[0] if obj.ndim in (1, 2) else 0
     n = dim.bit_length() - 1
     if dim < 4 or dim != 1 << n or obj.shape[1:] not in ((), (dim,)):

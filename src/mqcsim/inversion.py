@@ -385,9 +385,10 @@ def mixture_second_moment(dist: ClusterDistribution, orders: np.ndarray) -> floa
     A component of size s is a normalized Gaussian of second moment s/2
     over the coherence orders; components enter in proportion to their
     spectral mass f_j * Z_j with Z_j the kernel column sum over the full
-    (symmetric, even-order) k range spanned by ``orders``.
+    (symmetric, even-order) k range spanned by ``orders``, which must be a
+    1-D array of real numbers.
     """
-    orders = np.asarray(orders, dtype=float)
+    orders = vector(orders, "orders")
     sym_weight = np.where(orders > 0, 2.0, 1.0)  # k and -k
     z = np.einsum(
         "k,kj->j", sym_weight, np.exp(-np.outer(orders**2, 1.0 / dist.size_grid))

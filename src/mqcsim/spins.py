@@ -48,7 +48,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse
 
-from .errors import CapExceeded, InvalidParameter, integer, number
+from .errors import CapExceeded, InvalidParameter, integer, number, numeric
 
 # columns of a (D, k) block per pass of the pair kernel, so that its
 # temporaries are a few D x _PAIR_CHUNK arrays whatever k is
@@ -175,13 +175,15 @@ class SpinSystem:
     """N coupled spins 1/2; read-only after construction.
 
     ``n_spins`` must be an integer of at least 2, and ``couplings`` an
-    N x N symmetric matrix with an exactly zero diagonal and a finite
-    absolute sum, which bounds every Hzz diagonal entry. Nothing of size
-    2**N is allocated here: each derived table (magnetization, Hzz diagonal,
-    pair factors, eigenbases) is built on first use and kept in ``_tables``.
-    The operator applications that share them are safe for concurrent use,
-    and concurrent first uses at worst build a table twice. Equality and
-    hash are by identity.
+    N x N symmetric matrix of real numbers (bools, strings and complex
+    numbers are refused before any conversion) with an exactly zero
+    diagonal and a finite absolute sum, which bounds every Hzz diagonal
+    entry. Nothing of size 2**N is allocated here: each derived table
+    (magnetization, Hzz diagonal, pair factors, eigenbases, the DD tables)
+    is built on first use and kept in ``_tables``. The operator
+    applications that share them are safe for concurrent use, and
+    concurrent first uses at worst build a table twice. Equality and hash
+    are by identity.
     """
 
     n_spins: int
@@ -192,7 +194,7 @@ class SpinSystem:
 
     def __post_init__(self):
         n = self.n_spins = _spin_count(self.n_spins)
-        self.couplings = np.asarray(self.couplings, dtype=np.float64)
+        self.couplings = numeric(self.couplings, "couplings", "iuf").astype(np.float64, copy=False)
         if self.couplings.shape != (n, n):
             raise InvalidParameter("couplings", f"coupling matrix shape "
                                                 f"{self.couplings.shape} != ({n}, {n})")
@@ -234,6 +236,22 @@ def _derived(system: SpinSystem, key, build):
     if table is None:
         _require_vector_path(system.n_spins)
         table = system._tables.setdefault(key, build())
+    return table
+
+
+def _slot(system: SpinSystem, key, tag, build):
+    """The table ``key`` of ``system`` for ``tag``: one slot that holds the
+    last tag's table. ``build()`` makes the table of a new tag after the
+    vector path's budget check, once the old one is dropped, so two never
+    coexist in the slot; a caller must not modify it."""
+    held = system._tables.get(key)
+    if held is not None and held[0] == tag:
+        return held[1]
+    del held
+    system._tables.pop(key, None)
+    _require_vector_path(system.n_spins)
+    table = build()
+    system._tables[key] = (tag, table)
     return table
 
 
@@ -290,11 +308,11 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
                 if r <= geometry.cutoff:
                     d[a, b] = d[b, a] = geometry.d0 / r**3
     elif isinstance(geometry, ExplicitCouplings):
-        mat = np.asarray(geometry.couplings, dtype=np.float64)
+        mat = numeric(geometry.couplings, "couplings", "iuf")
         if mat.shape != (n_spins, n_spins):
             raise InvalidParameter("couplings", f"explicit coupling matrix shape "
                                                 f"{mat.shape} != ({n_spins}, {n_spins})")
-        d = mat.copy()
+        d = mat.astype(np.float64)
     else:
         raise InvalidParameter("geometry", f"unknown geometry {geometry!r}")
 
@@ -326,12 +344,13 @@ def apply_operator(
     array of half the state, O(N * 2**N) per call. The pair terms of Hzz and
     Hdq are a few sparse products of the split in the module docstring,
     O(pairs * 2**N) multiply-adds with temporaries of a few
-    ``2**N x _PAIR_CHUNK`` arrays. Raises InvalidParameter for another shape
-    or for NaN or inf, and CapExceeded, before the state is read, where the
-    vector path does not fit the budget.
+    ``2**N x _PAIR_CHUNK`` arrays. Raises InvalidParameter for a state that
+    is not an array of numbers, for another shape or for NaN or inf, and
+    CapExceeded, before the state is read, where the vector path does not
+    fit the budget.
     """
     _require_vector_path(system.n_spins)
-    state = np.asarray(state)
+    state = numeric(state, "state")
     if state.ndim not in (1, 2) or state.shape[0] != system.dim:
         raise InvalidParameter("state", f"state shape {state.shape} is not "
                                         f"({system.dim},) or ({system.dim}, k)")

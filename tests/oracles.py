@@ -204,6 +204,28 @@ def otoc_direct(couplings, t):
     return float((-np.trace(comm @ comm) / np.trace(iz @ iz)).real)
 
 
+def free_induction_decay(couplings, tau, n_cycles):
+    """Tr{Ix e^{-i Hzz t_j} Ix e^{i Hzz t_j}} / Tr{Iz^2} at the window
+    centers t_j = (j + 1/2) tau, j < n_cycles.
+
+    This is the pulse-train signal at theta = pi: X(pi) commutes with Hzz
+    and with Ix, so the pulses drop out of every sample. Each sample takes
+    its own ``expm`` of the kron-built Hzz, so no propagator is shared with
+    the package.
+    """
+    import scipy.linalg
+
+    n = couplings.shape[0]
+    h = dense_hzz(couplings)
+    ix, iz = total_op(IX, n), total_op(IZ, n)
+    norm = np.trace(iz @ iz).real
+    out = np.empty(n_cycles)
+    for j in range(n_cycles):
+        u = scipy.linalg.expm(-1j * (j + 0.5) * tau * h)
+        out[j] = np.trace(ix @ u @ ix @ u.conj().T).real / norm
+    return out
+
+
 def dq_cycle_steps(delta1, delta2):
     """The eight-pulse double-quantum cycle as ("delay", t) and ("pulse",
     +-1) steps, earliest first; a pulse's sign is that of its axis."""

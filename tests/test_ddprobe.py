@@ -27,9 +27,9 @@ from mqcsim import (
 )
 
 import mqcsim.ddprobe
-from mqcsim.ddprobe import (_TAPS, _flip_blocks, _floquet_basis, _fourier_sum, _polish,
-                            mix_seed)
-from oracles import multistart_biexponential, random_couplings
+from mqcsim.ddprobe import (_TAPS, _flip_blocks, _flip_tables, _floquet_basis, _fourier_sum,
+                            _polish, mix_seed)
+from oracles import dense_hzz, free_induction_decay, multistart_biexponential, random_couplings
 from snr import estimate_noise_sigma, measured_snr
 
 
@@ -84,6 +84,17 @@ class TestRunDd:
             slow = run_dd_stepwise(system, config)
             assert fast.values.shape == (n_cycles,)
             assert np.max(np.abs(fast.values - slow.values)) < 1e-10, n_cycles
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("geometry", ["chain", "random"])
+    def test_pi_train_is_the_free_induction_decay(self, n, geometry):
+        # X(pi) commutes with Hzz and Ix, so the pulses drop out of the signal
+        couplings = (build_system(Chain(d0=1.0), n).couplings if geometry == "chain"
+                     else random_couplings(n, np.random.default_rng(n)))
+        system = build_system(ExplicitCouplings(couplings), n)
+        config = DdConfig(tau=0.3, theta=np.pi, n_cycles=40)
+        fid = free_induction_decay(couplings, config.tau, config.n_cycles)
+        assert np.max(np.abs(run_dd(system, config).values - fid)) < 1e-12
 
     def test_spectral_route_reads_ix_as_the_tipped_density(self, monkeypatch):
         # no Y(pi/2) tip is built: the one Ix of a cell is density and readout
@@ -181,6 +192,20 @@ class TestFloquetKernel:
             d = o.T @ v @ o
             assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-10
             assert np.max(np.abs(v @ o - o * np.exp(1j * phase))) <= 1e-10
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("geometry", [AllToAll(d0=1.0), Chain(d0=1.0), None],
+                             ids=["all-to-all", "chain", "random"])
+    def test_flip_eigenbasis_orthogonal_and_diagonalizing(self, geometry, n):
+        # E_b is derived from the magnetization sectors' eigenvectors, with a
+        # new eigh for the two flip halves of sector N/2 at even N only
+        if geometry is None:
+            geometry = ExplicitCouplings(random_couplings(n, np.random.default_rng(n), -1.5, 1.5))
+        system = build_system(geometry, n)
+        hzz = _flip_blocks(dense_hzz(system.couplings).real)
+        for (energy, e, _), h in zip(_flip_tables(system), hzz):
+            assert np.max(np.abs(e.T @ e - np.eye(e.shape[0]))) < 1e-12
+            assert np.max(np.abs(e.T @ h @ e - np.diag(energy))) < 1e-12
 
     def test_sweep_grid_makes_no_schur_call(self, monkeypatch):
         calls = []
@@ -407,18 +432,31 @@ class TestSnr:
 
 class TestSweep:
     def test_single_cell_matches_direct_run(self):
-        system = build_system(AllToAll(d0=1.0), 4)
-        result = sweep(system, [0.2], [np.pi / 4], 64, base_seed=7)
-        assert len(result.cells) == 1
-        cell = result.cells[0]
-        config = DdConfig(
-            tau=0.2, theta=np.pi / 4, n_cycles=64, rng_seed=cell.rng_seed
-        )
-        series = run_dd(system, config)
-        fit = fit_biexponential(series)
-        assert cell.status == "ok"
-        assert cell.fit.t_slow == fit.t_slow
-        assert cell.fit.a_slow == fit.a_slow
+        # the sweep runs its cells angle by angle on shared tables; each cell
+        # is still bit for bit a standalone run_dd and fit on a fresh system
+        taus, thetas = [0.2, 0.35], [np.pi / 4, np.pi / 2]
+        result = sweep(build_system(AllToAll(d0=1.0), 5), taus, thetas, 96,
+                       noise_sigma=0.01, n_scans=2, base_seed=7)
+        assert len(result.cells) == 4
+        for cell, (tau, theta) in zip(result.cells, [(a, b) for a in taus for b in thetas]):
+            config = DdConfig(tau=tau, theta=theta, n_cycles=96, noise_sigma=0.01,
+                              n_scans=2, rng_seed=cell.rng_seed)
+            series = run_dd(build_system(AllToAll(d0=1.0), 5), config)
+            assert cell.status == "ok"
+            assert cell.fit == fit_biexponential(series)
+            assert (cell.n_star, cell.snr) == optimal_cycles(series.values, 0.01 / np.sqrt(2))
+
+    def test_pulse_slot_serves_no_stale_pulse(self):
+        # each system keeps the last angle's pulse: run_dd calls that
+        # alternate systems and angles must each rebuild or reuse the right one
+        systems = [build_system(ExplicitCouplings(random_couplings(5, np.random.default_rng(s))), 5)
+                   for s in (1, 2)]
+        configs = [DdConfig(tau=0.25, theta=theta, n_cycles=64) for theta in (0.6, 1.9)]
+        fresh = {(s, c): run_dd(build_system(ExplicitCouplings(systems[s].couplings), 5),
+                                configs[c]).values
+                 for s in (0, 1) for c in (0, 1)}
+        for s, c in [(0, 0), (1, 1), (0, 1), (1, 0), (0, 1), (0, 0), (1, 0), (1, 1)]:
+            assert np.array_equal(run_dd(systems[s], configs[c]).values, fresh[s, c]), (s, c)
 
     def test_cells_recomputable_independently(self):
         system = build_system(AllToAll(d0=1.0), 6)

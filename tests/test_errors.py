@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mqcsim
-from mqcsim import (AllToAll, Axis, DdConfig, InvalidParameter, MqcRun, MqcsimError,
-                    build_system, collective_pulse, cumulative_snr, dq_cycle,
-                    fit_biexponential, fit_power_law, invert, make_kernel_problem,
-                    optimal_cycles, pulse_matrix, scans_to_match_snr, sweep,
-                    uniform_phase_grid)
+from mqcsim import (AllToAll, Axis, DdConfig, ExplicitCouplings, InvalidParameter, MqcRun,
+                    MqcsimError, SpinSystem, apply_operator, build_system, collective_pulse,
+                    cumulative_snr, dq_cycle, fit_biexponential, fit_power_law, invert,
+                    make_kernel_problem, optimal_cycles, pulse_matrix, scans_to_match_snr,
+                    sweep, uniform_phase_grid)
 from mqcsim.evolution import EigenBasis, _spectral_bound, evolve, krylov_expmv
+from mqcsim.inversion import ClusterDistribution, mixture_second_moment
 from mqcsim.spins import geometry_from_dict
 
 _SYSTEM = build_system(AllToAll(d0=1.0), 2)
@@ -121,6 +122,18 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], delta2="8e-6"), "delta2"),
     (lambda: evolve(np.eye(4)[0], _SYSTEM, "dq", "1.0"), "t"),
     (lambda: krylov_expmv(_SYSTEM, "dq", np.eye(4)[0], "1.0"), "t"),
+    # couplings are real numbers, refused before any conversion
+    (lambda: build_system(ExplicitCouplings([["0", "1"], ["1", "0"]]), 2), "couplings"),
+    (lambda: SpinSystem(2, [["0", "1"], ["1", "0"]]), "couplings"),
+    (lambda: SpinSystem(2, np.array([[False, True], [True, False]])), "couplings"),
+    (lambda: SpinSystem(2, np.array([[0, 1j], [1j, 0]])), "couplings"),
+    # states and densities are arrays of numbers, whatever their shape
+    (lambda: evolve(["a"] * 4, _SYSTEM, "dq", 1.0), "obj"),
+    (lambda: krylov_expmv(_SYSTEM, "dq", ["a"] * 4, 1.0), "v"),
+    (lambda: apply_operator("zz", _SYSTEM, ["a"] * 4), "state"),
+    (lambda: collective_pulse(["a"] * 4, Axis.X, 1.0), "obj"),
+    (lambda: mixture_second_moment(
+        ClusterDistribution(np.ones(3), np.ones(3), 0.0, 0.0), ["a", "b"]), "orders"),
 ], ids=["negative-seed", "unknown-mode", "unknown-axis", "eigenbasis-kind", "bound-kind",
         "string-d0", "string-coupling", "chain-no-d0", "bool-d0", "huge-d0",
         "fractional-n-spins", "no-n-spins", "build-fractional-n-spins", "build-bool-n-spins",
@@ -140,7 +153,9 @@ def test_no_bare_value_or_type_error_raised():
         "2d-times", "string-phases", "nan-snr-values", "inf-snr-values", "empty-snr-values",
         "string-tau", "string-theta", "string-noise-sigma", "string-tau-dq",
         "string-mismatch", "run-string-delta1", "run-string-delta2", "string-evolve-t",
-        "string-krylov-t"])
+        "string-krylov-t", "string-explicit-couplings", "string-couplings", "bool-couplings",
+        "complex-couplings", "string-evolve-obj", "string-krylov-v", "string-apply-state",
+        "string-pulse-obj", "string-mixture-orders"])
 def test_invalid_parameter_names_the_parameter(make, name):
     with pytest.raises(InvalidParameter) as exc:
         make()

@@ -169,12 +169,12 @@ def test_pulse_matrix_refused_before_allocation(monkeypatch):
 
 
 def test_run_dd_keeps_only_flip_blocks():
-    # _signal cuts each D x D operator into its two flip blocks and frees it
-    # at once, so no dense half-delay propagator lives through the block loop,
-    # builds no tipped density beside Ix, and frees each flip block's inputs
-    # and weights before the next block is diagonalized
+    # the DD tables cut Ix and the pulse into their two flip blocks and free
+    # each D x D operator at once; a cell builds no half-delay propagator and
+    # no tipped density beside Ix, and frees each flip block's weights before
+    # the next block is diagonalized
     for n in TRACED_SPINS:
-        assert dense_peaks(n)["run_dd-aligned"][1] <= 2.8 * 16 * (1 << n) ** 2, n
+        assert dense_peaks(n)["run_dd-aligned"][1] <= 2.5 * 16 * (1 << n) ** 2, n
 
 
 def test_run_dd_counts_its_kernel_per_cycle(monkeypatch):
