@@ -9,26 +9,26 @@ flip prod sigma_x commutes with Hzz, with the X pulses and with the tipped
 density Ix, and anticommutes with Iy, so Tr{Iy rho_j} = 0 at every sample.
 
 The cycle propagator V = half . X(theta) . half is diagonalized once per
-cell, and never as one D x D matrix. V and Ix, the tipped density, commute
-with the spin flip, so each splits into two (D/2) x (D/2) blocks on the
-flip-symmetric and flip-antisymmetric states, and the signal is the sum of
-the two blocks' signals. Each block runs in its real orthonormal Hzz
-eigenbasis E_b, derived from the magnetization sectors of
-:meth:`EigenBasis.compute`. There the half propagator is the diagonal
-d = exp(-i lambda tau/2), and the cycle is the elementwise d P~ d with
-P~ = E_b^T P_b E_b, so a cell builds no D x D propagator. Each block of
-the cycle is a symmetric unitary, so it has a real orthogonal eigenbasis,
-which real ``eigh`` calls find; the complex Schur form is only the
-fallback for a basis that leaves an off-diagonal residue. In that basis
-the signal is a Fourier sum over the (D/2)^2 differences of a block's
-eigenphases, evaluated at every cycle at once by one nonuniform FFT per
-cell: each difference is spread over a few points of a grid of 4
-n_cycles, and one inverse FFT reads the grid out. A cell then costs two
-real eigendecompositions, five products of (D/2) x (D/2) matrices per
-block, O(D^2) spreading and one FFT of O(n_cycles log n_cycles), rather
-than D^2 n_cycles products. The tip makes Iz into Ix exactly, so the
-spectral route takes Ix as the density and builds none; the stepwise
-reference tips Iz.
+cell, and never as one D x D matrix. V and Ix, the tipped density,
+commute with the spin flip, so each splits into two (D/2) x (D/2) blocks
+on the flip-symmetric and flip-antisymmetric states, and the signal is
+the sum of the two blocks' signals. Each block runs in its real
+orthonormal Hzz eigenbasis E_b, read off the flip-paired sectors of
+:meth:`EigenBasis.compute` with no ``eigh`` of its own. There the half
+propagator is the diagonal d = exp(-i lambda tau/2), and the cycle is the
+elementwise d P~ d with P~ = E_b^T P_b E_b, so a cell builds no D x D
+propagator. Each block of the cycle is a symmetric unitary, so it has a
+real orthogonal eigenbasis, which real ``eigh`` calls find; the complex
+Schur form is only the fallback for a basis that leaves an off-diagonal
+residue. In that basis the signal is a Fourier sum over the (D/2)^2
+differences of a block's eigenphases, evaluated at every cycle at once by
+one nonuniform FFT per cell: each difference is spread over a few points
+of a grid of 4 n_cycles, and one inverse FFT reads the grid out. A cell
+then costs two real eigendecompositions, five products of (D/2) x (D/2)
+matrices per block, O(D^2) spreading and one FFT of O(n_cycles log
+n_cycles), rather than D^2 n_cycles products. The tip makes Iz into Ix
+exactly, so the spectral route takes Ix as the density and builds none;
+the stepwise reference tips Iz.
 
 A system keeps what depends on it alone among its derived tables: the Hzz
 eigenbasis, and per block E_b, its eigenvalues and Ix~ = E_b^T Ix_b E_b.
@@ -58,7 +58,6 @@ from .errors import FitFailure, InvalidParameter, integer, number, vector
 from .evolution import (
     Axis,
     EigenBasis,
-    _eigh,
     _flip_blocks,
     _mul,
     _require_dense,
@@ -249,14 +248,15 @@ def _congruence(e: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _flip_eigenbases(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues and real orthonormal eigenvectors (columns) of Hzz's two
     flip blocks, on the states s < D/2 as :func:`_flip_blocks` orders them,
-    derived from :meth:`EigenBasis.compute`'s magnetization sectors.
+    read from :meth:`EigenBasis.compute`'s magnetization sectors.
 
     The flip maps the sector of popcount k onto that of N - k. An
     eigenvector v of a sector k > N/2 gives one column of each block: v_s
     at the states s < D/2 of the sector, and +-v_s at ~s for its states
     s >= D/2, + in the flip-even block and - in the odd one. At even N the
-    sector k = N/2 maps onto itself; the two flip halves of its block,
-    rebuilt from its eigenbasis, get an ``eigh`` of their own.
+    sector k = N/2 maps onto itself, and each of its eigenvectors is
+    (u, +-u reversed)/sqrt(2) on its m states below D/2 and their images:
+    the sign of v[:m] . v[::-1][:m] gives its block, sqrt(2) v[:m] = u.
     """
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
     n, dim = system.n_spins, system.dim
@@ -275,11 +275,11 @@ def _flip_eigenbases(system: SpinSystem) -> list[tuple[np.ndarray, np.ndarray]]:
     if n % 2 == 0:
         k = n // 2
         s, w, v = basis.sectors[k], basis.eigenvalues[k], basis.eigenvectors[k]
-        # the sector's first half lies below D/2, and ~ reverses its order
-        halves = map(_eigh, _flip_blocks((v * w) @ v.T))
-        for vecs, out, (w_b, v_b) in zip(vectors, energies, halves):
-            vecs[s[:s.size // 2], col:col + w_b.size] = v_b
-            out.append(w_b)
+        m = s.size // 2
+        odd = np.einsum("ij,ij->j", v[:m], v[::-1][:m]) < 0
+        for vecs, out, cols in zip(vectors, energies, (~odd, odd)):
+            vecs[s[:m], col:col + m] = np.sqrt(2) * v[:m, cols]
+            out.append(w[cols])
     return [(np.concatenate(out), vecs) for out, vecs in zip(energies, vectors)]
 
 
@@ -410,7 +410,7 @@ def run_dd_stepwise(system: SpinSystem, config: DdConfig) -> DdSeries:
     basis = EigenBasis.compute(system, OperatorKind.HZZ)
     rho = collective_pulse(
         hamiltonian_matrix(system, OperatorKind.IZ_TOTAL), Axis.Y, np.pi / 2)
-    half = basis.propagator(config.tau / 2)
+    half = basis.evolve_columns(np.eye(system.dim), config.tau / 2)
     rho = half @ rho @ half.conj().T  # the first sample sits half a delay in
     cycle = (half @ pulse_matrix(Axis.X, config.theta, system.n_spins)) @ half
     del half
@@ -572,9 +572,9 @@ def fit_biexponential(
     5%, collapses to the single exponential branch with ``a_fast = 0`` and
     ``degenerate=True``.
 
-    Raises :class:`InvalidParameter` for times and values of unequal
-    length, non-finite or non-increasing times, non-finite values, or fewer
-    than 8 points after the skip. Raises
+    Raises :class:`InvalidParameter` for times and values that are not 1-D
+    arrays of real numbers or of unequal length, non-finite or non-increasing
+    times, non-finite values, or fewer than 8 points after the skip. Raises
     :class:`FitFailure` when the fitted t=0 amplitude does not exceed
     ``_MIN_AMPLITUDE_SNR`` (2) times the residual rms, i.e. the window holds no
     decay structure above its own noise (pure noise fails), and when the
@@ -585,7 +585,7 @@ def fit_biexponential(
         if transient_skip is None:
             transient_skip = series.config.transient_skip
     else:
-        t_all, y_all = np.asarray(series[0], float), np.asarray(series[1], float)
+        t_all, y_all = vector(series[0], "series"), vector(series[1], "series")
         if transient_skip is None:
             transient_skip = 0
     if t_all.ndim != 1 or t_all.shape != y_all.shape:

@@ -10,18 +10,16 @@ single-spin rotations (:func:`collective_pulse`). Negative times are
 legitimate and mean time reversal.
 
 :class:`EigenBasis` diagonalizes Hzz per magnetization sector, since it
-keeps the popcount: N+1 ``eigh`` calls of at most C(N, N/2) states instead
-of one of size D. Hdq changes the popcount by +-2, so it is
-block-diagonal over the two popcount-parity sectors, and it commutes with
-the global flip X = prod sigma_x. At odd N, X swaps the two sectors and one
-``eigh`` of size D/2 serves both; at even N, X maps each sector onto
-itself and splits it into X-even and X-odd halves, four ``eigh`` calls of
-size D/4. All run in real arithmetic. Each sector block is assembled on
-its own through :func:`hamiltonian_matrix` from the bitwise kernel, so no
-D x D generator or identity is formed.
-:meth:`EigenBasis.propagator` assembles the dense exp(-iHt) from
-the sector blocks, and the MQC engine builds its own real blocks straight
-from the sector eigenbases.
+keeps the popcount, and Hdq per popcount-parity sector, since it changes
+the popcount by +-2. Both commute with the global flip X = prod sigma_x,
+which maps a sector either onto another, whose eigenpairs it gives, or
+onto itself, which it splits into X-even and X-odd halves (Sandvik, AIP
+Conf. Proc. 1297, 135, 2010). So Hzz assembles N//2 + 1 sector blocks,
+the middle one at even N as two halves, and Hdq one of size D/2 at odd N
+or two split into four ``eigh`` calls of size D/4 at even N, all real.
+Each block is assembled on its own through :func:`hamiltonian_matrix`
+from the bitwise kernel, so no D x D generator or identity is formed; the
+MQC engine builds its own real blocks straight from the sector eigenbases.
 :meth:`EigenBasis.compute` keeps each basis among its system's derived
 tables, so every caller on one system shares one diagonalization per kind.
 
@@ -189,12 +187,12 @@ class EigenBasis:
     it has no matrix element between: the N+1 magnetization sectors for Hzz
     and the two popcount-parity sectors for Hdq. Block j has the eigenvalues
     ``eigenvalues[j]``, ascending, and the real eigenvectors in the columns
-    of ``eigenvectors[j]``. Each block is assembled on its own by
-    ``hamiltonian_matrix(system, kind, sector)``, so no D x D generator or
-    identity exists. Hdq's two blocks come from the global spin flip
-    (:func:`_flip_symmetric_eigh`): at odd N only sector 0 is assembled, and
-    sector 1 shares its eigenvalue array and takes its eigenvectors with the
-    rows reversed.
+    of ``eigenvectors[j]``. One spin-flip rule builds them (:func:`_flip_eigh`):
+    a sector's X-image shares its eigenvalue array and takes its eigenvectors
+    with the rows reversed, and a sector that X maps onto itself holds X-even
+    and X-odd eigenvectors, (v, +-v reversed)/sqrt(2). Each assembled block
+    comes from ``hamiltonian_matrix(system, kind, sector)``, so no D x D
+    generator or identity exists.
     """
 
     sectors: list[np.ndarray]
@@ -218,23 +216,12 @@ class EigenBasis:
 
         def build() -> EigenBasis:
             _require_dense(system.dim, _eigenbasis_path(system, kind))
-            if kind is OperatorKind.HDQ:
-                sectors = parity_sectors(system.n_spins)
-                pairs = _flip_symmetric_eigh(system, sectors)
-            else:
-                sectors = magnetization_sectors(system.n_spins)
-                pairs = [_eigh(hamiltonian_matrix(system, kind, s)) for s in sectors]
+            split = parity_sectors if kind is OperatorKind.HDQ else magnetization_sectors
+            sectors = split(system.n_spins)
+            pairs = _flip_eigh(system, kind, sectors)
             return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
 
         return _derived(system, ("eigenbasis", kind), build)
-
-    def propagator(self, t: float) -> np.ndarray:
-        """Dense exp(-iHt), zero between sectors."""
-        dim = sum(s.size for s in self.sectors)
-        u = np.zeros((dim, dim), dtype=complex)
-        for s, w, v in zip(self.sectors, self.eigenvalues, self.eigenvectors):
-            u[np.ix_(s, s)] = _mul(v, np.exp(-1j * w * t)[:, None] * v.T)
-        return u
 
     def evolve_columns(self, mat: np.ndarray, t: float) -> np.ndarray:
         """exp(-iHt) @ mat without forming the propagator when mat is thin."""
@@ -268,40 +255,47 @@ def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return same + cross, same - cross
 
 
-def _flip_symmetric_eigh(
-    system: SpinSystem, sectors: list[np.ndarray]
+def _flip_eigh(
+    system: SpinSystem, kind: OperatorKind, sectors: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors) of Hdq per popcount-parity sector, through
-    the global flip X: s -> ~s, which commutes with Hdq.
+    """(eigenvalues, eigenvectors) of ``kind`` per sector, through the global
+    flip X: s -> ~s = D-1-s, which commutes with Hzz and Hdq.
 
-    Each sector lists its states in increasing order and ~ reverses that
-    order. At odd N, X swaps the two sectors, so sector 1's block is sector
-    0's with both index orders reversed, bit for bit: only sector 0's block
-    is assembled, and sector 1 takes its eigenvalues and its eigenvectors
-    with the rows reversed. At even N, X maps each sector onto itself:
-    state i of a sector pairs with state M-1-i, and the X-even and X-odd
-    halves A + B and A - B, with A = H[L, L], B = H[L, ~L] and L the first
-    M/2 states (those below D/2), unfold to (v on L, +-v on ~L)/sqrt(2),
-    sorted by eigenvalue as eigh sorts them.
+    Each sector lists its states in increasing order, and X maps it onto the
+    sector that starts at ~s[-1], in reverse order. A sector whose image
+    comes later is assembled and diagonalized, and the image, whose block is
+    the sector's with both index orders reversed, takes its eigenvalues and
+    its eigenvectors with the rows reversed; both sector lists put these
+    copies after the last assembly. In a sector that is its own image, state
+    i pairs with state M-1-i, and the X-even and X-odd halves A + B and
+    A - B, with A = H[L, L], B = H[L, ~L] and L the first M/2 states (those
+    below D/2), unfold to (v on L, +-v on ~L)/sqrt(2), sorted by eigenvalue
+    as eigh sorts them.
     """
-    def block(s: np.ndarray) -> np.ndarray:
-        return hamiltonian_matrix(system, OperatorKind.HDQ, s)
-
     def flip_halves(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # a function of its own, so its temporaries are gone before the
-        # next sector is assembled
+        # a function of its own, so the block is gone before its halves are
+        # diagonalized and their temporaries before the next sector
         half = s.size // 2
-        (w_even, v_even), (w_odd, v_odd) = map(_eigh, _flip_blocks(block(s)))
+        halves = _flip_blocks(hamiltonian_matrix(system, kind, s))
+        (w_even, v_even), (w_odd, v_odd) = map(_eigh, halves)
         w = np.concatenate([w_even, w_odd])
         order = np.argsort(w, kind="stable")
         top = (np.hstack([v_even, v_odd]) * np.sqrt(0.5))[:, order]
         sign = np.repeat([1.0, -1.0], half)[order]
         return w[order], np.vstack([top, (top * sign)[::-1]])
 
-    if system.n_spins % 2:
-        w, v = _eigh(block(sectors[0]))
-        return [(w, v), (w, np.ascontiguousarray(v[::-1]))]
-    return [flip_halves(s) for s in sectors]
+    firsts = [s[0] for s in sectors]
+    pairs = []
+    for j, s in enumerate(sectors):
+        image = firsts.index(system.dim - 1 - s[-1])
+        if image == j:
+            pairs.append(flip_halves(s))
+        elif image > j:
+            pairs.append(_eigh(hamiltonian_matrix(system, kind, s)))
+        else:
+            w, v = pairs[image]
+            pairs.append((w, np.ascontiguousarray(v[::-1])))
+    return pairs
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:

@@ -71,6 +71,10 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: sweep(_SYSTEM, [0.2], [1.0], 32, base_seed=2.5), "base_seed"),
     (lambda: fit_biexponential((np.arange(10.0), np.ones(9))), "series"),
     (lambda: fit_biexponential((np.arange(10.0), np.ones(10)), 2.5), "transient_skip"),
+    (lambda: fit_biexponential(([str(t) for t in range(10)], np.ones(10))), "series"),
+    (lambda: fit_biexponential((np.arange(10.0), ["a"] * 10)), "series"),
+    (lambda: fit_biexponential((np.arange(10.0), np.ones(10, bool))), "series"),
+    (lambda: fit_biexponential((np.arange(10.0), np.ones(10) + 1j)), "series"),
     (lambda: uniform_phase_grid(2.5), "m"),
     (lambda: uniform_phase_grid(np.nan), "m"),
     (lambda: pulse_matrix(Axis.X, 1.0, 2.5), "n_spins"),
@@ -141,6 +145,8 @@ def test_no_bare_value_or_type_error_raised():
         "overflowing-hzz-diagonal", "fractional-n-blocks", "fractional-n-cycles",
         "fractional-transient-skip", "bool-n-scans", "fractional-seed",
         "sweep-fractional-seed", "fit-length-mismatch", "fit-fractional-skip",
+        "fit-numeric-string-times", "fit-string-values", "fit-bool-values",
+        "fit-complex-values",
         "fractional-phase-count", "nan-phase-count", "pulse-fractional-n-spins",
         "pulse-negative-n-spins", "empty-state", "non-square-density", "nan-state",
         "nan-delta1", "inf-delta1", "zero-delta1", "string-delta1", "nan-delta2",

@@ -395,12 +395,22 @@ class TestMagnetizationSectors:
         assert len(EigenBasis.compute(system, OperatorKind.HDQ).sectors) == 2
 
 
-class TestHdqFlipBasis:
-    """Hdq's eigenbasis through the global flip X: one sector eigh at odd N,
-    where X swaps the sectors, and two X-parity halves per sector at even N."""
+class TestFlipBasis:
+    """Hzz's and Hdq's eigenbases through the global flip X: a sector that X
+    maps onto a later one is diagonalized for both, and a sector that X maps
+    onto itself splits into two X-parity halves."""
+
+    @staticmethod
+    def eigh_sizes(kind, n):
+        half = 1 << (n - 1)
+        if kind is OperatorKind.HDQ:
+            return [half] if n % 2 else [half // 2] * 4
+        lower = [math.comb(n, k) for k in range((n + 1) // 2)]
+        return lower + ([] if n % 2 else [math.comb(n, n // 2) // 2] * 2)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
-    def test_sector_eigenpairs(self, n, monkeypatch):
+    @pytest.mark.parametrize("kind", [OperatorKind.HZZ, OperatorKind.HDQ])
+    def test_sector_eigenpairs(self, kind, n, monkeypatch):
         sizes = []
         eigh = scipy.linalg.eigh
 
@@ -410,12 +420,10 @@ class TestHdqFlipBasis:
 
         monkeypatch.setattr(scipy.linalg, "eigh", counted)
         couplings = random_couplings(n, np.random.default_rng(n), -1.5, 1.5)
-        basis = EigenBasis.compute(
-            build_system(ExplicitCouplings(couplings), n), OperatorKind.HDQ)
-        half = 1 << (n - 1)
-        assert sizes == ([half] if n % 2 else [half // 2] * 4)
-        h = dense_operator("dq", couplings, n)
-        assert len(basis.sectors) == 2
+        basis = EigenBasis.compute(build_system(ExplicitCouplings(couplings), n), kind)
+        assert sizes == self.eigh_sizes(kind, n)
+        h = dense_operator(kind.value, couplings, n)
+        assert len(basis.sectors) == (2 if kind is OperatorKind.HDQ else n + 1)
         for s, w, v in zip(basis.sectors, basis.eigenvalues, basis.eigenvectors):
             assert v.shape == (s.size, s.size)
             assert np.linalg.norm(h[np.ix_(s, s)] @ v - v * w) <= 1e-12

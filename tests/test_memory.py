@@ -74,7 +74,7 @@ def _dense_paths(system: SpinSystem) -> dict:
     phases = uniform_phase_grid(8)
     rho = np.diag(system.magnetization).astype(complex)
     paths = {
-        "run_dd-aligned": ("run_dd", lambda: run_dd(
+        "run_dd": ("run_dd", lambda: run_dd(
             system, DdConfig(tau=0.2, theta=0.7, n_cycles=2048))),
         "run_dd_stepwise": ("run_dd_stepwise", lambda: run_dd_stepwise(
             system, DdConfig(tau=0.2, theta=0.7, n_cycles=2))),
@@ -174,7 +174,7 @@ def test_run_dd_keeps_only_flip_blocks():
     # no tipped density beside Ix, and frees each flip block's weights before
     # the next block is diagonalized
     for n in TRACED_SPINS:
-        assert dense_peaks(n)["run_dd-aligned"][1] <= 2.5 * 16 * (1 << n) ** 2, n
+        assert dense_peaks(n)["run_dd"][1] <= 2.5 * 16 * (1 << n) ** 2, n
 
 
 def test_run_dd_counts_its_kernel_per_cycle(monkeypatch):
