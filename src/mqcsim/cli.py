@@ -54,8 +54,6 @@ _DEFAULT_CONFIG: dict = {
         "n_phases": 16,
         "mode": "ideal",
         "mismatch": 0.0,
-        "delta1": 3e-6,
-        "delta2": 8e-6,
     },
     "dd": {
         "tau": 0.1,
@@ -89,7 +87,8 @@ _DEFAULT_CONFIG: dict = {
 # field has another name); any other parameter named like a field of the
 # section is that field
 _FIELDS = {
-    "simulate-mqc": ("mqc", {"n_blocks": "mqc.n_max", "m": "mqc.n_phases"}),
+    "simulate-mqc": ("mqc", {"n_blocks": "mqc.n_max", "m": "mqc.n_phases",
+                             "period": "mqc.tau_dq"}),
     "simulate-dd": ("dd", {"rng_seed": "seed"}),
     "sweep": ("sweep", {"tau": "sweep.tau_grid", "theta": "sweep.theta_grid"}),
     "invert": ("inversion", {}),
@@ -214,8 +213,6 @@ def cmd_simulate_mqc(config: dict) -> int:
         phases=uniform_phase_grid(mqc["n_phases"]),
         mode=mqc["mode"],
         mismatch=mqc["mismatch"],
-        delta1=mqc["delta1"],
-        delta2=mqc["delta2"],
     )
     amps = order_amplitudes(run)
     signals = phase_signals(amps)

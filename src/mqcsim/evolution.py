@@ -27,10 +27,11 @@ Pulses are ideal delta rotations ``exp(-i*angle*I_axis)`` applied as a
 tensor product of single-spin rotations; finite pulse widths are out of
 scope. :func:`dq_cycle` builds the dense propagator of the eight-pulse
 cycle, which realizes the double-quantum Hamiltonian at leading order
-during free dipolar evolution; its delays satisfy ``4*delta1 + 6*delta2``
-= total period. Acceptance check c05 establishes its leading order
-numerically, and ``tests/oracles.dq_cycle_direct`` rebuilds it step by
-step. Shifting every pulse phase by ``pi/2`` (the ``sign=-1`` cycle)
+during free dipolar evolution. Its period alone sets its two delays, at
+the one ratio for which the average Hamiltonian is Hdq. Acceptance check
+c05 establishes its leading order numerically, and
+``tests/oracles.dq_cycle_direct`` rebuilds it step by step from literal
+delays. Shifting every pulse phase by ``pi/2`` (the ``sign=-1`` cycle)
 negates the effective double-quantum Hamiltonian.
 """
 
@@ -70,7 +71,7 @@ from .spins import (
 # on the system, 16 D^2 bytes in all. The interpreter, the imports and
 # BLAS's own buffers are outside every factor.
 _DENSE_FACTORS = {
-    "order_amplitudes-ideal": 1.3,
+    "order_amplitudes-ideal": 1.25,
     "order_amplitudes-pulse": 4.7,
     "run_dd": 2.5,
     "run_dd_stepwise": 6.5,
@@ -187,12 +188,13 @@ class EigenBasis:
     it has no matrix element between: the N+1 magnetization sectors for Hzz
     and the two popcount-parity sectors for Hdq. Block j has the eigenvalues
     ``eigenvalues[j]``, ascending, and the real eigenvectors in the columns
-    of ``eigenvectors[j]``. One spin-flip rule builds them (:func:`_flip_eigh`):
-    a sector's X-image shares its eigenvalue array and takes its eigenvectors
-    with the rows reversed, and a sector that X maps onto itself holds X-even
-    and X-odd eigenvectors, (v, +-v reversed)/sqrt(2). Each assembled block
-    comes from ``hamiltonian_matrix(system, kind, sector)``, so no D x D
-    generator or identity exists.
+    of ``eigenvectors[j]``, whose rows follow the order of ``sectors[j]``.
+    One spin-flip rule builds them (:func:`_flip_eigh`): a sector's X-image
+    shares its eigenvalue and eigenvector arrays and lists its states as
+    D-1-s, in decreasing order, and a sector that X maps onto itself holds
+    X-even and X-odd eigenvectors, (v, +-v reversed)/sqrt(2). Each assembled
+    block comes from ``hamiltonian_matrix(system, kind, sector)``, so no
+    D x D generator or identity exists.
     """
 
     sectors: list[np.ndarray]
@@ -217,9 +219,8 @@ class EigenBasis:
         def build() -> EigenBasis:
             _require_dense(system.dim, _eigenbasis_path(system, kind))
             split = parity_sectors if kind is OperatorKind.HDQ else magnetization_sectors
-            sectors = split(system.n_spins)
-            pairs = _flip_eigh(system, kind, sectors)
-            return cls(sectors, [w for w, _ in pairs], [v for _, v in pairs])
+            sectors, values, vectors = zip(*_flip_eigh(system, kind, split(system.n_spins)))
+            return cls(list(sectors), list(values), list(vectors))
 
         return _derived(system, ("eigenbasis", kind), build)
 
@@ -257,20 +258,19 @@ def _flip_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _flip_eigh(
     system: SpinSystem, kind: OperatorKind, sectors: list[np.ndarray]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors) of ``kind`` per sector, through the global
-    flip X: s -> ~s = D-1-s, which commutes with Hzz and Hdq.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(states, eigenvalues, eigenvectors) of ``kind`` per sector, through
+    the global flip X: s -> ~s = D-1-s, which commutes with Hzz and Hdq.
 
     Each sector lists its states in increasing order, and X maps it onto the
-    sector that starts at ~s[-1], in reverse order. A sector whose image
-    comes later is assembled and diagonalized, and the image, whose block is
-    the sector's with both index orders reversed, takes its eigenvalues and
-    its eigenvectors with the rows reversed; both sector lists put these
-    copies after the last assembly. In a sector that is its own image, state
-    i pairs with state M-1-i, and the X-even and X-odd halves A + B and
-    A - B, with A = H[L, L], B = H[L, ~L] and L the first M/2 states (those
-    below D/2), unfold to (v on L, +-v on ~L)/sqrt(2), sorted by eigenvalue
-    as eigh sorts them.
+    sector that starts at ~s[-1]. A sector whose image comes later is
+    assembled and diagonalized, and the image, whose block on the states ~s
+    is the sector's on s, shares its eigenvalue and eigenvector arrays and
+    lists its states as ~s, in decreasing order. In a sector that is its own
+    image, state i pairs with state M-1-i, and the X-even and X-odd halves
+    A + B and A - B, with A = H[L, L], B = H[L, ~L] and L the first M/2
+    states (those below D/2), unfold to (v on L, +-v on ~L)/sqrt(2), sorted
+    by eigenvalue as eigh sorts them.
     """
     def flip_halves(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a function of its own, so the block is gone before its halves are
@@ -285,17 +285,17 @@ def _flip_eigh(
         return w[order], np.vstack([top, (top * sign)[::-1]])
 
     firsts = [s[0] for s in sectors]
-    pairs = []
+    out = []
     for j, s in enumerate(sectors):
         image = firsts.index(system.dim - 1 - s[-1])
         if image == j:
-            pairs.append(flip_halves(s))
+            out.append((s, *flip_halves(s)))
         elif image > j:
-            pairs.append(_eigh(hamiltonian_matrix(system, kind, s)))
+            out.append((s, *_eigh(hamiltonian_matrix(system, kind, s))))
         else:
-            w, v = pairs[image]
-            pairs.append((w, np.ascontiguousarray(v[::-1])))
-    return pairs
+            _, w, v = out[image]
+            out.append((system.dim - 1 - sectors[image], w, v))
+    return out
 
 
 def _require_finite(obj: np.ndarray, t: float) -> None:
@@ -465,25 +465,33 @@ def pulse_matrix(axis: Axis, angle: float, n_spins: int) -> np.ndarray:
     return out
 
 
-def dq_cycle(
-    system: SpinSystem, delta1: float = 3e-6, delta2: float = 8e-6, sign: int = +1
-) -> np.ndarray:
+def dq_cycle(system: SpinSystem, period: float = 6e-5, sign: int = +1) -> np.ndarray:
     """Dense propagator of the eight-pulse double-quantum cycle (Baum et al.,
-    J. Chem. Phys. 83, 2015, 1985), period 4*delta1 + 6*delta2: each pi/2
-    pulse follows its delay of free Hzz evolution, and a closing delta2
-    ends the cycle.
+    J. Chem. Phys. 83, 2015, 1985) of length ``period``: each pi/2 pulse
+    follows its delay of free Hzz evolution, delta1 or delta2, and a closing
+    delta2 ends the cycle, so the period is 4*delta1 + 6*delta2.
+
+    The cycle splits its period T itself: delta1 = T/20, delta2 = 2T/15.
+    With delta pulses the average Hamiltonian is Hdq only when the cycle
+    spends T/3 in the z toggling frame and 2T/3 in the y frame, 4*delta1 +
+    delta2 = T/3, which fixes delta2/delta1 = 8/3. At that split the defect
+    max |i log(U)/T - Hdq| falls as T (2.5e-3 at T = 1e-2, 2.5e-4 at
+    T = 1e-3, N=5 random couplings); at ratios 3, 2 and 1 it stays at 0.11,
+    0.31 and 1.24 whatever T is.
 
     ``sign=+1`` uses +-X pulses and realizes Hdq at leading order;
     ``sign=-1`` shifts every pulse phase by pi/2 (+-Y pulses), which
     realizes -Hdq and reverses the evolution. Raises InvalidParameter,
-    before any allocation, for a delay that is not finite and positive and
-    for a ``sign`` other than +1 or -1.
+    before any allocation, for a ``period`` that is not finite and positive
+    and for a ``sign`` other than +1 or -1.
     """
-    for name, delay in (("delta1", delta1), ("delta2", delta2)):
-        if not 0 < number(delay, name) < math.inf:
-            raise InvalidParameter(name, f"{name} must be finite and positive, got {delay}")
+    if not 0 < number(period, "period") < math.inf:
+        raise InvalidParameter("period", f"period must be finite and positive, got {period}")
     if sign not in (+1, -1):
         raise InvalidParameter("sign", f"sign must be +1 or -1, got {sign!r}")
+    # T/3 in the z frame (4*delta1 + delta2), 2T/3 in the y frame (5*delta2);
+    # / 7.5 rather than * 2 / 15, which gives the same bits but overflows first
+    delta1, delta2 = period / 20, period / 7.5
     p, m = (Axis.X, Axis.MINUS_X) if sign == +1 else (Axis.Y, Axis.MINUS_Y)
     # (delay, the pulse after it), earliest first
     steps = [(delta1, p), (delta2, p), (delta1, m), (2 * delta2, m),

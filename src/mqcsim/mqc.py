@@ -101,8 +101,8 @@ class MqcRun:
 
     ``mismatch`` scales the couplings of the reversed blocks by
     ``1 + mismatch`` and must exceed -1, since a factor <= 0 reverses
-    nothing; zero means perfect reversal. In pulse-level mode
-    ``tau_dq`` must equal the block period ``4*delta1 + 6*delta2``.
+    nothing; zero means perfect reversal. In pulse-level mode each block
+    is one eight-pulse cycle of period ``tau_dq`` (:func:`dq_cycle`).
     """
 
     system: SpinSystem
@@ -111,14 +111,12 @@ class MqcRun:
     phases: np.ndarray
     mode: Mode = Mode.IDEAL
     mismatch: float = 0.0
-    delta1: float = 3e-6
-    delta2: float = 8e-6
 
     def __post_init__(self):
         self.phases = vector(self.phases, "phases")
         if not np.all(np.isfinite(self.phases)):
             raise InvalidParameter("phases", "phases must be finite")
-        for name in ("tau_dq", "mismatch", "delta1", "delta2"):
+        for name in ("tau_dq", "mismatch"):
             if not np.isfinite(number(getattr(self, name), name)):
                 raise InvalidParameter(name, f"{name} must be finite")
         if integer(self.n_blocks, "n_blocks") < 0:
@@ -134,13 +132,6 @@ class MqcRun:
         if self.mismatch <= -1:
             raise InvalidParameter("mismatch", "mismatch must be > -1")
         self.mode = choice(Mode, self.mode, "mode")
-        if self.mode == Mode.PULSE_LEVEL:
-            period = 4 * self.delta1 + 6 * self.delta2
-            if abs(self.tau_dq - period) > 1e-12 * max(self.tau_dq, period):
-                raise InvalidParameter(
-                    "tau_dq",
-                    f"pulse-level tau_dq={self.tau_dq} != 4*delta1 + 6*delta2 = {period}",
-                )
 
 
 @dataclass
@@ -197,10 +188,10 @@ def _sector_blocks(run: MqcRun):
     scale = 1.0 + run.mismatch
     if run.mode == Mode.PULSE_LEVEL:
         sectors = parity_sectors(system.n_spins)
-        u_f = dq_cycle(system, run.delta1, run.delta2, sign=+1)
+        u_f = dq_cycle(system, run.tau_dq, sign=+1)
         f_blocks = [u_f[np.ix_(s, s)] for s in sectors]
         del u_f  # freed before the reversed cycle is built
-        u_b = dq_cycle(system, scale * run.delta1, scale * run.delta2, sign=-1)
+        u_b = dq_cycle(system, scale * run.tau_dq, sign=-1)
         for s, f in zip(sectors, f_blocks):
             yield s, f, u_b[np.ix_(s, s)]
         return

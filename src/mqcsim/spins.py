@@ -188,7 +188,6 @@ class SpinSystem:
 
     n_spins: int
     couplings: np.ndarray
-    geometry: Geometry | None = None
     # key -> derived table, filled by _derived
     _tables: dict = field(init=False, repr=False, default_factory=dict)
 
@@ -316,7 +315,7 @@ def build_system(geometry: Geometry, n_spins: int) -> SpinSystem:
     else:
         raise InvalidParameter("geometry", f"unknown geometry {geometry!r}")
 
-    return SpinSystem(n_spins=n_spins, couplings=d, geometry=geometry)
+    return SpinSystem(n_spins=n_spins, couplings=d)
 
 
 def all_finite(a: np.ndarray) -> bool:

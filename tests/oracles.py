@@ -258,14 +258,14 @@ def dq_cycle_direct(couplings, delta1, delta2, sign):
     return u
 
 
-def aht_error(target, system, scale, delta1=3e-6, delta2=8e-6, sign=+1):
+def aht_error(target, system, scale, period=60e-6, sign=+1):
     """Frobenius defect per sqrt(D) of the eight-pulse cycle against its target.
 
     The couplings are multiplied by ``scale``; the package builds the cycle
     on them with ``dq_cycle``, and the target is ``expm(-i * sign * H_target
-    * T)`` of the kron-built ``dense_operator`` over the period T = 4*delta1
-    + 6*delta2, so the two sides share no propagator. A leading-order
-    average Hamiltonian leaves a defect of order scale**2.
+    * period)`` of the kron-built ``dense_operator``, so the two sides share
+    no propagator. A leading-order average Hamiltonian leaves a defect of
+    order scale**2.
     """
     import scipy.linalg
 
@@ -273,7 +273,6 @@ def aht_error(target, system, scale, delta1=3e-6, delta2=8e-6, sign=+1):
 
     n = system.n_spins
     couplings = system.couplings * scale
-    u_cycle = dq_cycle(build_system(ExplicitCouplings(couplings), n), delta1, delta2, sign)
-    period = 4 * delta1 + 6 * delta2
+    u_cycle = dq_cycle(build_system(ExplicitCouplings(couplings), n), period, sign)
     u_target = scipy.linalg.expm(-1j * sign * period * dense_operator(target, couplings, n))
     return float(np.linalg.norm(u_cycle - u_target) / 2 ** (n / 2))

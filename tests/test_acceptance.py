@@ -133,8 +133,8 @@ def test_c05_aht_zeroth_order():
     for n_spins in (4, 6):
         system = build_system(AllToAll(d0=1.0), n_spins)
         scale = 500.0  # d0 * tau_dq = 0.03
-        err_full = aht_error(OperatorKind.HDQ, system, scale, 3e-6, 8e-6)
-        err_half = aht_error(OperatorKind.HDQ, system, scale / 2, 3e-6, 8e-6)
+        err_full = aht_error(OperatorKind.HDQ, system, scale, 60e-6)
+        err_half = aht_error(OperatorKind.HDQ, system, scale / 2, 60e-6)
         ratio = err_full / err_half
         assert 4.0 * 0.75 <= ratio <= 4.0 * 1.25
 

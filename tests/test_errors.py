@@ -82,14 +82,13 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: collective_pulse(np.zeros(0), Axis.X, 1.0), "obj"),
     (lambda: collective_pulse(np.zeros((4, 2)), Axis.X, 1.0), "obj"),
     (lambda: collective_pulse(np.full(4, np.nan), Axis.X, 1.0), "obj"),
-    # a non-finite delay would make an all-NaN cycle
-    (lambda: dq_cycle(_SYSTEM, np.nan), "delta1"),
-    (lambda: dq_cycle(_SYSTEM, np.inf), "delta1"),
-    (lambda: dq_cycle(_SYSTEM, 0.0), "delta1"),
-    (lambda: dq_cycle(_SYSTEM, "3e-6"), "delta1"),
-    (lambda: dq_cycle(_SYSTEM, 3e-6, np.nan), "delta2"),
-    (lambda: dq_cycle(_SYSTEM, 3e-6, -np.inf), "delta2"),
-    (lambda: dq_cycle(_SYSTEM, 3e-6, -8e-6), "delta2"),
+    # a non-finite period would make an all-NaN cycle
+    (lambda: dq_cycle(_SYSTEM, np.nan), "period"),
+    (lambda: dq_cycle(_SYSTEM, np.inf), "period"),
+    (lambda: dq_cycle(_SYSTEM, 0.0), "period"),
+    (lambda: dq_cycle(_SYSTEM, "6e-5"), "period"),
+    (lambda: dq_cycle(_SYSTEM, -np.inf), "period"),
+    (lambda: dq_cycle(_SYSTEM, -6e-5), "period"),
     (lambda: dq_cycle(_SYSTEM, sign=0), "sign"),
     (lambda: dq_cycle(_SYSTEM, sign=np.nan), "sign"),
     # the inversion takes one noise scale, and a grid of a whole number of points
@@ -122,8 +121,6 @@ def test_no_bare_value_or_type_error_raised():
     (lambda: DdConfig(tau=0.1, theta=1.0, n_cycles=8, noise_sigma="0"), "noise_sigma"),
     (lambda: MqcRun(_SYSTEM, 1, "0.1", [0.0]), "tau_dq"),
     (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], mismatch="0"), "mismatch"),
-    (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], delta1="3e-6"), "delta1"),
-    (lambda: MqcRun(_SYSTEM, 1, 0.1, [0.0], delta2="8e-6"), "delta2"),
     (lambda: evolve(np.eye(4)[0], _SYSTEM, "dq", "1.0"), "t"),
     (lambda: krylov_expmv(_SYSTEM, "dq", np.eye(4)[0], "1.0"), "t"),
     # couplings are real numbers, refused before any conversion
@@ -149,8 +146,8 @@ def test_no_bare_value_or_type_error_raised():
         "fit-complex-values",
         "fractional-phase-count", "nan-phase-count", "pulse-fractional-n-spins",
         "pulse-negative-n-spins", "empty-state", "non-square-density", "nan-state",
-        "nan-delta1", "inf-delta1", "zero-delta1", "string-delta1", "nan-delta2",
-        "minus-inf-delta2", "negative-delta2", "zero-sign", "nan-sign",
+        "nan-period", "inf-period", "zero-period", "string-period",
+        "minus-inf-period", "negative-period", "zero-sign", "nan-sign",
         "fractional-n-grid", "nan-n-grid", "string-n-grid", "array-noise-estimate",
         "string-s-min", "string-alpha",
         "nan-forced-exponent", "inf-forced-exponent", "nan-sigma-eff",
@@ -158,7 +155,7 @@ def test_no_bare_value_or_type_error_raised():
         "string-orders", "string-tau-grid", "string-times", "unequal-fit-lengths",
         "2d-times", "string-phases", "nan-snr-values", "inf-snr-values", "empty-snr-values",
         "string-tau", "string-theta", "string-noise-sigma", "string-tau-dq",
-        "string-mismatch", "run-string-delta1", "run-string-delta2", "string-evolve-t",
+        "string-mismatch", "string-evolve-t",
         "string-krylov-t", "string-explicit-couplings", "string-couplings", "bool-couplings",
         "complex-couplings", "string-evolve-obj", "string-krylov-v", "string-apply-state",
         "string-pulse-obj", "string-mixture-orders"])

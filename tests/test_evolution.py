@@ -256,11 +256,14 @@ class TestPrograms:
     def test_matches_step_by_step_oracle(self, n, sign):
         couplings = random_couplings(n, np.random.default_rng(n), 100.0, 2000.0)
         system = build_system(ExplicitCouplings(couplings), n)
-        steps = dq_cycle_steps(3e-6, 8e-6)
-        assert sum(t for what, t in steps if what == "delay") == pytest.approx(60e-6)
-        assert [what for what, _ in steps].count("pulse") == 8
-        expected = dq_cycle_direct(couplings, 3e-6, 8e-6, sign)
-        assert np.max(np.abs(dq_cycle(system, 3e-6, 8e-6, sign) - expected)) < 1e-12
+        # the oracle takes literal delays at the 3:8 split, so it shares no
+        # split formula with dq_cycle
+        for period, delta1, delta2 in ((60e-6, 3e-6, 8e-6), (600e-6, 3e-5, 8e-5)):
+            steps = dq_cycle_steps(delta1, delta2)
+            assert sum(t for what, t in steps if what == "delay") == pytest.approx(period)
+            assert [what for what, _ in steps].count("pulse") == 8
+            expected = dq_cycle_direct(couplings, delta1, delta2, sign)
+            assert np.max(np.abs(dq_cycle(system, period, sign) - expected)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_propagator_unitarity(self, n):

@@ -450,9 +450,24 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_unknown_field_exit_2(self, tmp_path, capsys):
-        cfg, _ = write_config(tmp_path, mqc={"filter_delay": 1e-4})
+        # the cycle splits its period tau_dq into its delays itself
+        for key, value in (("filter_delay", 1e-4), ("delta1", 3e-6)):
+            cfg, _ = write_config(tmp_path, mqc={key: value})
+            assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
+            assert f"unknown config field mqc.{key}" in capsys.readouterr().err
+
+    def test_pulse_level_runs_at_default_tau_dq(self, tmp_path):
+        tau_dq = cli.default_config()["mqc"]["tau_dq"]
+        cfg, out = write_config(tmp_path, mqc={"tau_dq": tau_dq, "mode": "pulse"})
+        assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 0
+        assert (out / "loschmidt.csv").exists()
+
+    def test_overflowing_reversed_period_names_tau_dq(self, tmp_path, capsys):
+        # (1 + mismatch) * tau_dq overflows to the reversed cycle's period
+        cfg, _ = write_config(tmp_path, mqc={"tau_dq": 1e308, "mismatch": 1.0,
+                                             "mode": "pulse"})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 2
-        assert "unknown config field mqc.filter_delay" in capsys.readouterr().err
+        assert "config field mqc.tau_dq is invalid" in capsys.readouterr().err
 
     def test_geometry_replaces_default_whole(self, tmp_path):
         couplings = [[0.0, 1.0], [1.0, 0.0]]
@@ -658,7 +673,7 @@ class TestCli:
         cfg, out = write_config(tmp_path, system={"n_spins": 8})
         assert cli.main(["simulate-mqc", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert ("the dense order_amplitudes-ideal path at D=256 needs 1363149 bytes, "
+        assert ("the dense order_amplitudes-ideal path at D=256 needs 1310720 bytes, "
                 "budget 1000000 bytes") in err
         assert not (out / "manifest.json").exists()
         monkeypatch.undo()

@@ -70,7 +70,6 @@ def _system(n: int, seed: int = 3) -> SpinSystem:
 
 def _dense_paths(system: SpinSystem) -> dict:
     """Traced call -> (its path's ``_DENSE_FACTORS`` key, the call)."""
-    dq_period = 4 * 3e-6 + 6 * 8e-6
     phases = uniform_phase_grid(8)
     rho = np.diag(system.magnetization).astype(complex)
     paths = {
@@ -83,7 +82,7 @@ def _dense_paths(system: SpinSystem) -> dict:
         "order_amplitudes-mismatch": ("order_amplitudes-ideal", lambda: order_amplitudes(
             MqcRun(system, 2, 0.1, phases, mismatch=0.1))),
         "order_amplitudes-pulse": ("order_amplitudes-pulse", lambda: order_amplitudes(
-            MqcRun(system, 2, dq_period, phases, mode=Mode.PULSE_LEVEL))),
+            MqcRun(system, 2, 60e-6, phases, mode=Mode.PULSE_LEVEL))),
         "evolve-density": ("evolve-density", lambda: evolve(rho, system, OperatorKind.HDQ, 0.3)),
         "dq_cycle": ("dq_cycle", lambda: dq_cycle(system)),
     }

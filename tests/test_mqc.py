@@ -108,7 +108,7 @@ class TestRunProtocol:
             MqcRun(sys2, -1, 0.1, np.array([0.0]))
         with pytest.raises(ValueError):
             MqcRun(sys2, 1, 0.1, np.array([0.0, np.nan]))
-        for field in ("tau_dq", "mismatch", "delta1", "delta2"):
+        for field in ("tau_dq", "mismatch"):
             for bad in (np.nan, np.inf):
                 params = {"tau_dq": 0.1, field: bad}
                 with pytest.raises(ValueError, match=field):
@@ -120,10 +120,16 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="mismatch"):
             MqcRun(sys2, 1, 0.1, np.array([0.0]), mismatch=mismatch)
 
-    def test_pulse_level_tau_must_match_block(self, sys2):
-        with pytest.raises(ValueError):
-            MqcRun(sys2, 1, 0.1, np.array([0.0]), mode=Mode.PULSE_LEVEL)
-        MqcRun(sys2, 1, 60e-6, np.array([0.0]), mode=Mode.PULSE_LEVEL)
+    @pytest.mark.parametrize("c", [0.5, 10.0])
+    def test_pulse_level_block_is_one_cycle_of_tau_dq(self, c):
+        # tau_dq sets the cycle's period, so only couplings * tau_dq matters
+        couplings = random_couplings(4, np.random.default_rng(4), 100.0, 2000.0)
+        amps = [order_amplitudes(MqcRun(
+            build_system(ExplicitCouplings(couplings / scale), 4), 3, scale * 60e-6,
+            uniform_phase_grid(8), mode=Mode.PULSE_LEVEL, mismatch=0.05))
+            for scale in (1.0, c)]
+        assert np.max(np.abs(amps[1].amplitudes - amps[0].amplitudes)) < 1e-12
+        assert np.max(np.abs(amps[1].density - amps[0].density)) < 1e-12
 
 
 class TestSpectra:
@@ -294,8 +300,8 @@ class TestMismatchAsTimeScale:
         couplings = random_couplings(n, np.random.default_rng(n), 100.0, 2000.0)
         system = build_system(ExplicitCouplings(couplings), n)
         scaled = build_system(ExplicitCouplings(couplings * scale), n)
-        by_couplings = dq_cycle(scaled, 3e-6, 8e-6, sign=-1)
-        by_time = dq_cycle(system, scale * 3e-6, scale * 8e-6, sign=-1)
+        by_couplings = dq_cycle(scaled, 60e-6, sign=-1)
+        by_time = dq_cycle(system, scale * 60e-6, sign=-1)
         assert np.max(np.abs(by_couplings - by_time)) < 1e-12
 
     def test_pulse_level_run_matches_scaled_couplings(self):
